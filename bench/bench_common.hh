@@ -3,7 +3,10 @@
  * Shared helpers for the figure/table reproduction binaries.
  *
  * Every binary prints the rows/series of one table or figure from
- * the paper. Scale knobs:
+ * the paper. Sweeps are driver::ExperimentSpec values (bench/specs.hh)
+ * run through runSpec/runSpecMain; benches with their own table
+ * format print from SpecRun::results. Scale knobs, parsed by
+ * src/driver/env.hh (a malformed value warns once and falls back):
  *   JUMANJI_MIXES=<n>      random batch mixes per configuration
  *   JUMANJI_SEED=<n>       base seed
  *   JUMANJI_JOBS=<n>       driver worker threads (default 1; output
@@ -27,20 +30,17 @@
 #include <string>
 #include <vector>
 
+#include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
-#include "src/sim/logging.hh"
-#include "src/system/harness.hh"
 
 namespace jumanji {
 namespace bench {
 
 /**
- * JUMANJI_SEED override, else @p fallback. Accepted range is
- * [1, 2^64-1]; 0 or garbage warns once and falls back (see
- * driver::seedFromEnv, which this delegates to — also the reason no
- * bench needs getenv for seeds, which the env-routing lint rule
- * enforces).
+ * JUMANJI_SEED override, else @p fallback (driver::seedFromEnv: the
+ * reason no bench needs getenv for seeds, which the env-routing lint
+ * rule enforces).
  */
 inline std::uint64_t
 seedFromEnv(std::uint64_t fallback = 1)
@@ -113,45 +113,9 @@ orchestrator()
 }
 
 /**
- * Drop-in replacement for ExperimentHarness::sweep() that runs the
- * mixes through the orchestrator — byte-identical results, any
- * worker count.
- */
-inline std::vector<MixResult>
-sweep(ExperimentHarness &harness,
-      const std::vector<std::string> &lcNames, std::uint32_t mixes,
-      const std::vector<LlcDesign> &designs, LoadLevel load)
-{
-    return driver::parallelSweep(harness, lcNames, mixes, designs,
-                                 load, orchestrator());
-}
-
-/**
- * Runs a graph of independent jobs and unwraps the outcomes in
- * submission order, aborting the bench on the first failed job (a
- * figure with silently missing points would be worse than no
- * figure).
- */
-inline std::vector<MixResult>
-runJobs(const driver::JobGraph &graph)
-{
-    std::vector<driver::JobOutcome> outcomes =
-        orchestrator().run(graph);
-    std::vector<MixResult> results;
-    results.reserve(outcomes.size());
-    for (driver::JobId id = 0; id < outcomes.size(); id++) {
-        if (!outcomes[id].ok)
-            fatal("job " + graph.job(id).label +
-                  " failed: " + outcomes[id].error);
-        results.push_back(std::move(outcomes[id].result));
-    }
-    return results;
-}
-
-/**
  * Runs a spec through the process-wide orchestrator and returns the
- * plan + results (for benches that post-process, e.g. the ablation's
- * trading probe).
+ * plan + results, in job order (for benches that print their own
+ * table, e.g. fig15's energy split or the ablation's trading probe).
  */
 inline driver::SpecRun
 runSpec(const driver::ExperimentSpec &spec)
@@ -160,10 +124,9 @@ runSpec(const driver::ExperimentSpec &spec)
 }
 
 /**
- * The whole body of a spec-driven bench binary: banner, run, table,
- * note — byte-identical to the former handwritten loops (the banner
- * still prints before the first simulation starts, so a crashed run
- * is attributable).
+ * The whole body of a spec-rendered bench binary: banner, run, table,
+ * note (the banner prints before the first simulation starts, so a
+ * crashed run is attributable).
  */
 inline void
 runSpecMain(const driver::ExperimentSpec &spec)

@@ -9,7 +9,7 @@
  * deadlines; Jumanji meets deadlines with near-Jigsaw speedup.
  */
 
-#include "bench/bench_common.hh"
+#include "bench/specs.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -20,11 +20,8 @@ main()
     setQuiet(true);
     header("Figure 5", "case study: tail latency + batch speedup per "
                        "design");
-    std::uint32_t mixes = ExperimentHarness::mixCountFromEnv(3);
-
-    ExperimentHarness harness(benchConfig());
-    auto results = harness.sweep({"xapian"}, mixes, mainDesigns(),
-                                 LoadLevel::High);
+    const std::vector<MixResult> results =
+        runSpec(specs::fig05CaseStudy()).results;
 
     auto speedups = gmeanSpeedups(results);
     auto vuln = meanVulnerability(results);

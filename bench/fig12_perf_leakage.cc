@@ -89,7 +89,7 @@ main()
     setQuiet(true);
     header("Figure 12", "tail-latency leakage with a fixed partition "
                         "across 40 batch mixes");
-    std::uint32_t mixes = ExperimentHarness::mixCountFromEnv(12);
+    std::uint32_t mixes = driver::mixCountFromEnv(12);
 
     SystemConfig cfg = benchConfig();
     ExperimentHarness harness(cfg);

@@ -10,7 +10,7 @@
  * slightly worse (associativity loss).
  */
 
-#include "bench/bench_common.hh"
+#include "bench/specs.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -21,11 +21,8 @@ main()
     setQuiet(true);
     header("Figure 15", "dynamic data-movement energy by level, "
                         "normalized to Static");
-    std::uint32_t mixes = ExperimentHarness::mixCountFromEnv(3);
-
-    ExperimentHarness harness(benchConfig());
-    auto results = harness.sweep(allTailAppNames(), mixes,
-                                 mainDesigns(), LoadLevel::High);
+    const std::vector<MixResult> results =
+        runSpec(specs::mainComparison("fig15-energy")).results;
 
     // Average energy per *instruction* (equal work, as the paper's
     // fixed-work methodology implies), then normalize to Static.

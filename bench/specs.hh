@@ -4,8 +4,8 @@
  * C++ twin of a scenario document (fig13Small() mirrors
  * examples/scenarios/fig13_small.json — tests/test_spec.cc proves
  * they normalize to the same JSON), and each bench binary is a thin
- * main() around runSpecMain(spec), byte-identical to the former
- * handwritten loops.
+ * main() around runSpecMain(spec), or runSpec(spec) plus its own
+ * table formatting.
  */
 
 #ifndef JUMANJI_BENCH_SPECS_HH
@@ -89,6 +89,42 @@ fig13Small()
         "Paper: Adaptive/VM-Part/Jumanji meet deadlines, Jigsaw "
         "violates badly; Jumanji/Jigsaw speed up batch 11-18%, "
         "S-NUCAs <= 4%.";
+    return spec;
+}
+
+/**
+ * The main-designs comparison behind fig15 and table1: the Mixed
+ * group at high load under mainDesigns(), calibrations shared. Those
+ * benches print their own tables from SpecRun::results, so the
+ * output block is unused; since both expand to the same jobs, a
+ * shared JUMANJI_CACHE_DIR answers the second from the first.
+ */
+inline driver::ExperimentSpec
+mainComparison(const std::string &name)
+{
+    driver::ExperimentSpec spec;
+    spec.name = name;
+    spec.designs = mainDesigns();
+    spec.groups = {{"Mixed", allTailAppNames()}};
+    return spec;
+}
+
+/** Fig. 14: mainComparison at high and low load (high half shared). */
+inline driver::ExperimentSpec
+fig14Vulnerability()
+{
+    driver::ExperimentSpec spec = mainComparison("fig14-vulnerability");
+    spec.loads = {LoadLevel::High, LoadLevel::Low};
+    spec.output.sectionLabel = "[{load} load]";
+    return spec;
+}
+
+/** Fig. 5: the Sec. III case study, mainComparison on xapian. */
+inline driver::ExperimentSpec
+fig05CaseStudy()
+{
+    driver::ExperimentSpec spec = mainComparison("fig05-case-study");
+    spec.groups = {{"xapian", {"xapian"}}};
     return spec;
 }
 

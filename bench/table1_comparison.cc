@@ -13,7 +13,7 @@
 
 #include <algorithm>
 
-#include "bench/bench_common.hh"
+#include "bench/specs.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -24,11 +24,8 @@ main()
     setQuiet(true);
     header("Table I", "tail latency / security / batch speedup by "
                       "design (measured)");
-    std::uint32_t mixes = ExperimentHarness::mixCountFromEnv(3);
-
-    ExperimentHarness harness(benchConfig());
-    auto results = harness.sweep(allTailAppNames(), mixes,
-                                 mainDesigns(), LoadLevel::High);
+    const std::vector<MixResult> results =
+        runSpec(specs::mainComparison("table1-comparison")).results;
     auto speedups = gmeanSpeedups(results);
     auto vuln = meanVulnerability(results);
 

@@ -1,17 +1,14 @@
 #include "src/driver/orchestrator.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "src/driver/pool.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/profiler.hh"
-#include "src/workloads/mixes.hh"
 
 namespace jumanji {
 namespace driver {
@@ -293,92 +290,6 @@ Orchestrator::writeSummary(std::uint64_t total, std::uint64_t simulated,
     out << "jobs=" << total << " simulated=" << simulated
         << " cached=" << cached << " failed=" << failed
         << " workers=" << options_.jobs << tail << "\n";
-}
-
-std::vector<MixResult>
-parallelSweep(ExperimentHarness &harness,
-              const std::vector<std::string> &lcNames,
-              std::uint32_t numMixes,
-              const std::vector<LlcDesign> &designs, LoadLevel load,
-              Orchestrator &orchestrator)
-{
-    const SystemConfig base = harness.baseConfig();
-
-    // Phase A: materialize every sweep point. Seed derivation and
-    // mix generation replicate ExperimentHarness::sweep() exactly —
-    // this is what keeps parallel output byte-identical to serial.
-    struct MixPoint
-    {
-        SystemConfig config;
-        WorkloadMix mix;
-    };
-    std::vector<MixPoint> points;
-    points.reserve(numMixes);
-    for (std::uint32_t m = 0; m < numMixes; m++) {
-        SystemConfig cfg = base;
-        cfg.seed = base.seed + m * 1000003ull;
-        Rng mixRng(cfg.seed ^ 0x5eedull);
-        points.push_back({cfg, makeMix(lcNames, 4, 4, mixRng)});
-    }
-
-    // Phase B: calibrate in the serial lazy order — each uncalibrated
-    // LC app is calibrated with the config of the *first* mix that
-    // contains it, which is the config the serial sweep's lazy
-    // calibrationFor would have used.
-    std::vector<CalibrationJob> plan;
-    std::set<std::string> planned;
-    for (const MixPoint &p : points)
-        for (const VmSpec &vm : p.mix.vms)
-            for (const std::string &name : vm.lcApps)
-                if (!harness.hasCalibration(name) &&
-                    planned.insert(name).second)
-                    plan.push_back({name, p.config});
-    std::vector<LcCalibration> calibrations =
-        orchestrator.runCalibrations(plan);
-    for (std::size_t i = 0; i < plan.size(); i++)
-        harness.setCalibration(plan[i].lcName, calibrations[i]);
-
-    // Phase C: one pre-calibrated job per mix, merged in mix order.
-    JobGraph graph;
-    for (std::uint32_t m = 0; m < numMixes; m++) {
-        SweepJob job;
-        job.label = "mix" + statIndexName(m);
-        job.config = points[m].config;
-        job.mix = points[m].mix;
-        job.designs = designs;
-        job.load = load;
-        job.selfCalibrate = false;
-        job.calibrations = harness.calibrationsFor(points[m].mix);
-        graph.add(std::move(job));
-    }
-    std::vector<JobOutcome> outcomes = orchestrator.run(graph);
-
-    std::vector<MixResult> results;
-    results.reserve(outcomes.size());
-    for (JobId id = 0; id < outcomes.size(); id++) {
-        if (!outcomes[id].ok)
-            fatal("sweep job " + graph.job(id).label +
-                  " failed: " + outcomes[id].error);
-        results.push_back(std::move(outcomes[id].result));
-    }
-    return results;
-}
-
-std::uint32_t
-jobCountFromEnv(std::uint32_t fallback)
-{
-    const char *env = std::getenv("JUMANJI_JOBS");
-    if (env == nullptr) return fallback;
-    long value = std::strtol(env, nullptr, 10);
-    if (value <= 0) return fallback;
-    return static_cast<std::uint32_t>(value);
-}
-
-std::string
-cacheDirFromEnv()
-{
-    const char *env = std::getenv("JUMANJI_CACHE_DIR");
-    return env == nullptr ? std::string() : std::string(env);
 }
 
 } // namespace driver

@@ -42,7 +42,7 @@ namespace driver {
 struct CalibrationJob
 {
     std::string lcName;
-    /** The harness base config the serial path would calibrate with. */
+    /** The config the app is calibrated with (ExperimentHarness base). */
     SystemConfig config;
 };
 
@@ -127,31 +127,6 @@ class Orchestrator
                       std::uint64_t cached, std::uint64_t failed,
                       double wallSec) const;
 };
-
-/**
- * The parallel twin of ExperimentHarness::sweep(): same mixes, same
- * seeds, same calibration policy (each LC app calibrated with the
- * config of the *first* mix that contains it, exactly as the serial
- * lazy path would), results in mix order — byte-identical output to
- * sweep(), whatever the worker count. Newly computed calibrations are
- * installed back into @p harness so later sweeps reuse them, again
- * matching the serial harness. Throws FatalError if any job fails.
- */
-std::vector<MixResult>
-parallelSweep(ExperimentHarness &harness,
-              const std::vector<std::string> &lcNames,
-              std::uint32_t numMixes,
-              const std::vector<LlcDesign> &designs, LoadLevel load,
-              Orchestrator &orchestrator);
-
-/**
- * Worker count for tools/benches: JUMANJI_JOBS when set and positive,
- * else @p fallback.
- */
-std::uint32_t jobCountFromEnv(std::uint32_t fallback);
-
-/** Cache directory for tools/benches: JUMANJI_CACHE_DIR or empty. */
-std::string cacheDirFromEnv();
 
 } // namespace driver
 } // namespace jumanji

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 
+#include "src/driver/env.hh"
 #include "src/sim/logging.hh"
 #include "src/workloads/kv/kv_store.hh"
 #include "src/workloads/mixes.hh"
@@ -370,48 +370,6 @@ renderRow(std::string &out, const SpecOutput &output,
 
 } // namespace
 
-std::uint64_t
-seedFromEnv(std::uint64_t fallback)
-{
-    const char *env = std::getenv("JUMANJI_SEED");
-    if (env == nullptr) return fallback;
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(env, &end, 10);
-    if (v != 0 && end != nullptr && *end == '\0') return v;
-    // Warn once per process: a malformed seed must not silently run
-    // as the fallback and pose as a baseline with that seed.
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        warn("JUMANJI_SEED=\"" + std::string(env) +
-             "\" is not a seed in [1, 2^64-1]; using fallback " +
-             std::to_string(fallback));
-    }
-    return fallback;
-}
-
-double
-kvLoadScaleFromEnv(double fallback)
-{
-    const char *env = std::getenv("JUMANJI_KV_LOAD_SCALE");
-    if (env == nullptr) return fallback;
-    char *end = nullptr;
-    double v = std::strtod(env, &end);
-    if (end != nullptr && *end == '\0' && end != env && v > 0.0 &&
-        v <= 1e3)
-        return v;
-    // Same warn-once contract as seedFromEnv: a malformed scale must
-    // not silently run at the fallback and pose as a scaled sweep.
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        warn("JUMANJI_KV_LOAD_SCALE=\"" + std::string(env) +
-             "\" is not a scale in (0, 1000]; using fallback " +
-             std::to_string(fallback));
-    }
-    return fallback;
-}
-
 ExperimentSpec
 ExperimentSpec::fromJson(const JsonValue &json)
 {
@@ -659,18 +617,18 @@ expandSpec(const ExperimentSpec &spec)
         plan.variantConfigs.push_back(std::move(cfg));
     }
 
-    plan.mixCount =
-        spec.mixes.fromEnv
-            ? ExperimentHarness::mixCountFromEnv(spec.mixes.count)
-            : spec.mixes.count;
+    plan.mixCount = spec.mixes.fromEnv
+                        ? mixCountFromEnv(spec.mixes.count)
+                        : spec.mixes.count;
 
     // Expansion order contract: variants → loads → groups → mixes.
-    // Per-mix seed derivation and the optional 0x5eed mix-RNG salt
-    // replicate the handwritten sweeps exactly (see file comment in
-    // spec.hh). Shared calibrations are planned in the same pass, in
-    // lazy first-seen order per variant — each LC app paired with the
-    // config of the first job whose mix contains it, which is what
-    // the serial harness's lazy calibrationFor would have used.
+    // This loop is the one place the methodology's derivations live:
+    // per-mix seed base.seed + m * 1000003, mix RNG seeded with that
+    // seed, salted with ^ 0x5eed for the sweep-style specs. Shared
+    // calibrations are planned in the same pass, in lazy first-seen
+    // order per variant — each LC app paired with the config of the
+    // first job whose mix contains it, as one ExperimentHarness
+    // walking the jobs in order would calibrate it.
     std::vector<std::set<std::string>> planned(spec.variants.size());
     for (std::size_t v = 0; v < spec.variants.size(); v++) {
         const SystemConfig &variantCfg = plan.variantConfigs[v];
@@ -686,6 +644,9 @@ expandSpec(const ExperimentSpec &spec)
                                 group.label + "/mix" +
                                 std::to_string(m);
                     job.config = variantCfg;
+                    // One trace lane name per job (traceLabel is
+                    // outside config fingerprints and cache keys).
+                    job.config.traceLabel = job.label;
                     job.config.seed =
                         variantCfg.seed + m * 1000003ull;
                     Rng mixRng(job.config.seed ^
@@ -724,9 +685,7 @@ runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator)
         std::vector<LcCalibration> calibrations =
             orchestrator.runCalibrations(run.plan.calibrationPlan);
         // Calibrations are per (variant, name): each variant's config
-        // may differ, so its apps are calibrated separately (exactly
-        // as the per-variant harnesses of the handwritten benches
-        // did). Walking the jobs in order and consuming plan entries
+        // may differ, so its apps are calibrated separately. Walking the jobs in order and consuming plan entries
         // at each first-seen (variant, name) replays the expansion's
         // insertion order, so `next` stays in lockstep with the plan.
         std::size_t jobsPerVariant = spec.loads.size() *

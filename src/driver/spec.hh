@@ -10,11 +10,12 @@
  * execution with byte-identical output, the content-addressed result
  * cache, and submission-order merging.
  *
- * The expansion replicates the handwritten bench loops *exactly*
- * (per-mix seed = base.seed + m * 1000003, mix RNG optionally salted
- * with 0x5eed, lazy first-seen calibration order), so a bench
- * rewritten as a spec produces byte-identical stdout — proven by the
- * golden diffs in tests/test_spec.cc and CI's scenario job.
+ * It is the only way a sweep runs: every bench, jumanji_cli's flags
+ * and --scenario documents all build an ExperimentSpec. The Sec. VII
+ * methodology — per-mix seed derivation, mix RNG salting, and the
+ * lazy first-seen shared-calibration order — lives in expandSpec
+ * alone, pinned from outside by tests/test_spec.cc's serial reference
+ * loop and the committed goldens under tests/golden/.
  */
 
 #ifndef JUMANJI_DRIVER_SPEC_HH
@@ -33,8 +34,9 @@ namespace driver {
 
 /**
  * Base-seed policy. With fromEnv, JUMANJI_SEED overrides the
- * fallback — parsed by driver::seedFromEnv, which warns (once) on
- * values it must ignore instead of silently running the wrong seed.
+ * fallback — parsed by driver::seedFromEnv (src/driver/env.hh), which
+ * warns once on values it must ignore instead of silently running the
+ * wrong seed.
  */
 struct SeedPolicy
 {
@@ -43,12 +45,12 @@ struct SeedPolicy
 };
 
 /**
- * How workload mixes are generated: @p count random 4-LC-VM mixes
+ * How workload mixes are generated: @p count random mixes
  * (JUMANJI_MIXES overrides when fromEnv), each built by
- * makeMix(group.lc, vms, batchPerVm, Rng(seed [^ 0x5eed])). The salt
- * matches the sweep-style benches (fig13/17/18); unsalted matches
- * the single-mix case studies (fig09, ablations), whose mix RNG is
- * seeded with the raw config seed.
+ * makeMix(group.lc, vms, batchPerVm, rng) with the rng seeded from
+ * the job's seed — salted for the sweep-style benches (fig13/14/15/
+ * 17/18, table1, jumanji_cli), unsalted for the single-mix case
+ * studies (fig09, ablations). expandSpec holds the derivation.
  */
 struct MixPolicy
 {
@@ -84,13 +86,12 @@ struct SpecVariant
 /**
  * LC calibration policy.
  *  - Shared: per variant, each LC app is calibrated once with the
- *    config of the first job whose mix contains it (the serial
- *    harness's lazy order, as parallelSweep replicates), and jobs
- *    carry the calibrations (selfCalibrate = false). Matches the
- *    shared-harness benches: fig13, fig16, fig18.
- *  - PerJob: every job calibrates itself from its own config.
- *    Matches the fresh-harness-per-point benches: fig09, fig17, the
- *    ablations.
+ *    config of the first job whose mix contains it (the order one
+ *    lazily calibrating harness walking the jobs would use), and jobs
+ *    carry the calibrations (selfCalibrate = false). fig05, fig13-16,
+ *    fig18, table1, and `jumanji_cli --sweep`.
+ *  - PerJob: every job calibrates itself from its own config: fig09,
+ *    fig17, the ablations, and jumanji_cli's default.
  */
 enum class CalibrationMode
 {
@@ -228,34 +229,15 @@ SpecRun runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator);
 
 /**
  * Renders the result table(s) — the section headings, column
- * headers, and "%12.3f" value rows, byte-identical to the
- * handwritten benches — as a string (src/ routes output through
- * return values, not stdout; callers print it). Does not include
- * the banner or note; renderSpec does.
+ * headers, and "%12.3f" value rows — as a string (src/ routes output
+ * through return values, not stdout; callers print it). Does not
+ * include the banner or note; renderSpec does.
  */
 std::string renderSpecTable(const ExperimentSpec &spec,
                             const SpecRun &run);
 
 /** Full report: banner + renderSpecTable + optional note line. */
 std::string renderSpec(const ExperimentSpec &spec, const SpecRun &run);
-
-/**
- * JUMANJI_SEED override, else @p fallback. Accepted range is
- * [1, 2^64-1]: the full uint64 range except 0, which is reserved as
- * "unset" (and strtoull's error value). A set-but-ignored value —
- * empty, unparseable, trailing junk, or 0 — warns once per process
- * via src/sim/logging and falls back, so a typo'd seed cannot
- * silently masquerade as a clean baseline run.
- */
-std::uint64_t seedFromEnv(std::uint64_t fallback = 1);
-
-/**
- * JUMANJI_KV_LOAD_SCALE override, else @p fallback. Scales the
- * offered load of every KV app in a scenario (kv.loadScale). Accepted
- * range is (0, 1e3]; a set-but-ignored value warns once per process
- * and falls back, mirroring seedFromEnv's policy.
- */
-double kvLoadScaleFromEnv(double fallback = 1.0);
 
 } // namespace driver
 } // namespace jumanji

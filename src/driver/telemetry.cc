@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/driver/env.hh"
 #include "src/sim/json.hh"
 #include "src/sim/logging.hh"
 
@@ -29,21 +30,7 @@ telemetryOptionsFromEnv()
     TelemetryOptions opts;
     if (const char *env = std::getenv("JUMANJI_EVENTS"))
         opts.eventsPath = env;
-    if (const char *env = std::getenv("JUMANJI_HEARTBEAT_MS")) {
-        char *end = nullptr;
-        long value = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || value < 0) {
-            static bool warned = false;
-            if (!warned) {
-                warned = true;
-                warn("JUMANJI_HEARTBEAT_MS=\"" + std::string(env) +
-                     "\" is not a whole number of milliseconds >= 0; "
-                     "heartbeat stays off");
-            }
-        } else {
-            opts.heartbeatMs = static_cast<std::uint32_t>(value);
-        }
-    }
+    opts.heartbeatMs = heartbeatMsFromEnv();
     return opts;
 }
 

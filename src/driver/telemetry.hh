@@ -62,9 +62,8 @@ struct TelemetryOptions
 
 /**
  * TelemetryOptions from $JUMANJI_EVENTS and $JUMANJI_HEARTBEAT_MS.
- * A malformed heartbeat value (not a whole number of ms >= 0) warns
- * once per process via logging and leaves the heartbeat off, like
- * driver::seedFromEnv.
+ * A malformed heartbeat value warns once and leaves the heartbeat off
+ * (driver::heartbeatMsFromEnv, src/driver/env.hh).
  */
 TelemetryOptions telemetryOptionsFromEnv();
 

@@ -25,6 +25,12 @@ warn(const std::string &msg)
 }
 
 void
+warnAlways(const std::string &msg)
+{
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
+}
+
+void
 inform(const std::string &msg)
 {
     if (!quiet) std::fprintf(stderr, "info: %s\n", msg.c_str());

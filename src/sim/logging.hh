@@ -38,6 +38,13 @@ class PanicError : public std::logic_error
 /** Prints a warning to stderr. */
 void warn(const std::string &msg);
 
+/**
+ * Prints a warning to stderr even under setQuiet: for diagnostics
+ * about the user's own input (a malformed env knob), which the
+ * quiet mode that silences simulator chatter must not hide.
+ */
+void warnAlways(const std::string &msg);
+
 /** Prints a status message to stderr. */
 void inform(const std::string &msg);
 

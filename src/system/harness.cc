@@ -1,7 +1,5 @@
 #include "src/system/harness.hh"
 
-#include <cstdlib>
-
 #include "src/sim/logging.hh"
 #include "src/sim/profiler.hh"
 
@@ -18,16 +16,6 @@ MixResult::of(LlcDesign design) const
 ExperimentHarness::ExperimentHarness(const SystemConfig &base)
     : base_(base)
 {
-}
-
-std::uint32_t
-ExperimentHarness::mixCountFromEnv(std::uint32_t fallback)
-{
-    const char *env = std::getenv("JUMANJI_MIXES");
-    if (env == nullptr) return fallback;
-    long value = std::strtol(env, nullptr, 10);
-    if (value <= 0) return fallback;
-    return static_cast<std::uint32_t>(value);
 }
 
 const LcCalibration &
@@ -110,19 +98,6 @@ ExperimentHarness::calibrationsFor(const WorkloadMix &mix)
     return calibrations;
 }
 
-bool
-ExperimentHarness::hasCalibration(const std::string &lcName) const
-{
-    return calibrationCache_.find(lcName) != calibrationCache_.end();
-}
-
-void
-ExperimentHarness::setCalibration(const std::string &lcName,
-                                  const LcCalibration &calibration)
-{
-    calibrationCache_[lcName] = calibration;
-}
-
 MixResult
 ExperimentHarness::runMix(const WorkloadMix &mix,
                           const std::vector<LlcDesign> &designs,
@@ -177,29 +152,6 @@ ExperimentHarness::runCalibrated(const SystemConfig &config,
         result.designs.push_back(std::move(dr));
     }
     return result;
-}
-
-std::vector<MixResult>
-ExperimentHarness::sweep(const std::vector<std::string> &lcNames,
-                         std::uint32_t numMixes,
-                         const std::vector<LlcDesign> &designs,
-                         LoadLevel load)
-{
-    std::vector<MixResult> results;
-    for (std::uint32_t m = 0; m < numMixes; m++) {
-        SystemConfig cfg = base_;
-        cfg.seed = base_.seed + m * 1000003ull;
-        Rng mixRng(cfg.seed ^ 0x5eedull);
-        WorkloadMix mix = makeMix(lcNames, 4, 4, mixRng);
-
-        ExperimentHarness perMix(*this);
-        perMix.base_ = cfg;
-        perMix.calibrationCache_ = calibrationCache_;
-        results.push_back(perMix.runMix(mix, designs, load));
-        // Reuse calibrations discovered by the child.
-        calibrationCache_ = perMix.calibrationCache_;
-    }
-    return results;
 }
 
 std::map<LlcDesign, double>

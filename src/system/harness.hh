@@ -1,8 +1,11 @@
 /**
  * @file
  * ExperimentHarness: the evaluation methodology of Sec. VII as
- * reusable code — deadline calibration, per-design runs over random
- * batch mixes, and normalization against the Static baseline.
+ * reusable code — deadline calibration, per-design runs of one mix,
+ * and normalization against the Static baseline. Sweeps over many
+ * mixes are driver::ExperimentSpec values (src/driver/spec.hh),
+ * whose expansion is the one place per-mix seeds, mix RNGs, and the
+ * shared-calibration order are derived.
  */
 
 #ifndef JUMANJI_SYSTEM_HARNESS_HH
@@ -61,17 +64,6 @@ class ExperimentHarness
     /** Calibration map covering @p mix's LC apps. */
     LcCalibrationMap calibrationsFor(const WorkloadMix &mix);
 
-    /** True when @p lcName is already in the calibration cache. */
-    bool hasCalibration(const std::string &lcName) const;
-
-    /**
-     * Installs an externally computed calibration (e.g. one produced
-     * by a driver worker) into the cache, so later runs reuse it
-     * exactly as if calibrationFor had computed it here.
-     */
-    void setCalibration(const std::string &lcName,
-                        const LcCalibration &calibration);
-
     /**
      * Runs @p mix under every design in @p designs (Static is always
      * run first as the normalization baseline).
@@ -93,21 +85,6 @@ class ExperimentHarness
                                    const std::vector<LlcDesign> &designs,
                                    LoadLevel load,
                                    const LcCalibrationMap &calibrations);
-
-    /**
-     * The paper's standard sweep: @p numMixes random batch mixes for
-     * a given LC-app selection, at @p load.
-     */
-    std::vector<MixResult> sweep(const std::vector<std::string> &lcNames,
-                                 std::uint32_t numMixes,
-                                 const std::vector<LlcDesign> &designs,
-                                 LoadLevel load);
-
-    const SystemConfig &baseConfig() const { return base_; }
-    SystemConfig &mutableBaseConfig() { return base_; }
-
-    /** Env-var override: JUMANJI_MIXES trims mix counts for CI. */
-    static std::uint32_t mixCountFromEnv(std::uint32_t fallback);
 
   private:
     SystemConfig base_;

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/driver/env.hh"
 #include "src/driver/job.hh"
 #include "src/driver/mpmc_queue.hh"
 #include "src/driver/orchestrator.hh"
@@ -281,35 +282,6 @@ TEST(Orchestrator, EightJobsAreByteIdenticalAcrossWorkerCounts)
     EXPECT_EQ(perWorker, 8.0);
 }
 
-TEST(Orchestrator, ParallelSweepMatchesSerialSweepExactly)
-{
-    const std::vector<std::string> lcNames = {"xapian", "silo"};
-    const std::vector<LlcDesign> designs = {LlcDesign::Adaptive};
-
-    ExperimentHarness serialHarness(tinyConfig(42));
-    std::vector<MixResult> serialResults =
-        serialHarness.sweep(lcNames, 3, designs, LoadLevel::High);
-
-    ExperimentHarness parallelHarness(tinyConfig(42));
-    Orchestrator::Options opts;
-    opts.jobs = 4;
-    Orchestrator orch(opts);
-    std::vector<MixResult> parallelResults = driver::parallelSweep(
-        parallelHarness, lcNames, 3, designs, LoadLevel::High, orch);
-
-    EXPECT_EQ(fingerprintResults(serialResults),
-              fingerprintResults(parallelResults));
-
-    // The parallel path must also leave the harness in the same
-    // state a serial sweep would: calibrations installed for reuse.
-    for (const auto &name : lcNames) {
-        EXPECT_TRUE(parallelHarness.hasCalibration(name));
-        EXPECT_EQ(
-            parallelHarness.calibrationFor(name).deadline,
-            serialHarness.calibrationFor(name).deadline);
-    }
-}
-
 TEST(Orchestrator, CacheHitsOnSecondRunAndMissesAfterConfigEdit)
 {
     std::string dir = testing::TempDir() + "jumanji_cache_test";
@@ -465,6 +437,17 @@ TEST(Telemetry, OptionsComeFromEnvAndGarbageFallsBackOff)
     driver::TelemetryOptions off = driver::telemetryOptionsFromEnv();
     EXPECT_TRUE(off.eventsPath.empty());
     EXPECT_EQ(off.heartbeatMs, 0u);
+
+    // The worker-count knob follows the same policy: a malformed
+    // value warns once and runs the fallback, never a prefix of it.
+    ::setenv("JUMANJI_JOBS", "4", 1);
+    EXPECT_EQ(driver::jobCountFromEnv(1), 4u);
+    for (const char *bad : {"4x", "abc", "0", "-3", "", "1e3"}) {
+        ::setenv("JUMANJI_JOBS", bad, 1);
+        EXPECT_EQ(driver::jobCountFromEnv(1), 1u) << "value: " << bad;
+    }
+    ::unsetenv("JUMANJI_JOBS");
+    EXPECT_EQ(driver::jobCountFromEnv(2), 2u);
 }
 
 /** Parses a JSONL event log into one JsonValue per line. */

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench/specs.hh"
+#include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
 #include "src/sim/json.hh"

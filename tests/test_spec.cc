@@ -5,7 +5,8 @@
  * diagnostics, the C++ spec builders in bench/specs.hh and the
  * shipped examples/scenarios/ files are the same specs, expansion
  * order is stable, and a spec-driven run is byte-identical — results
- * *and* rendered table — to the handwritten sweep it replaced.
+ * *and* rendered table — to a plain serial loop that spells out the
+ * Sec. VII methodology, pinning it from outside src/driver/spec.cc.
  */
 
 #include <gtest/gtest.h>
@@ -20,13 +21,16 @@
 #include <vector>
 
 #include "bench/specs.hh"
+#include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
 #include "src/sim/fingerprint.hh"
 #include "src/sim/json.hh"
 #include "src/sim/logging.hh"
+#include "src/sim/rng.hh"
 #include "src/system/config.hh"
 #include "src/system/harness.hh"
+#include "src/workloads/mixes.hh"
 
 namespace jumanji {
 namespace {
@@ -318,7 +322,7 @@ tinyFig13Spec()
 /** The pre-spec fig13 printGroup, verbatim, rendered to a string. */
 std::string
 handwrittenTable(const ExperimentSpec &spec,
-                 const std::vector<std::vector<MixResult>> &perGroup)
+                 const std::vector<MixResult> &all)
 {
     std::string out;
     char buf[256];
@@ -326,8 +330,11 @@ handwrittenTable(const ExperimentSpec &spec,
         std::snprintf(buf, sizeof(buf), fmt, args...);
         out += buf;
     };
+    const std::size_t n = spec.mixes.count;
     for (std::size_t g = 0; g < spec.groups.size(); g++) {
-        const std::vector<MixResult> &results = perGroup[g];
+        const std::vector<MixResult> results(
+            all.begin() + static_cast<std::ptrdiff_t>(g * n),
+            all.begin() + static_cast<std::ptrdiff_t>((g + 1) * n));
         emit("\n[%s load, LC=%s, %u mixes]\n", "high",
              spec.groups[g].label.c_str(),
              static_cast<unsigned>(results.size()));
@@ -355,12 +362,44 @@ handwrittenTable(const ExperimentSpec &spec,
     return out;
 }
 
+/**
+ * The reference: the methodology as a plain serial loop over @p spec's
+ * groups and mixes (one load, one variant), with the seed and mix
+ * derivations written out. PerJob calibrates every job from its own
+ * config; Shared keeps each app's first calibration, made with the
+ * config of the first job whose mix contains it.
+ */
+std::vector<MixResult>
+referenceSweep(const ExperimentSpec &spec, const SystemConfig &base)
+{
+    const bool shared = spec.calibration == CalibrationMode::Shared;
+    LcCalibrationMap kept;
+    std::vector<MixResult> results;
+    for (const SpecGroup &group : spec.groups) {
+        for (std::uint32_t m = 0; m < spec.mixes.count; m++) {
+            SystemConfig cfg = base;
+            cfg.seed = base.seed + m * 1000003ull;
+            Rng mixRng(cfg.seed ^ 0x5eedull);
+            WorkloadMix mix = makeMix(group.lcNames, spec.mixes.vms,
+                                      spec.mixes.batchPerVm, mixRng);
+            ExperimentHarness harness(cfg);
+            LcCalibrationMap calibrations;
+            for (const VmSpec &vm : mix.vms) {
+                for (const std::string &lc : vm.lcApps) {
+                    if (!shared || kept.count(lc) == 0)
+                        kept[lc] = harness.calibrationFor(lc);
+                    calibrations[lc] = kept[lc];
+                }
+            }
+            results.push_back(ExperimentHarness::runCalibrated(
+                cfg, mix, spec.designs, spec.loads[0], calibrations));
+        }
+    }
+    return results;
+}
+
 TEST(Spec, RunIsByteIdenticalToTheHandwrittenSweep)
 {
-    ExperimentSpec spec = tinyFig13Spec();
-
-    // The handwritten side: a shared serial harness, one sweep per
-    // group — exactly the pre-spec bench structure.
     SystemConfig base = SystemConfig::benchScaled();
     base.llc.setsPerBank = 32;
     base.capacityScale = 0.0625;
@@ -368,29 +407,31 @@ TEST(Spec, RunIsByteIdenticalToTheHandwrittenSweep)
     base.warmupTicks = 100000;
     base.measureTicks = 200000;
     base.seed = 42;
-    ExperimentHarness harness(base);
-    std::vector<std::vector<MixResult>> perGroup;
-    std::vector<MixResult> handwritten;
-    for (const SpecGroup &group : spec.groups) {
-        std::vector<MixResult> results = harness.sweep(
-            group.lcNames, 2, spec.designs, LoadLevel::High);
-        for (const MixResult &r : results) handwritten.push_back(r);
-        perGroup.push_back(std::move(results));
+
+    for (CalibrationMode mode :
+         {CalibrationMode::Shared, CalibrationMode::PerJob}) {
+        ExperimentSpec spec = tinyFig13Spec();
+        spec.calibration = mode;
+        const char *name =
+            mode == CalibrationMode::Shared ? "shared" : "perJob";
+        std::vector<MixResult> reference = referenceSweep(spec, base);
+
+        // The spec side, through the parallel orchestrator.
+        driver::Orchestrator::Options opts;
+        opts.jobs = 2;
+        driver::Orchestrator orch(opts);
+        SpecRun run = driver::runSpec(spec, orch);
+
+        EXPECT_EQ(configFingerprint(run.plan.base),
+                  configFingerprint(base))
+            << name;
+        EXPECT_EQ(fingerprintResults(run.results),
+                  fingerprintResults(reference))
+            << name << ": spec expansion diverged from the reference";
+        EXPECT_EQ(driver::renderSpecTable(spec, run),
+                  handwrittenTable(spec, reference))
+            << name << ": rendered table diverged from the formatter";
     }
-
-    // The spec side, through the parallel orchestrator.
-    driver::Orchestrator::Options opts;
-    opts.jobs = 2;
-    driver::Orchestrator orch(opts);
-    SpecRun run = driver::runSpec(spec, orch);
-
-    EXPECT_EQ(configFingerprint(run.plan.base), configFingerprint(base));
-    EXPECT_EQ(fingerprintResults(run.results),
-              fingerprintResults(handwritten))
-        << "spec expansion diverged from the handwritten sweep";
-    EXPECT_EQ(driver::renderSpecTable(spec, run),
-              handwrittenTable(spec, perGroup))
-        << "rendered table diverged from the handwritten formatter";
 }
 
 TEST(Spec, SeedFromEnvParsesTheFullRangeAndFallsBack)

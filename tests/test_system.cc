@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/driver/env.hh"
 #include "src/sim/logging.hh"
 #include "src/system/harness.hh"
 #include "src/system/system.hh"
@@ -282,11 +283,16 @@ TEST(Harness, RunMixIncludesStaticBaseline)
 TEST(Harness, MixCountEnvOverride)
 {
     unsetenv("JUMANJI_MIXES");
-    EXPECT_EQ(ExperimentHarness::mixCountFromEnv(6), 6u);
+    EXPECT_EQ(driver::mixCountFromEnv(6), 6u);
     setenv("JUMANJI_MIXES", "3", 1);
-    EXPECT_EQ(ExperimentHarness::mixCountFromEnv(6), 3u);
-    setenv("JUMANJI_MIXES", "garbage", 1);
-    EXPECT_EQ(ExperimentHarness::mixCountFromEnv(6), 6u);
+    EXPECT_EQ(driver::mixCountFromEnv(6), 3u);
+    // Junk, trailing garbage, signs, 0, and overflow all fall back
+    // (and warn once — not asserted here, the warning is logging).
+    for (const char *bad :
+         {"garbage", "abc", "3x", "0", "-2", " 3", "", "4294967296"}) {
+        setenv("JUMANJI_MIXES", bad, 1);
+        EXPECT_EQ(driver::mixCountFromEnv(6), 6u) << "value: " << bad;
+    }
     unsetenv("JUMANJI_MIXES");
 }
 

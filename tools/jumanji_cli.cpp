@@ -30,20 +30,20 @@
  *                          exit
  *     --load <low|high>    offered load (default high)
  *     --vms <n>            number of VMs (default 4)
- *     --batch <n>          batch apps per VM (default 4)
+ *     --batch <n>          batch apps per VM, 0..64 (default 4)
  *     --mixes <n>          random batch mixes (default 3)
- *     --seed <n>           base seed (default 1)
+ *     --seed <n>           base seed, >= 1 (default 1)
  *     --paper-scale        use the full Table II capacity/time scale
  *     --jobs <n>           worker threads (default $JUMANJI_JOBS or 1);
  *                          output is byte-identical for any job count
  *     --cache-dir <dir>    on-disk result cache keyed by
  *                          Fingerprint(code version, config, mix)
  *                          (default $JUMANJI_CACHE_DIR; unset = off)
- *     --sweep              use the paper's standard sweep methodology
- *                          (ExperimentHarness::sweep: calibrations
- *                          shared across mixes, fixed 4 VM x 4 batch
- *                          mixes) instead of the default independent
- *                          per-mix calibration
+ *     --sweep              shared calibration: each LC app is
+ *                          calibrated once, with the first mix that
+ *                          contains it, and reused by every mix (the
+ *                          paper's sweep methodology) instead of the
+ *                          default independent per-mix calibration
  *     --selfcheck          run the experiment twice and compare stats
  *                          fingerprints (determinism self-check;
  *                          bypasses the result cache)
@@ -53,22 +53,22 @@
  *                          every run as one long-format CSV
  *     --trace-out <file>   write a Chrome trace-event JSON covering
  *                          all runs (chrome://tracing / Perfetto)
- *     --bench-json <file>  wall-clock perf harness: run the
- *                          fig13-shaped sweep (every LC app plus
- *                          Mixed, high and low load, --mixes mixes
- *                          each) with the result cache disabled, and
- *                          write a self-describing snapshot (schema
- *                          jumanji-bench-v2: codeVersion, jobs,
- *                          mixes, seed, wall_seconds,
- *                          simulated_accesses, accesses_per_sec,
- *                          and a per-phase breakdown) as JSON;
+ *     --bench-json <file>  wall-clock perf harness: time the
+ *                          experiment the other flags or --scenario
+ *                          describe, with the result cache disabled,
+ *                          and write a self-describing snapshot
+ *                          (schema jumanji-bench-v2: codeVersion,
+ *                          jobs, mixes, seed, wall_seconds,
+ *                          simulated_accesses, accesses_per_sec, and
+ *                          a per-phase breakdown) as JSON;
+ *                          calibration is folded into simulate_s
+ *                          because the phase split lives inside
+ *                          driver::runSpec, where wall-clock reads
+ *                          are banned. The canonical baseline is
+ *                          `--scenario
+ *                          examples/scenarios/fig13_small.json` at
+ *                          JUMANJI_MIXES=1 (the bench-smoke target);
  *                          tools/perf_history compares snapshots.
- *                          Combined with --scenario, the scenario's
- *                          grid is the timed workload instead (cache
- *                          still disabled; calibration is folded
- *                          into simulate_s because the phase split
- *                          lives inside driver::runSpec, where
- *                          wall-clock reads are banned)
  *     --profile <file>     enable the host-side scope profiler
  *                          (src/sim/profiler.hh) and write its
  *                          aggregated JSON report (where the wall
@@ -88,8 +88,11 @@
  * tables, fingerprints, and the result cache are byte-identical
  * with them on or off (docs/INTERNALS.md §13).
  *
- * Prints one row per design: tail ratio (mean/worst over LC apps),
- * gmean batch weighted speedup vs. Static, and attackers/access.
+ * The flags (or --scenario) become one driver::ExperimentSpec, run
+ * through the orchestrator. Prints one row per design: tail ratio
+ * (mean/worst over LC apps), gmean batch weighted speedup vs. Static,
+ * and attackers/access. Numeric flags accept plain decimal digits
+ * only; anything else exits 2 naming the flag.
  *
  * With --selfcheck, instead prints the two FNV-1a fingerprints of the
  * full stats stream and exits 0 iff they match: reproducibility from
@@ -107,6 +110,7 @@
 #include <string>
 #include <vector>
 
+#include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
 #include "src/sim/json.hh"
@@ -257,139 +261,21 @@ writeTimelineCsv(std::ostream &os, const std::vector<MixResult> &results)
 }
 
 /**
- * --bench-json: end-to-end wall-clock measurement of the fig13-shaped
- * sweep (the project's heaviest standard workload). The result cache
- * is always disabled — a warm cache would time deserialization, not
- * simulation — and the calibration phase is included, matching what a
- * cold fig13_main_eval run pays. simulated_accesses is summed from
- * each run's stats dump (llc.hits + llc.misses), so the throughput
- * figure is comparable across code versions exactly when semantics
- * are unchanged; a semantic change shifts the access count and shows
- * up as more than a throughput delta.
+ * --bench-json: end-to-end wall-clock measurement of the experiment
+ * the other flags (or --scenario) describe. The result cache is
+ * always disabled — a warm cache would time deserialization, not
+ * simulation. simulated_accesses is summed from each run's stats dump
+ * (llc.hits + llc.misses), so the throughput figure is comparable
+ * across code versions exactly when semantics are unchanged; a
+ * semantic change shifts the access count and shows up as more than
+ * a throughput delta. The calibrate/simulate split is not observable
+ * from out here (it lives inside driver::runSpec, where wall-clock
+ * reads are banned by the clock-routing lint rule), so the whole run
+ * is reported as simulate_s.
  *
  * The wall-clock read lives here and not in src/ deliberately: the
- * simulator itself must stay free of wall-clock dependence (the lint
- * pass enforces it), while the harness around it is the one place
- * where real time is the measurand.
- */
-int
-runBenchJson(const std::string &path, const SystemConfig &cfg,
-             std::uint32_t mixes, std::uint32_t jobs,
-             const driver::TelemetryOptions &telemetry)
-{
-    driver::Orchestrator::Options opts;
-    opts.jobs = jobs;
-    opts.telemetry = telemetry;
-    driver::Orchestrator orch(opts);
-
-    auto start = std::chrono::steady_clock::now();
-    auto secondsSince = [](std::chrono::steady_clock::time_point t0) {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-
-    ExperimentHarness harness(cfg);
-    {
-        std::vector<driver::CalibrationJob> plan;
-        for (const auto &name : allTailAppNames())
-            plan.push_back({name, harness.baseConfig()});
-        std::vector<LcCalibration> calibrations =
-            orch.runCalibrations(plan);
-        for (std::size_t i = 0; i < plan.size(); i++)
-            harness.setCalibration(plan[i].lcName, calibrations[i]);
-    }
-    const double calibrateSec = secondsSince(start);
-
-    std::vector<LlcDesign> designs = {
-        LlcDesign::Adaptive, LlcDesign::VMPart, LlcDesign::Jigsaw,
-        LlcDesign::Jumanji};
-
-    // The fig13 group structure: each LC app alone plus the Mixed
-    // selection, at high and low load, `mixes` mixes per group, with
-    // the same per-mix seeds and shared calibrations.
-    driver::JobGraph graph;
-    for (LoadLevel load : {LoadLevel::High, LoadLevel::Low}) {
-        std::vector<std::vector<std::string>> groups;
-        for (const auto &lc : allTailAppNames())
-            groups.push_back({lc});
-        groups.push_back(allTailAppNames());
-        for (const auto &lcNames : groups) {
-            for (std::uint32_t m = 0; m < mixes; m++) {
-                driver::SweepJob job;
-                job.label = lcNames.size() == 1 ? lcNames[0] : "Mixed";
-                job.label += std::string("/") +
-                             (load == LoadLevel::High ? "high" : "low") +
-                             "/mix" + std::to_string(m);
-                job.config = harness.baseConfig();
-                job.config.seed =
-                    harness.baseConfig().seed + m * 1000003ull;
-                Rng mixRng(job.config.seed ^ 0x5eedull);
-                job.mix = makeMix(lcNames, 4, 4, mixRng);
-                job.designs = designs;
-                job.load = load;
-                job.selfCalibrate = false;
-                job.calibrations = harness.calibrationsFor(job.mix);
-                graph.add(std::move(job));
-            }
-        }
-    }
-    std::vector<driver::JobOutcome> outcomes = orch.run(graph);
-    const double simulateSec = secondsSince(start) - calibrateSec;
-
-    double accesses = 0.0;
-    for (driver::JobId id = 0; id < outcomes.size(); id++) {
-        if (!outcomes[id].ok)
-            fatal("bench job " + std::to_string(id) +
-                  " failed: " + outcomes[id].error);
-        for (const DesignResult &d : outcomes[id].result.designs)
-            accesses += d.run.stat("llc.hits") + d.run.stat("llc.misses");
-    }
-
-    double wall = secondsSince(start);
-    double rate = wall > 0.0 ? accesses / wall : 0.0;
-
-    std::ofstream os(path);
-    if (!os) fatal("cannot open " + path);
-    // Self-describing snapshot (schema jumanji-bench-v2): jobs,
-    // mixes, seed, and codeVersion pin what was measured, so
-    // tools/perf_history can refuse to compare unlike work instead
-    // of reporting a bogus throughput delta. CI pins
-    // simulated_accesses only — the v1 comparison stays valid.
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"schema\": \"jumanji-bench-v2\",\n"
-                  " \"codeVersion\": \"%s\",\n"
-                  " \"jobs\": %u,\n"
-                  " \"mixes\": %u,\n"
-                  " \"seed\": %llu,\n"
-                  " \"wall_seconds\": %.3f,\n"
-                  " \"simulated_accesses\": %.0f,\n"
-                  " \"accesses_per_sec\": %.0f,\n"
-                  " \"phases\": {\"calibrate_s\": %.3f, "
-                  "\"simulate_s\": %.3f, \"report_s\": %.3f}}\n",
-                  driver::kCodeVersion, jobs, mixes,
-                  static_cast<unsigned long long>(cfg.seed), wall,
-                  accesses, rate, calibrateSec, simulateSec,
-                  wall - calibrateSec - simulateSec);
-    os << buf;
-
-    std::printf("bench: %.0f accesses in %.3f s = %.0f accesses/s "
-                "(%u jobs) -> %s\n",
-                accesses, wall, rate, jobs, path.c_str());
-    return 0;
-}
-
-/**
- * --scenario + --bench-json: the scenario's expanded grid is the
- * timed workload. Same discipline as runBenchJson — the result cache
- * is always disabled so a warm cache cannot masquerade as a speedup,
- * and simulated_accesses is summed from the stats stream so a
- * semantic change is distinguishable from a throughput change. The
- * calibrate/simulate split is not observable from out here (it lives
- * inside driver::runSpec, where wall-clock reads are banned by the
- * clock-routing lint rule), so the whole run is reported as
- * simulate_s.
+ * simulator itself must stay free of wall-clock dependence, while the
+ * harness around it is the one place where real time is the measurand.
  */
 int
 runScenarioBenchJson(const std::string &path,
@@ -417,6 +303,10 @@ runScenarioBenchJson(const std::string &path,
 
     std::ofstream os(path);
     if (!os) fatal("cannot open " + path);
+    // Self-describing snapshot (schema jumanji-bench-v2): jobs,
+    // mixes, seed, and codeVersion pin what was measured, so
+    // tools/perf_history can refuse to compare unlike work instead
+    // of reporting a bogus throughput delta.
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "{\"schema\": \"jumanji-bench-v2\",\n"
@@ -469,6 +359,23 @@ parseDesign(const std::string &name)
     fatal("unknown design: " + name);
 }
 
+/**
+ * Parses a numeric flag value in [@p lo, @p hi]. Junk, a sign,
+ * trailing characters, or an out-of-range value exits 2 with a
+ * "--flag: reason" message: `--seed 12x` must not run seed 12.
+ */
+std::uint64_t
+flagNumber(const std::string &flag, const std::string &text,
+           std::uint64_t lo, std::uint64_t hi)
+{
+    if (auto value = driver::parseUnsigned(text, lo, hi)) return *value;
+    std::fprintf(stderr, "%s: expected a whole number in [%llu, %llu], "
+                         "got \"%s\"\n",
+                 flag.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text.c_str());
+    std::exit(2);
+}
+
 } // namespace
 
 int
@@ -476,8 +383,9 @@ main(int argc, char **argv)
 {
     setQuiet(true);
 
+    constexpr std::uint64_t kU32Max = 0xffffffffull;
     std::vector<LlcDesign> designs;
-    std::vector<std::string> lcNames = {"xapian"};
+    driver::SpecGroup lc{"xapian", {"xapian"}};
     LoadLevel load = LoadLevel::High;
     std::uint32_t vms = 4, batchPerVm = 4, mixes = 3;
     std::uint64_t seed = 1;
@@ -499,6 +407,9 @@ main(int argc, char **argv)
             if (i + 1 >= argc) usage(argv[0]);
             return argv[++i];
         };
+        auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+            return flagNumber(arg, next(), lo, hi);
+        };
         try {
             if (arg == "--scenario") {
                 scenarioPath = next();
@@ -509,10 +420,10 @@ main(int argc, char **argv)
             } else if (arg == "--lc") {
                 std::string name = next();
                 if (name == "Mixed") {
-                    lcNames = allTailAppNames();
+                    lc = {name, allTailAppNames()};
                 } else {
                     lcAppParams(name); // validates (tail or KV)
-                    lcNames = {name};
+                    lc = {name, {name}};
                 }
             } else if (arg == "--list-apps") {
                 return listApps();
@@ -522,21 +433,18 @@ main(int argc, char **argv)
                 else if (level == "high") load = LoadLevel::High;
                 else usage(argv[0]);
             } else if (arg == "--vms") {
-                vms = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                vms = static_cast<std::uint32_t>(number(1, kU32Max));
             } else if (arg == "--batch") {
-                batchPerVm = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                batchPerVm = static_cast<std::uint32_t>(number(0, 64));
             } else if (arg == "--mixes") {
-                mixes = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                mixes = static_cast<std::uint32_t>(number(1, kU32Max));
             } else if (arg == "--seed") {
-                seed = std::strtoull(next().c_str(), nullptr, 10);
+                // 0 is reserved as "unset" (see driver::seedFromEnv).
+                seed = number(1, ~0ull);
             } else if (arg == "--paper-scale") {
                 paperScale = true;
             } else if (arg == "--jobs") {
-                jobs = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                jobs = static_cast<std::uint32_t>(number(1, kU32Max));
             } else if (arg == "--cache-dir") {
                 cacheDir = next();
             } else if (arg == "--sweep") {
@@ -556,8 +464,8 @@ main(int argc, char **argv)
             } else if (arg == "--events-out") {
                 telemetry.eventsPath = next();
             } else if (arg == "--heartbeat-ms") {
-                telemetry.heartbeatMs = static_cast<std::uint32_t>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                telemetry.heartbeatMs =
+                    static_cast<std::uint32_t>(number(0, kU32Max));
             } else if (arg == "--help" || arg == "-h") {
                 usage(argv[0], 0);
             } else {
@@ -570,31 +478,16 @@ main(int argc, char **argv)
         }
     }
 
-    if (vms == 0 || batchPerVm > 64 || mixes == 0) {
-        std::fprintf(stderr, "error: --vms and --mixes must be >= 1, "
-                             "--batch <= 64\n");
-        return 2;
-    }
-    if (jobs == 0) {
-        std::fprintf(stderr, "error: --jobs must be >= 1\n");
-        return 2;
-    }
     // Arm the profiler before any simulation runs. Without
     // --profile every JUMANJI_PROF_SCOPE stays a single disarmed
     // branch (<2% on the fig13-small bench, like tracing).
     if (!profilePath.empty()) prof::setProfilingEnabled(true);
-    if (sweepMode && (vms != 4 || batchPerVm != 4)) {
-        std::fprintf(stderr,
-                     "error: --sweep uses the paper's fixed 4 VM x 4 "
-                     "batch mixes; --vms/--batch do not apply\n");
-        return 2;
-    }
 
-    // Scenario paths first: the document supplies what the ad-hoc
-    // flags would (designs, loads, mixes, seed policy); --jobs,
-    // --cache-dir, and the observability exports still apply. A
-    // malformed document exits 2 with its "field: reason" diagnostic,
-    // like any other bad usage.
+    // A scenario document supplies what the ad-hoc flags would
+    // (designs, loads, mixes, seed policy); --jobs, --cache-dir, and
+    // the observability exports still apply. A malformed document
+    // exits 2 with its "field: reason" diagnostic, like any other bad
+    // usage.
     if (!scenarioCheckPath.empty()) {
         try {
             driver::ExperimentSpec spec =
@@ -614,8 +507,9 @@ main(int argc, char **argv)
         }
         return 0;
     }
+
+    driver::ExperimentSpec spec;
     if (!scenarioPath.empty()) {
-        driver::ExperimentSpec spec;
         try {
             spec = loadScenario(scenarioPath);
         } catch (const std::exception &e) {
@@ -623,67 +517,40 @@ main(int argc, char **argv)
                          e.what());
             return 2;
         }
-        try {
-            if (!benchJsonPath.empty()) {
-                int rc = runScenarioBenchJson(benchJsonPath, spec,
-                                              jobs, telemetry);
-                writeProfileJson(profilePath);
-                return rc;
-            }
-            std::unique_ptr<Tracer> tracer;
-            if (!traceOutPath.empty())
-                tracer = std::make_unique<Tracer>();
-            driver::Orchestrator::Options orchOpts;
-            orchOpts.jobs = jobs;
-            orchOpts.cacheDir = cacheDir;
-            orchOpts.tracer = tracer.get();
-            orchOpts.telemetry = telemetry;
-            driver::Orchestrator orchestrator(orchOpts);
-
-            driver::SpecRun run = driver::runSpec(spec, orchestrator);
-            std::fputs(driver::renderSpec(spec, run).c_str(), stdout);
-
-            if (!statsJsonPath.empty()) {
-                std::ofstream os(statsJsonPath);
-                if (!os) fatal("cannot open " + statsJsonPath);
-                writeStatsJson(os, run.results);
-            }
-            if (!timelineCsvPath.empty()) {
-                std::ofstream os(timelineCsvPath);
-                if (!os) fatal("cannot open " + timelineCsvPath);
-                writeTimelineCsv(os, run.results);
-            }
-            if (tracer != nullptr) {
-                std::ofstream os(traceOutPath);
-                if (!os) fatal("cannot open " + traceOutPath);
-                tracer->writeTo(os);
-            }
-            writeProfileJson(profilePath);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 1;
-        }
-        return 0;
-    }
-
-    if (designs.empty()) {
-        designs = {LlcDesign::Adaptive, LlcDesign::VMPart,
-                   LlcDesign::Jigsaw, LlcDesign::Jumanji};
-    }
-
-    SystemConfig cfg = paperScale ? SystemConfig::paperDefault()
-                                  : SystemConfig::benchScaled();
-    cfg.seed = seed;
-    if (paperScale) {
-        std::fprintf(stderr,
-                     "note: --paper-scale simulates Table II time "
-                     "constants (hours of CPU time per run).\n");
+    } else {
+        // The flags describe a one-section design table: one LC
+        // group at one load, random salted mixes.
+        spec.name = "cli";
+        spec.preset = paperScale ? "paperDefault" : "benchScaled";
+        spec.seed = {false, seed};
+        spec.mixes = {mixes, false, vms, batchPerVm, true};
+        if (designs.empty())
+            designs = {LlcDesign::Adaptive, LlcDesign::VMPart,
+                       LlcDesign::Jigsaw, LlcDesign::Jumanji};
+        // Static is the baseline every job runs first: its row leads
+        // the table, unless it is the only design asked for.
+        for (LlcDesign d : designs)
+            if (d != LlcDesign::Static) spec.designs.push_back(d);
+        spec.output.staticRow = !spec.designs.empty();
+        if (spec.designs.empty()) spec.designs = {LlcDesign::Static};
+        spec.loads = {load};
+        spec.groups = {lc};
+        spec.calibration = sweepMode ? driver::CalibrationMode::Shared
+                                     : driver::CalibrationMode::PerJob;
+        spec.output.columns = {{"tailMean", "tail(mean)"},
+                               {"tailWorst", "tail(worst)"},
+                               {"batchWS", "batchWS"},
+                               {"attackers", "attackers"}};
+        if (paperScale)
+            std::fprintf(stderr,
+                         "note: --paper-scale simulates Table II time "
+                         "constants (hours of CPU time per run).\n");
     }
 
     try {
         if (!benchJsonPath.empty()) {
-            int rc =
-                runBenchJson(benchJsonPath, cfg, mixes, jobs, telemetry);
+            int rc = runScenarioBenchJson(benchJsonPath, spec, jobs,
+                                          telemetry);
             writeProfileJson(profilePath);
             return rc;
         }
@@ -693,6 +560,12 @@ main(int argc, char **argv)
         // the same whatever the worker count (plus a schedule lane).
         std::unique_ptr<Tracer> tracer;
         if (!traceOutPath.empty()) tracer = std::make_unique<Tracer>();
+        auto writeTrace = [&]() {
+            if (tracer == nullptr) return;
+            std::ofstream os(traceOutPath);
+            if (!os) fatal("cannot open " + traceOutPath);
+            tracer->writeTo(os);
+        };
 
         driver::Orchestrator::Options orchOpts;
         orchOpts.jobs = jobs;
@@ -703,56 +576,14 @@ main(int argc, char **argv)
         orchOpts.telemetry = telemetry;
         driver::Orchestrator orchestrator(orchOpts);
 
-        auto runExperiment = [&]() {
-            if (sweepMode) {
-                ExperimentHarness harness(cfg);
-                return driver::parallelSweep(harness, lcNames, mixes,
-                                             designs, load,
-                                             orchestrator);
-            }
-            // Default mode: every mix is an independent job that
-            // calibrates from its own config — the same seeds, mixes,
-            // and calibrations as one local harness per mix.
-            driver::JobGraph graph;
-            for (std::uint32_t m = 0; m < mixes; m++) {
-                driver::SweepJob job;
-                job.label = "mix" + std::to_string(m);
-                job.config = cfg;
-                job.config.seed = seed + m * 1000003ull;
-                job.config.traceLabel = "mix" + std::to_string(m);
-                Rng rng(job.config.seed ^ 0x5eed);
-                job.mix = makeMix(lcNames, vms, batchPerVm, rng);
-                job.designs = designs;
-                job.load = load;
-                job.selfCalibrate = true;
-                graph.add(std::move(job));
-            }
-            std::vector<driver::JobOutcome> outcomes =
-                orchestrator.run(graph);
-            std::vector<MixResult> results;
-            results.reserve(outcomes.size());
-            for (driver::JobId id = 0; id < outcomes.size(); id++) {
-                if (!outcomes[id].ok)
-                    fatal("mix " + std::to_string(id) +
-                          " failed: " + outcomes[id].error);
-                results.push_back(std::move(outcomes[id].result));
-            }
-            return results;
-        };
-
-        auto writeTrace = [&]() {
-            if (tracer == nullptr) return;
-            std::ofstream os(traceOutPath);
-            if (!os) fatal("cannot open " + traceOutPath);
-            tracer->writeTo(os);
-        };
-
         if (selfcheck) {
             // Two independent runs of the identical experiment; the
             // stats stream must hash identically or the simulator
             // depends on something outside (seed, config).
-            std::uint64_t first = fingerprintResults(runExperiment());
-            std::uint64_t second = fingerprintResults(runExperiment());
+            std::uint64_t first = fingerprintResults(
+                driver::runSpec(spec, orchestrator).results);
+            std::uint64_t second = fingerprintResults(
+                driver::runSpec(spec, orchestrator).results);
             std::printf("selfcheck: run1=%016llx run2=%016llx -> %s\n",
                         static_cast<unsigned long long>(first),
                         static_cast<unsigned long long>(second),
@@ -762,40 +593,25 @@ main(int argc, char **argv)
             return first == second ? 0 : 1;
         }
 
-        std::vector<MixResult> results = runExperiment();
+        driver::SpecRun run = driver::runSpec(spec, orchestrator);
+        // The flag-built experiment prints the bare table; a scenario
+        // prints its full report (banner, table, note).
+        std::fputs((scenarioPath.empty() ? driver::renderSpecTable(spec, run)
+                                         : driver::renderSpec(spec, run))
+                       .c_str(),
+                   stdout);
 
         if (!statsJsonPath.empty()) {
             std::ofstream os(statsJsonPath);
             if (!os) fatal("cannot open " + statsJsonPath);
-            writeStatsJson(os, results);
+            writeStatsJson(os, run.results);
         }
         if (!timelineCsvPath.empty()) {
             std::ofstream os(timelineCsvPath);
             if (!os) fatal("cannot open " + timelineCsvPath);
-            writeTimelineCsv(os, results);
+            writeTimelineCsv(os, run.results);
         }
         writeTrace();
-
-        auto speedups = gmeanSpeedups(results);
-        auto vuln = meanVulnerability(results);
-
-        std::printf("%-20s %12s %12s %12s %12s\n", "design",
-                    "tail(mean)", "tail(worst)", "batchWS",
-                    "attackers");
-        std::vector<LlcDesign> all = {LlcDesign::Static};
-        for (LlcDesign d : designs)
-            if (d != LlcDesign::Static) all.push_back(d);
-        for (LlcDesign d : all) {
-            double meanTail = 0.0, worst = 0.0;
-            for (const auto &mix : results) {
-                meanTail += mix.of(d).meanTailRatio;
-                worst = std::max(worst, mix.of(d).tailRatio);
-            }
-            meanTail /= static_cast<double>(results.size());
-            std::printf("%-20s %12.3f %12.3f %12.3f %12.3f\n",
-                        llcDesignName(d), meanTail, worst, speedups[d],
-                        vuln[d]);
-        }
         writeProfileJson(profilePath);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());

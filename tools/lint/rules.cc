@@ -408,9 +408,10 @@ checkIoRouting(LintContext &ctx, const SourceFile &sf)
 // --- env-routing ------------------------------------------------------
 
 /**
- * Benches read environment knobs only through the bench_common.hh
- * helpers; src/ keeps its own sanctioned readers (driver, harness)
- * and is not scanned by this rule.
+ * Benches read environment knobs only through the src/driver/env.hh
+ * parsers (directly or via bench_common.hh); src/ keeps its own
+ * sanctioned readers (driver/env.cc, driver/telemetry.cc) and is not
+ * scanned by this rule.
  */
 void
 checkEnvRouting(LintContext &ctx, const SourceFile &sf)
@@ -427,8 +428,8 @@ checkEnvRouting(LintContext &ctx, const SourceFile &sf)
         if (prevIsMemberAccess(ts, i)) continue;
         ctx.report(sf, "env-routing", ts[i].line, ts[i].offset,
                    "getenv: benches read env knobs through the "
-                   "bench_common.hh helpers (seedFromEnv, "
-                   "mixCountFromEnv, ...), not directly");
+                   "src/driver/env.hh parsers (driver::seedFromEnv, "
+                   "driver::mixCountFromEnv, ...), not directly");
     }
 }
 
