@@ -24,11 +24,10 @@ namespace {
 void
 drawPlacement(System &system, const SystemConfig &cfg)
 {
-    const auto &timeline = system.allocationTimeline();
-    if (timeline.empty()) return;
+    if (system.recorder().series().empty()) return;
 
     // Reconstruct per-bank VM occupancy from the live arrays (the
-    // matrix in the timeline only records totals).
+    // recorder's allocation columns only hold per-VC totals).
     MemPath &path = system.memPath();
     std::uint32_t cols = cfg.mesh.cols;
     std::uint32_t rows = cfg.mesh.rows;

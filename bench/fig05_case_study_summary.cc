@@ -32,7 +32,7 @@ main()
     for (LlcDesign d : mainDesigns()) all.push_back(d);
     for (LlcDesign d : all) {
         double meanTail = 0.0;
-        for (const auto &mix : results) meanTail += mix.of(d).meanTailRatio;
+        for (const auto &mix : results) meanTail += mix.of(d).meanTailRatio();
         meanTail /= static_cast<double>(results.size());
         std::printf("%-20s %14.3f %14.3f %14.3f\n", llcDesignName(d),
                     meanTail, speedups[d], vuln[d]);

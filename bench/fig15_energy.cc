@@ -30,7 +30,7 @@ main()
     std::map<LlcDesign, double> instrs;
     for (const auto &mix : results) {
         for (const auto &d : mix.designs) {
-            energy[d.design] += d.run.energy;
+            energy[d.design] += d.run.energy();
             for (const auto &app : d.run.apps)
                 instrs[d.design] +=
                     static_cast<double>(app.progress.instrs);

@@ -46,7 +46,7 @@ main()
         // "Meets tail latency" judges the worst LC instance per mix
         // (one missed deadline is a miss), averaged across mixes.
         double tail = 0.0;
-        for (const auto &mix : results) tail += mix.of(d).tailRatio;
+        for (const auto &mix : results) tail += mix.of(d).tailRatio();
         tail /= static_cast<double>(results.size());
 
         // Conflict attacks are defended when untrusted VMs never

@@ -47,9 +47,9 @@ main(int argc, char **argv)
                                           LoadLevel::High);
         const DesignResult &ju = result.of(LlcDesign::Jumanji);
         std::printf("%-8u %11.3f %-6s %16.3f %16.3f\n", vms,
-                    ju.meanTailRatio,
-                    ju.meanTailRatio <= 1.0 ? "(met)" : "(MISS)",
-                    ju.batchSpeedup, ju.run.attackersPerAccess);
+                    ju.meanTailRatio(),
+                    ju.meanTailRatio() <= 1.0 ? "(met)" : "(MISS)",
+                    ju.batchSpeedup, ju.run.attackersPerAccess());
     }
 
     std::printf("\nInterpretation: Jumanji holds the SLO and keeps 0 "

@@ -49,14 +49,14 @@ main(int argc, char **argv)
                 "batch speedup", "attackers");
     for (const DesignResult *d : {&st, &ju}) {
         std::printf("%-12s %14.3f %14.3f %14.3f\n",
-                    llcDesignName(d->design), d->tailRatio,
-                    d->batchSpeedup, d->run.attackersPerAccess);
+                    llcDesignName(d->design), d->tailRatio(),
+                    d->batchSpeedup, d->run.attackersPerAccess());
     }
 
     std::printf("\nJumanji: deadline %s (ratio %.2f), batch %+.1f%%, "
                 "%s potential attackers per access.\n",
-                ju.tailRatio <= 1.0 ? "met" : "MISSED", ju.tailRatio,
+                ju.tailRatio() <= 1.0 ? "met" : "MISSED", ju.tailRatio(),
                 100.0 * (ju.batchSpeedup - 1.0),
-                ju.run.attackersPerAccess == 0.0 ? "zero" : "NONZERO");
+                ju.run.attackersPerAccess() == 0.0 ? "zero" : "NONZERO");
     return 0;
 }

@@ -46,13 +46,13 @@ fleetAudit(std::uint64_t seed)
     std::printf("%-14s %12s %s\n", "design", "attackers", "verdict");
     for (const auto &d : result.designs) {
         const char *verdict =
-            d.run.attackersPerAccess == 0.0
+            d.run.attackersPerAccess() == 0.0
                 ? "isolated: port+leakage channels closed"
-            : d.run.attackersPerAccess < 1.0
+            : d.run.attackersPerAccess() < 1.0
                 ? "mitigated heuristically: NOT guaranteed"
                 : "exposed: every access observable";
         std::printf("%-14s %12.3f %s\n", llcDesignName(d.design),
-                    d.run.attackersPerAccess, verdict);
+                    d.run.attackersPerAccess(), verdict);
     }
 }
 

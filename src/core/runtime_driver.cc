@@ -226,11 +226,11 @@ RuntimeDriver::gatherInputs()
 }
 
 void
-RuntimeDriver::installPlan(const PlacementPlan &plan, Tick now)
+RuntimeDriver::installPlan(const PlacementPlan &plan,
+                           [[maybe_unused]] Tick now)
 {
-    EpochRecord record;
-    record.when = now;
-
+    std::uint64_t invalidations = 0;
+    lastAlloc_.clear();
     for (const auto &app : apps_) {
         auto descIt = plan.descriptors.find(app.vc);
         if (descIt == plan.descriptors.end()) {
@@ -257,28 +257,24 @@ RuntimeDriver::installPlan(const PlacementPlan &plan, Tick now)
             desc = desc.stabilizedAgainst(
                 target->vtb().descriptor(app.vc));
 
-        record.invalidations += target->installPlacement(app.vc, desc);
-
-        record.allocLines[app.vc] = plan.matrix.vcTotal(app.vc);
+        invalidations += target->installPlacement(app.vc, desc);
+        lastAlloc_[app.vc] = plan.matrix.vcTotal(app.vc);
     }
-
-    lastAlloc_ = record.allocLines;
-    invalidations_ += record.invalidations;
+    invalidations_ += invalidations;
 
 #if !defined(JUMANJI_DISABLE_TRACING)
     if (tracer_ != nullptr) {
         tracer_->instant(
             tracePid_ + Tracer::kRuntimePid, 0, "repartition", now,
             {{"epoch", static_cast<double>(reconfigs_)},
-             {"invalidations",
-              static_cast<double>(record.invalidations)}});
-        if (record.invalidations > 0) {
+             {"invalidations", static_cast<double>(invalidations)}});
+        if (invalidations > 0) {
             tracer_->instant(tracePid_ + Tracer::kRuntimePid, 0,
                              "coherenceWalk", now,
-                             {{"lines", static_cast<double>(
-                                            record.invalidations)}});
+                             {{"lines",
+                               static_cast<double>(invalidations)}});
         }
-        for (const auto &[vc, lines] : record.allocLines) {
+        for (const auto &[vc, lines] : lastAlloc_) {
             const char *track = nullptr;
             if (const char *const *cached = allocTrackNames_.lookup(vc)) {
                 track = *cached;
@@ -297,8 +293,6 @@ RuntimeDriver::installPlan(const PlacementPlan &plan, Tick now)
         }
     }
 #endif
-
-    timeline_.push_back(std::move(record));
 }
 
 void

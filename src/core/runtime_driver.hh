@@ -53,16 +53,6 @@ struct RuntimeAppInfo
     double nominalAccessesPerCycle = 0.0;
 };
 
-/** A point in the per-epoch allocation timeline (Fig. 4b). */
-struct EpochRecord
-{
-    Tick when = 0;
-    /** Lines allocated per VC at this epoch (ascending-VC order). */
-    SmallIdMap<VcId, std::uint64_t> allocLines;
-    /** Lines invalidated by the coherence walk this epoch. */
-    std::uint64_t invalidations = 0;
-};
-
 /**
  * The runtime. Owns controllers and the policy; borrows MemPaths.
  */
@@ -111,7 +101,6 @@ class RuntimeDriver : public Agent
     /** Controller for an LC app (test/inspection). */
     FeedbackController *controller(VcId vc);
 
-    const std::vector<EpochRecord> &timeline() const { return timeline_; }
     const LlcPolicy &policy() const { return *policy_; }
 
     /** Epoch period. */
@@ -170,7 +159,6 @@ class RuntimeDriver : public Agent
      */
     SmallIdMap<VcId, std::unique_ptr<FeedbackController>> controllers_;
 
-    std::vector<EpochRecord> timeline_;
     std::uint64_t invalidations_ = 0;
     std::uint64_t reconfigs_ = 0;
     std::uint64_t fixedLcTarget_ = 0;

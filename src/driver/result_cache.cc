@@ -15,7 +15,7 @@ namespace driver {
 namespace {
 
 constexpr char kMagic[4] = {'J', 'M', 'J', 'R'};
-constexpr std::uint32_t kResultSchema = 1;
+constexpr std::uint32_t kResultSchema = 2;
 constexpr std::uint32_t kCalibSchema = 1;
 
 /** Appends fixed-width little-endian fields to a string. */
@@ -162,15 +162,7 @@ writeRun(BlobWriter &w, const RunResult &run)
         w.f64(app.deadline);
         w.u64(app.requestsCompleted);
     }
-    w.f64(run.attackersPerAccess);
-    w.f64(run.energy.l1);
-    w.f64(run.energy.l2);
-    w.f64(run.energy.llc);
-    w.f64(run.energy.noc);
-    w.f64(run.energy.mem);
     w.u64(run.measuredTicks);
-    w.u64(run.reconfigurations);
-    w.u64(run.coherenceInvalidations);
     w.u64(run.statDump.size());
     for (const StatValue &sv : run.statDump) {
         w.str(sv.name);
@@ -213,15 +205,7 @@ readRun(BlobReader &r)
         app.deadline = r.f64();
         app.requestsCompleted = r.u64();
     }
-    run.attackersPerAccess = r.f64();
-    run.energy.l1 = r.f64();
-    run.energy.l2 = r.f64();
-    run.energy.llc = r.f64();
-    run.energy.noc = r.f64();
-    run.energy.mem = r.f64();
     run.measuredTicks = r.u64();
-    run.reconfigurations = r.u64();
-    run.coherenceInvalidations = r.u64();
     run.statDump.resize(r.count());
     for (StatValue &sv : run.statDump) {
         sv.name = r.str();
@@ -312,8 +296,6 @@ serializeMixResult(const MixResult &result)
     for (const DesignResult &d : result.designs) {
         w.i64(static_cast<std::int64_t>(d.design));
         w.f64(d.batchSpeedup);
-        w.f64(d.tailRatio);
-        w.f64(d.meanTailRatio);
         writeRun(w, d.run);
     }
     return w.take();
@@ -338,8 +320,6 @@ deserializeMixResult(const std::string &blob)
     for (DesignResult &d : result.designs) {
         d.design = static_cast<LlcDesign>(r.i64());
         d.batchSpeedup = r.f64();
-        d.tailRatio = r.f64();
-        d.meanTailRatio = r.f64();
         d.run = readRun(r);
     }
     if (!r.atEnd()) return std::nullopt;

@@ -307,7 +307,7 @@ columnValue(const std::string &key,
     if (key == "tailMean") {
         double sum = 0.0;
         for (const MixResult *mix : cell)
-            sum += mix->of(d).meanTailRatio;
+            sum += mix->of(d).run.stat("sys.tail.meanRatio");
         return sum / n;
     }
     if (key == "tailWorst") {

@@ -104,7 +104,7 @@ struct SpecColumn
 {
     /**
      * Aggregate over a cell's mixes:
-     *  "tailMean"    mean of per-design meanTailRatio
+     *  "tailMean"    mean of stat("sys.tail.meanRatio")
      *  "tailWorst"   max of stat("sys.tail.worstRatio")
      *  "batchWS"     gmean of batch weighted speedup (gmeanSpeedups)
      *  "batchWSMean" arithmetic mean of batch speedup (fig17)

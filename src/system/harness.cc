@@ -45,13 +45,9 @@ ExperimentHarness::calibrationFor(const std::string &lcName)
         cfg.utilizationOverride = 0.05;
         cfg.measureTicks *= 2;
         cfg.tracer = nullptr; // internal run; keep traces clean
-        System system(cfg, solo);
-        RunResult run = system.run();
-        for (const auto &app : run.apps) {
-            if (!app.latencyCritical) continue;
-            for (TailLatencyApp *tail : system.tailApps())
-                calib.serviceCycles = tail->latencies().mean();
-        }
+        // The solo mix has one app, so it is always a00.
+        calib.serviceCycles =
+            System(cfg, solo).run().stat("apps.a00.reqLatency.mean");
     }
     if (calib.serviceCycles <= 0.0) {
         warn("service calibration produced 0 for " + lcName +
@@ -73,10 +69,9 @@ ExperimentHarness::calibrationFor(const std::string &lcName)
         cfg.measureTicks *= 4;
         LcCalibrationMap serviceOnly;
         serviceOnly[lcName] = LcCalibration{calib.serviceCycles, 0.0};
-        System system(cfg, solo, serviceOnly);
-        RunResult run = system.run();
-        for (const auto &app : run.apps)
-            if (app.latencyCritical) calib.deadline = app.tailLatency;
+        calib.deadline = System(cfg, solo, serviceOnly)
+                             .run()
+                             .stat("apps.a00.reqLatency.p95");
     }
     if (calib.deadline <= 0.0) {
         warn("deadline calibration produced 0 for " + lcName +
@@ -129,8 +124,6 @@ ExperimentHarness::runCalibrated(const SystemConfig &config,
         DesignResult dr;
         dr.design = LlcDesign::Static;
         dr.batchSpeedup = 1.0;
-        dr.tailRatio = staticRun.worstTailRatio();
-        dr.meanTailRatio = staticRun.meanTailRatio();
         dr.run = staticRun;
         result.designs.push_back(std::move(dr));
     }
@@ -147,8 +140,6 @@ ExperimentHarness::runCalibrated(const SystemConfig &config,
         dr.design = design;
         dr.run = system.run();
         dr.batchSpeedup = dr.run.batchWeightedSpeedup(staticRun);
-        dr.tailRatio = dr.run.worstTailRatio();
-        dr.meanTailRatio = dr.run.meanTailRatio();
         result.designs.push_back(std::move(dr));
     }
     return result;
@@ -175,8 +166,8 @@ worstTailRatios(const std::vector<MixResult> &results)
     for (const auto &mix : results) {
         for (const auto &d : mix.designs) {
             auto it = out.find(d.design);
-            if (it == out.end() || d.tailRatio > it->second)
-                out[d.design] = d.tailRatio;
+            if (it == out.end() || d.tailRatio() > it->second)
+                out[d.design] = d.tailRatio();
         }
     }
     return out;
@@ -188,7 +179,7 @@ meanVulnerability(const std::vector<MixResult> &results)
     std::map<LlcDesign, std::vector<double>> byDesign;
     for (const auto &mix : results)
         for (const auto &d : mix.designs)
-            byDesign[d.design].push_back(d.run.attackersPerAccess);
+            byDesign[d.design].push_back(d.run.attackersPerAccess());
 
     std::map<LlcDesign, double> out;
     for (const auto &[design, values] : byDesign) {
@@ -225,15 +216,20 @@ fingerprintRun(Fingerprint &fp, const RunResult &run)
         fp.addDouble(app.deadline);
         fp.addU64(app.requestsCompleted);
     }
-    fp.addDouble(run.attackersPerAccess);
-    fp.addDouble(run.energy.l1);
-    fp.addDouble(run.energy.l2);
-    fp.addDouble(run.energy.llc);
-    fp.addDouble(run.energy.noc);
-    fp.addDouble(run.energy.mem);
+    // Attackers, energy, reconfigurations and invalidations are views
+    // over apps and statDump, so they are redundant with the streams
+    // below; they keep their fixed positions in the digest so that
+    // published fingerprints stay comparable.
+    fp.addDouble(run.attackersPerAccess());
+    EnergyBreakdown energy = run.energy();
+    fp.addDouble(energy.l1);
+    fp.addDouble(energy.l2);
+    fp.addDouble(energy.llc);
+    fp.addDouble(energy.noc);
+    fp.addDouble(energy.mem);
     fp.addU64(run.measuredTicks);
-    fp.addU64(run.reconfigurations);
-    fp.addU64(run.coherenceInvalidations);
+    fp.addU64(run.reconfigurations());
+    fp.addU64(run.coherenceInvalidations());
 
     // The registry stream: every leaf name and value, plus the
     // per-epoch timeline. Folding names as well as values means a
@@ -255,8 +251,8 @@ fingerprintMix(Fingerprint &fp, const MixResult &mix)
     for (const auto &d : mix.designs) {
         fp.addI64(static_cast<std::int64_t>(d.design));
         fp.addDouble(d.batchSpeedup);
-        fp.addDouble(d.tailRatio);
-        fp.addDouble(d.meanTailRatio);
+        fp.addDouble(d.tailRatio());
+        fp.addDouble(d.meanTailRatio());
         fingerprintRun(fp, d.run);
     }
 }

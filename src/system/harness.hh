@@ -28,10 +28,11 @@ struct DesignResult
     RunResult run;
     /** Batch weighted speedup normalized to the Static run. */
     double batchSpeedup = 1.0;
+
     /** Worst LC tail / deadline across apps (1.0 = at deadline). */
-    double tailRatio = 0.0;
+    double tailRatio() const { return run.worstTailRatio(); }
     /** Mean LC tail / deadline across apps. */
-    double meanTailRatio = 0.0;
+    double meanTailRatio() const { return run.meanTailRatio(); }
 };
 
 /** Everything measured for one workload mix. */

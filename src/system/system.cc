@@ -33,32 +33,47 @@ scaleWorkingSets(const std::vector<WorkingSet> &sets, double scale)
 // ------------------------------------------------------------ Sampler
 
 /**
- * An epoch-rate agent that snapshots the vulnerability metric and the
- * per-LC-app latency window, producing the Fig. 4 timelines.
+ * An epoch-rate agent that refreshes the epoch gauges (vulnerability,
+ * epoch count, per-LC-app mean latency), has the recorder append a
+ * row, and emits the bank-occupancy trace counters. It keeps only
+ * the current epoch's values; the recorder holds the history.
  */
 class System::Sampler : public Agent
 {
   public:
-    Sampler(System *sys, Tick period) : sys_(sys), period_(period) {}
+    Sampler(System *sys, Tick period)
+        : sys_(sys), period_(period), latency_(sys->apps_.size())
+    {
+    }
+
+    /** Attackers per access over the last epoch. */
+    double vuln() const { return vuln_; }
+    /** Epochs sampled so far. */
+    std::uint64_t epochs() const { return epochs_; }
+    /** Mean request latency of app @p i over the last epoch. */
+    double epochLatency(std::size_t i) const { return latency_[i].mean; }
 
     Tick
     resume(Tick now) override
     {
         MemPath &path = sys_->memPath();
-        sys_->vulnTimeline_.push_back(path.avgAttackersPerAccess());
+        vuln_ = path.avgAttackersPerAccess();
         path.clearVulnerabilityStats();
+        epochs_++;
 
-        for (TailLatencyApp *app : sys_->tailApps()) {
-            auto &series = sys_->latencyTimeline_[app->name()];
-            const auto &window = lastWindow_[app];
+        for (std::size_t i = 0; i < latency_.size(); i++) {
+            auto *app =
+                dynamic_cast<TailLatencyApp *>(sys_->apps_[i].get());
+            if (app == nullptr) continue;
+            LatencyWindow &w = latency_[i];
             const auto &all = app->latencies().raw();
             double mean = 0.0;
-            std::size_t n = all.size() > window ? all.size() - window : 0;
-            for (std::size_t i = window; i < all.size(); i++)
-                mean += all[i];
+            std::size_t n = all.size() > w.seen ? all.size() - w.seen : 0;
+            for (std::size_t j = w.seen; j < all.size(); j++)
+                mean += all[j];
             if (n > 0) mean /= static_cast<double>(n);
-            series.push_back(mean);
-            lastWindow_[app] = all.size();
+            w.mean = mean;
+            w.seen = all.size();
         }
 
         // Snapshot the registry after the runtime's reconfiguration
@@ -82,9 +97,19 @@ class System::Sampler : public Agent
     }
 
   private:
+    /** Latency samples already consumed, and the last epoch's mean. */
+    struct LatencyWindow
+    {
+        std::size_t seen = 0;
+        double mean = 0.0;
+    };
+
     System *sys_;
     Tick period_;
-    std::map<TailLatencyApp *, std::size_t> lastWindow_;
+    double vuln_ = 0.0;
+    std::uint64_t epochs_ = 0;
+    /** Per app slot; non-LC slots stay zero. */
+    std::vector<LatencyWindow> latency_;
 };
 
 // --------------------------------------------------------- KvLoadAgent
@@ -182,6 +207,7 @@ System::System(const SystemConfig &config, const WorkloadMix &mix,
     if (idealBatchPath_)
         idealBatchPath_->setMigrateOnReconfig(config_.migrateOnReconfig);
 
+    sampler_ = std::make_unique<Sampler>(this, config_.epochTicks);
     registerStats();
     recorder_ = std::make_unique<EpochRecorder>(&statreg_,
                                                 config_.timelineStats);
@@ -191,7 +217,6 @@ System::System(const SystemConfig &config, const WorkloadMix &mix,
     runtime_->reconfigureNow(0);
     queue_.schedule(runtime_.get(), config_.epochTicks);
 
-    sampler_ = std::make_unique<Sampler>(this, config_.epochTicks);
     queue_.schedule(sampler_.get(), config_.epochTicks);
 
     if (!kvApps_.empty()) {
@@ -418,40 +443,18 @@ System::registerStats()
                           "tail-latency deadline (cycles)", [this, i] {
                               return slots_[i].deadline;
                           });
-        // latencyTimeline_ is keyed by app *name*: each sampled epoch
-        // appends one entry per instance of that name, in tailApps()
-        // (== slot) order. Index this instance's entry of the latest
-        // epoch via its rank among same-name LC slots.
-        std::string name = slot.name;
-        std::size_t rank = 0, total = 0;
-        for (std::size_t j = 0; j < slots_.size(); j++) {
-            if (!slots_[j].latencyCritical || slots_[j].name != name)
-                continue;
-            if (j < i) rank++;
-            total++;
-        }
         statreg_.addGauge(
             prefix + "epochLatency",
             "mean request latency over the last sampled epoch",
-            [this, name, rank, total] {
-                auto it = latencyTimeline_.find(name);
-                if (it == latencyTimeline_.end() ||
-                    it->second.size() < total)
-                    return 0.0;
-                return it->second[it->second.size() - total + rank];
-            });
+            [this, i] { return sampler_->epochLatency(i); });
     }
 
     statreg_.addGauge("epoch.index", "epochs sampled so far", [this] {
-        return static_cast<double>(vulnTimeline_.size());
+        return static_cast<double>(sampler_->epochs());
     });
     statreg_.addGauge("epoch.vuln",
                       "attackers per access over the last epoch",
-                      [this] {
-                          return vulnTimeline_.empty()
-                                     ? 0.0
-                                     : vulnTimeline_.back();
-                      });
+                      [this] { return sampler_->vuln(); });
 
     statreg_.addFormula(
         "sys.attackersPerAccess",
@@ -624,20 +627,6 @@ System::collect()
 {
     RunResult result;
     result.measuredTicks = queue_.now() - measureStart_;
-    result.reconfigurations = runtime_->reconfigurations();
-    result.coherenceInvalidations = runtime_->totalInvalidations();
-
-    double attackerSum = path_->avgAttackersPerAccess() *
-                         static_cast<double>(path_->llcAccesses());
-    std::uint64_t accessCount = path_->llcAccesses();
-    if (idealBatchPath_) {
-        attackerSum += idealBatchPath_->avgAttackersPerAccess() *
-                       static_cast<double>(idealBatchPath_->llcAccesses());
-        accessCount += idealBatchPath_->llcAccesses();
-    }
-    result.attackersPerAccess =
-        accessCount == 0 ? 0.0
-                         : attackerSum / static_cast<double>(accessCount);
 
     for (std::size_t i = 0; i < cores_.size(); i++) {
         const AppSlot &slot = slots_[i];
@@ -665,7 +654,6 @@ System::collect()
             }
             ar.deadline = slot.deadline;
         }
-        result.energy += dataMovementEnergy(ar.counters);
         result.apps.push_back(std::move(ar));
     }
 
@@ -715,27 +703,43 @@ RunResult::batchWeightedSpeedup(const RunResult &reference) const
 }
 
 double
+RunResult::attackersPerAccess() const
+{
+    return stat("sys.attackersPerAccess");
+}
+
+std::uint64_t
+RunResult::reconfigurations() const
+{
+    return static_cast<std::uint64_t>(stat("runtime.reconfigurations"));
+}
+
+std::uint64_t
+RunResult::coherenceInvalidations() const
+{
+    return static_cast<std::uint64_t>(
+        stat("runtime.coherenceInvalidations"));
+}
+
+double
 RunResult::worstTailRatio() const
 {
-    double worst = 0.0;
-    for (const auto &app : apps) {
-        if (!app.latencyCritical || app.deadline <= 0.0) continue;
-        worst = std::max(worst, app.tailLatency / app.deadline);
-    }
-    return worst;
+    return stat("sys.tail.worstRatio");
 }
 
 double
 RunResult::meanTailRatio() const
 {
-    double sum = 0.0;
-    int n = 0;
-    for (const auto &app : apps) {
-        if (!app.latencyCritical || app.deadline <= 0.0) continue;
-        sum += app.tailLatency / app.deadline;
-        n++;
-    }
-    return n == 0 ? 0.0 : sum / n;
+    return stat("sys.tail.meanRatio");
+}
+
+EnergyBreakdown
+RunResult::energy() const
+{
+    EnergyBreakdown total;
+    for (const AppResult &app : apps)
+        total += dataMovementEnergy(app.counters);
+    return total;
 }
 
 } // namespace jumanji

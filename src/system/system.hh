@@ -62,16 +62,13 @@ using LcCalibrationMap = std::map<std::string, LcCalibration>;
 struct RunResult
 {
     std::vector<AppResult> apps;
-    double attackersPerAccess = 0.0;
-    EnergyBreakdown energy;
     Tick measuredTicks = 0;
-    std::uint64_t reconfigurations = 0;
-    std::uint64_t coherenceInvalidations = 0;
 
     /**
      * End-of-run registry snapshot (every leaf, sorted by name) and
      * the per-epoch time series the recorder sampled. Both outlive
-     * the System that produced them.
+     * the System that produced them; the scalar views below read
+     * them rather than keeping copies.
      */
     std::vector<StatValue> statDump;
     TimelineSeries timeline;
@@ -85,11 +82,29 @@ struct RunResult
     /** Weighted speedup of batch apps vs. a reference run. */
     double batchWeightedSpeedup(const RunResult &reference) const;
 
-    /** Max over LC apps of tail / deadline. */
+    /**
+     * Attackers per LLC access ("sys.attackersPerAccess"). Window:
+     * the Sampler clears the primary path's vulnerability stats
+     * every epoch, so that path contributes only the accesses since
+     * the last epoch tick, while the ideal-batch twin's share (when
+     * present) covers the whole measurement window.
+     */
+    double attackersPerAccess() const;
+
+    /** Placement epochs executed, warmup included. */
+    std::uint64_t reconfigurations() const;
+
+    /** Lines moved by coherence walks, warmup included. */
+    std::uint64_t coherenceInvalidations() const;
+
+    /** Max over LC apps of tail / deadline ("sys.tail.worstRatio"). */
     double worstTailRatio() const;
 
-    /** Mean over LC apps of tail / deadline (less estimator noise). */
+    /** Mean over LC apps of tail / deadline ("sys.tail.meanRatio"). */
     double meanTailRatio() const;
+
+    /** Dynamic data-movement energy summed over apps. */
+    EnergyBreakdown energy() const;
 };
 
 /**
@@ -136,29 +151,12 @@ class System
     /** The hierarchical stats registry (read-only queries). */
     const StatRegistry &stats() const { return statreg_; }
 
-    /** The per-epoch recorder feeding RunResult::timeline. */
+    /**
+     * The per-epoch recorder feeding RunResult::timeline: the only
+     * per-epoch record of a run (Fig. 4's latency, allocation and
+     * vulnerability series are its columns).
+     */
     const EpochRecorder &recorder() const { return *recorder_; }
-
-    /** The epoch-by-epoch allocation timeline (Fig. 4b). */
-    const std::vector<EpochRecord> &
-    allocationTimeline() const
-    {
-        return runtime_->timeline();
-    }
-
-    /** Per-epoch attackers-per-access samples (Fig. 4c). */
-    const std::vector<double> &
-    vulnerabilityTimeline() const
-    {
-        return vulnTimeline_;
-    }
-
-    /** Per-epoch mean LC latency samples per LC app (Fig. 4a). */
-    const std::map<std::string, std::vector<double>> &
-    latencyTimeline() const
-    {
-        return latencyTimeline_;
-    }
 
     /** Cores, in app order. */
     const std::vector<std::unique_ptr<CoreModel>> &
@@ -188,7 +186,7 @@ class System
     const LoadTrace &kvTrace() const { return kvTrace_; }
 
   private:
-    /** Epoch bookkeeping agent (timelines). */
+    /** Epoch agent: epoch gauges and the recorder's rows. */
     class Sampler;
     /** Applies the KV load trace to the KV apps over time. */
     class KvLoadAgent;
@@ -242,9 +240,6 @@ class System
     std::vector<std::unique_ptr<CoreModel>> cores_;
 
     Tick measureStart_ = 0;
-    AccessCounters countersAtStart_;
-    std::vector<double> vulnTimeline_;
-    std::map<std::string, std::vector<double>> latencyTimeline_;
 
     Rng rootRng_;
 };

@@ -197,6 +197,14 @@ TEST(ResultCacheBlob, CorruptionReadsAsMissNeverAsError)
                          .has_value());
     // Trailing junk is also rejected: the blob must parse exactly.
     EXPECT_FALSE(driver::deserializeMixResult(blob + "x").has_value());
+    // A blob from an older layout (schema word after "JMJR" patched
+    // back to 1) is a miss, not a misparse.
+    ASSERT_TRUE(driver::deserializeMixResult(blob).has_value());
+    std::string stale = blob;
+    ASSERT_EQ(stale.compare(4, 8, std::string("\x02\0\0\0\0\0\0\0", 8)),
+              0);
+    stale[4] = '\x01';
+    EXPECT_FALSE(driver::deserializeMixResult(stale).has_value());
 }
 
 TEST(ResultCacheKey, ConfigEditsChangeTheKey)

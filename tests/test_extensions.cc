@@ -335,7 +335,7 @@ TEST(AblationFlags, VariantsRunAndStayIsolated)
         if (variant == 2) c.migrateOnReconfig = false;
         System system(c, mix);
         RunResult run = system.run();
-        EXPECT_DOUBLE_EQ(run.attackersPerAccess, 0.0)
+        EXPECT_DOUBLE_EQ(run.attackersPerAccess(), 0.0)
             << "variant " << variant
             << " must not affect the isolation guarantee";
     }

@@ -15,6 +15,8 @@
 namespace jumanji {
 namespace {
 
+constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
+
 SystemConfig
 itConfig(std::uint64_t seed = 11)
 {
@@ -83,10 +85,18 @@ TEST(Integration, JigsawStarvesIdleLatencyCritical)
         c.design = d;
         System system(c, mix);
         system.run();
-        const auto &last = system.allocationTimeline().back();
+        // LC allocations in the last recorded epoch.
+        const TimelineSeries &ts = system.recorder().series();
         std::uint64_t lc = 0;
-        for (const auto &[vc, lines] : last.allocLines)
-            if (vc % 5 == 0) lc += lines;
+        for (const auto &core : system.cores()) {
+            if (!core->owner().latencyCritical) continue;
+            std::size_t col = ts.columnIndex(
+                "runtime.vc" + statIndexName(core->owner().vc) +
+                ".allocLines");
+            EXPECT_NE(col, kNoColumn);
+            if (col != kNoColumn && !ts.empty())
+                lc += static_cast<std::uint64_t>(ts.rows.back()[col]);
+        }
         return lc;
     };
 
@@ -106,10 +116,13 @@ TEST(Integration, JumanjiIsolationHoldsUnderReconfiguration)
     WorkloadMix mix = makeMix(allTailAppNames(), 4, 4, rng);
     System system(cfg, mix);
     RunResult run = system.run();
-    EXPECT_DOUBLE_EQ(run.attackersPerAccess, 0.0);
+    EXPECT_DOUBLE_EQ(run.attackersPerAccess(), 0.0);
     // Also true per-epoch, not just on average.
-    for (double v : system.vulnerabilityTimeline())
-        EXPECT_DOUBLE_EQ(v, 0.0);
+    const TimelineSeries &ts = system.recorder().series();
+    std::size_t vuln = ts.columnIndex("epoch.vuln");
+    ASSERT_NE(vuln, kNoColumn);
+    ASSERT_FALSE(ts.empty());
+    for (const auto &row : ts.rows) EXPECT_DOUBLE_EQ(row[vuln], 0.0);
 }
 
 /** The D-NUCAs cut average hop distance dramatically vs S-NUCA. */
@@ -165,7 +178,7 @@ TEST(Integration, DnucaReducesDataMovementEnergy)
         System system(c, mix);
         RunResult run = system.run();
         Point p;
-        p.energy = run.energy;
+        p.energy = run.energy();
         for (const auto &app : run.apps) {
             p.instrs += static_cast<double>(app.progress.instrs);
             if (!app.latencyCritical) {
@@ -260,8 +273,8 @@ TEST(Integration, ReconfigurationChurnBounded)
     System system(cfg, mix);
     RunResult run = system.run();
     std::uint64_t totalLines = cfg.placementGeometry().totalLines();
-    double perEpoch = static_cast<double>(run.coherenceInvalidations) /
-                      static_cast<double>(run.reconfigurations);
+    double perEpoch = static_cast<double>(run.coherenceInvalidations()) /
+                      static_cast<double>(run.reconfigurations());
     EXPECT_LT(perEpoch, 0.5 * static_cast<double>(totalLines))
         << "descriptor stabilization should keep churn well below "
            "half the LLC per epoch";

@@ -15,6 +15,8 @@
 namespace jumanji {
 namespace {
 
+constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
+
 SystemConfig
 smallConfig()
 {
@@ -66,7 +68,7 @@ TEST(SystemTest, DeterministicAcrossRuns)
             << ra.apps[i].name;
         EXPECT_DOUBLE_EQ(ra.apps[i].tailLatency, rb.apps[i].tailLatency);
     }
-    EXPECT_DOUBLE_EQ(ra.attackersPerAccess, rb.attackersPerAccess);
+    EXPECT_DOUBLE_EQ(ra.attackersPerAccess(), rb.attackersPerAccess());
 }
 
 TEST(SystemTest, SeedChangesResults)
@@ -102,7 +104,7 @@ TEST(SystemTest, JumanjiHasZeroAttackers)
     cfg.design = LlcDesign::Jumanji;
     System system(cfg, smallMix());
     RunResult run = system.run();
-    EXPECT_DOUBLE_EQ(run.attackersPerAccess, 0.0);
+    EXPECT_DOUBLE_EQ(run.attackersPerAccess(), 0.0);
 }
 
 TEST(SystemTest, SnucaDesignsFullyExposed)
@@ -113,7 +115,7 @@ TEST(SystemTest, SnucaDesignsFullyExposed)
         System system(cfg, smallMix());
         RunResult run = system.run();
         // 15 untrusted apps share every bank (4 VMs x 5 apps - own 5).
-        EXPECT_GT(run.attackersPerAccess, 12.0) << llcDesignName(d);
+        EXPECT_GT(run.attackersPerAccess(), 12.0) << llcDesignName(d);
     }
 }
 
@@ -124,7 +126,47 @@ TEST(SystemTest, IdealBatchRunsWithTwoLlcs)
     System system(cfg, smallMix());
     RunResult run = system.run();
     EXPECT_EQ(run.apps.size(), 20u);
-    EXPECT_DOUBLE_EQ(run.attackersPerAccess, 0.0);
+    EXPECT_DOUBLE_EQ(run.attackersPerAccess(), 0.0);
+}
+
+TEST(SystemTest, DerivedViewsMatchReferenceLoops)
+{
+    // RunResult keeps no scalar copies: its views read the registry
+    // snapshot or sum over apps. Each must equal, bit for bit, the
+    // live runtime counter or the per-app loop it replaced.
+    for (LlcDesign d : {LlcDesign::Static, LlcDesign::Jigsaw,
+                        LlcDesign::Jumanji, LlcDesign::JumanjiIdealBatch}) {
+        SCOPED_TRACE(llcDesignName(d));
+        SystemConfig cfg = smallConfig();
+        cfg.design = d;
+        System system(cfg, smallMix());
+        RunResult run = system.run();
+        EXPECT_EQ(run.reconfigurations(),
+                  system.runtime().reconfigurations());
+        EXPECT_EQ(run.coherenceInvalidations(),
+                  system.runtime().totalInvalidations());
+
+        double worst = 0.0;
+        double sum = 0.0;
+        int n = 0;
+        EnergyBreakdown energy;
+        for (const auto &app : run.apps) {
+            energy += dataMovementEnergy(app.counters);
+            if (!app.latencyCritical || app.deadline <= 0.0) continue;
+            worst = std::max(worst, app.tailLatency / app.deadline);
+            sum += app.tailLatency / app.deadline;
+            n++;
+        }
+        ASSERT_GT(n, 0);
+        EXPECT_EQ(run.worstTailRatio(), worst);
+        EXPECT_EQ(run.meanTailRatio(), sum / n);
+        EnergyBreakdown derived = run.energy();
+        EXPECT_EQ(derived.l1, energy.l1);
+        EXPECT_EQ(derived.l2, energy.l2);
+        EXPECT_EQ(derived.llc, energy.llc);
+        EXPECT_EQ(derived.noc, energy.noc);
+        EXPECT_EQ(derived.mem, energy.mem);
+    }
 }
 
 TEST(SystemTest, ReconfiguresEveryEpoch)
@@ -143,18 +185,33 @@ TEST(SystemTest, TimelinesPopulated)
     SystemConfig cfg = smallConfig();
     System system(cfg, smallMix());
     system.run();
-    EXPECT_FALSE(system.allocationTimeline().empty());
-    EXPECT_FALSE(system.vulnerabilityTimeline().empty());
-    EXPECT_EQ(system.latencyTimeline().size(), 1u); // one LC app name
+    // The recorder is the only per-epoch record: Fig. 4's latency,
+    // allocation and vulnerability series are its columns.
+    const TimelineSeries &ts = system.recorder().series();
+    ASSERT_FALSE(ts.empty());
+    EXPECT_NE(ts.columnIndex("epoch.vuln"), kNoColumn);
+    std::size_t index = ts.columnIndex("epoch.index");
+    ASSERT_NE(index, kNoColumn);
+    EXPECT_EQ(ts.rows.back()[index], static_cast<double>(ts.rows.size()));
+    for (std::size_t i = 0; i < system.cores().size(); i++) {
+        const AccessOwner &owner = system.cores()[i]->owner();
+        EXPECT_NE(ts.columnIndex("runtime.vc" + statIndexName(owner.vc) +
+                                 ".allocLines"),
+                  kNoColumn);
+        // Only LC apps have a per-epoch latency.
+        EXPECT_EQ(ts.columnIndex("apps.a" + statIndexName(i) +
+                                 ".epochLatency") != kNoColumn,
+                  owner.latencyCritical);
+    }
 }
 
 TEST(SystemTest, EnergyPositive)
 {
     System system(smallConfig(), smallMix());
     RunResult run = system.run();
-    EXPECT_GT(run.energy.total(), 0.0);
-    EXPECT_GT(run.energy.mem, 0.0);
-    EXPECT_GT(run.energy.noc, 0.0);
+    EXPECT_GT(run.energy().total(), 0.0);
+    EXPECT_GT(run.energy().mem, 0.0);
+    EXPECT_GT(run.energy().noc, 0.0);
 }
 
 TEST(SystemTest, VmScalingConfigs)
@@ -190,10 +247,15 @@ TEST(SystemTest, FixedLcTargetPinsAllocation)
     system.run();
     // Every epoch's LC allocation equals the pinned target (within
     // way quantization).
-    for (const auto &epoch : system.allocationTimeline()) {
-        for (const auto &[vc, lines] : epoch.allocLines) {
-            if (vc % 5 != 0) continue; // LC apps are first per VM
-            EXPECT_NEAR(static_cast<double>(lines),
+    const TimelineSeries &ts = system.recorder().series();
+    ASSERT_FALSE(ts.empty());
+    for (const auto &core : system.cores()) {
+        if (!core->owner().latencyCritical) continue;
+        std::size_t col = ts.columnIndex(
+            "runtime.vc" + statIndexName(core->owner().vc) + ".allocLines");
+        ASSERT_NE(col, kNoColumn);
+        for (const auto &row : ts.rows) {
+            EXPECT_NEAR(row[col],
                         static_cast<double>(cfg.fixedLcTargetLines),
                         static_cast<double>(
                             2 * cfg.placementGeometry().linesPerWay()));
@@ -246,7 +308,7 @@ TEST(SystemTest, PaperScaleGeometryRuns)
     System system(cfg, mix);
     RunResult run = system.run();
     EXPECT_EQ(run.apps.size(), 20u);
-    EXPECT_DOUBLE_EQ(run.attackersPerAccess, 0.0);
+    EXPECT_DOUBLE_EQ(run.attackersPerAccess(), 0.0);
     EXPECT_EQ(system.memPath().totalLines(), 20u * 512 * 32);
 }
 
