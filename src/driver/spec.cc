@@ -7,6 +7,9 @@
 
 #include "src/driver/env.hh"
 #include "src/sim/logging.hh"
+#include "src/sim/statreg.hh"
+#include "src/system/harness.hh"
+#include "src/system/system.hh"
 #include "src/workloads/kv/kv_store.hh"
 #include "src/workloads/mixes.hh"
 
@@ -38,54 +41,6 @@ columnKeys()
         "attackers"};
     return keys;
 }
-
-/** Same strict-key walker as config_json.cc, for spec documents. */
-class ObjectReader
-{
-  public:
-    ObjectReader(const JsonValue &json, std::string prefix)
-        : json_(json), prefix_(std::move(prefix))
-    {
-        if (!json.isObject())
-            fatal((prefix_.empty() ? std::string("scenario")
-                                   : prefix_) +
-                  ": expected object, got " + json.kindName());
-        consumed_.resize(json.members().size(), false);
-    }
-
-    const JsonValue *
-    get(const std::string &key)
-    {
-        const auto &members = json_.members();
-        for (std::size_t i = 0; i < members.size(); i++) {
-            if (members[i].first == key) {
-                consumed_[i] = true;
-                return &members[i].second;
-            }
-        }
-        return nullptr;
-    }
-
-    std::string
-    path(const std::string &key) const
-    {
-        return prefix_.empty() ? key : prefix_ + "." + key;
-    }
-
-    void
-    finish() const
-    {
-        const auto &members = json_.members();
-        for (std::size_t i = 0; i < members.size(); i++)
-            if (!consumed_[i])
-                fatal(path(members[i].first) + ": unknown key");
-    }
-
-  private:
-    const JsonValue &json_;
-    std::string prefix_;
-    std::vector<bool> consumed_;
-};
 
 std::vector<std::string>
 lcNamesFromJson(const JsonValue &json, const std::string &path)
@@ -199,14 +154,18 @@ outputFromJson(const JsonValue &json)
         col.key = key->asString(path + ".key");
         const auto &keys = columnKeys();
         // Dotted keys are registry leaves (e.g. apps.kv.spike.p95),
-        // averaged over the cell's mixes at render time; bare keys
-        // must be one of the aggregate columns.
+        // averaged over the cell's mixes at render time and resolved
+        // against the live registry by checkSpec; bare keys must be
+        // one of the aggregate columns.
         if (std::find(keys.begin(), keys.end(), col.key) ==
                 keys.end() &&
-            col.key.find('.') == std::string::npos)
+            col.key.find('.') == std::string::npos) {
+            std::string known;
+            for (const std::string &k : keys)
+                known += (known.empty() ? "" : "|") + k;
             fatal(path + ".key: unknown column key \"" + col.key +
-                  "\" (tailMean|tailWorst|batchWS|batchWSMean|"
-                  "attackers, or a dotted stat name)");
+                  "\" (" + known + ", or a dotted stat name)");
+        }
         const JsonValue *header = cr.get("header");
         col.header = header != nullptr
                          ? header->asString(path + ".header")
@@ -374,7 +333,7 @@ ExperimentSpec
 ExperimentSpec::fromJson(const JsonValue &json)
 {
     ExperimentSpec spec;
-    ObjectReader r(json, "");
+    ObjectReader r(json, "", "scenario");
 
     const JsonValue *name = r.get("name");
     if (name == nullptr) fatal("name: missing required key");
@@ -675,6 +634,48 @@ expandSpec(const ExperimentSpec &spec)
     return plan;
 }
 
+void
+checkSpec(const ExperimentSpec &spec)
+{
+    const SpecPlan plan = expandSpec(spec);
+    for (JobId id = 0; id < plan.graph.size(); id++) {
+        const SweepJob &job = plan.graph.job(id);
+        // Name the patch the job's selectors came from: a variant's
+        // timelineStats replaces the top-level one, which replaces
+        // the preset's.
+        const std::size_t v = plan.variantOf(id, spec);
+        std::string selectorPath = "timelineStats";
+        if (spec.variants[v].overrides.find("timelineStats") != nullptr)
+            selectorPath = "variants[" + std::to_string(v) +
+                           "].overrides.timelineStats";
+        else if (spec.overrides.find("timelineStats") != nullptr)
+            selectorPath = "overrides.timelineStats";
+
+        for (const SystemConfig &cfg : ExperimentHarness::designConfigs(
+                 job.config, job.designs, job.load)) {
+            const System system(cfg, job.mix, job.calibrations);
+            const StatRegistry &reg = system.stats();
+            const std::string where = " in job " + job.label + " (" +
+                                      llcDesignName(cfg.design) + ")";
+            const std::vector<std::string> leaves = reg.leaves({""});
+            for (std::size_t c = 0; c < spec.output.columns.size();
+                 c++) {
+                const std::string &key = spec.output.columns[c].key;
+                if (key.find('.') != std::string::npos &&
+                    !std::binary_search(leaves.begin(), leaves.end(),
+                                        key))
+                    fatal("output.columns[" + std::to_string(c) +
+                          "].key: no stat \"" + key + "\"" + where);
+            }
+            for (std::size_t s = 0; s < cfg.timelineStats.size(); s++)
+                if (reg.leaves({cfg.timelineStats[s]}).empty())
+                    fatal(selectorPath + "[" + std::to_string(s) +
+                          "]: selector \"" + cfg.timelineStats[s] +
+                          "\" selects no stat" + where);
+        }
+    }
+}
+
 SpecRun
 runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator)
 {
@@ -688,13 +689,10 @@ runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator)
         // may differ, so its apps are calibrated separately. Walking the jobs in order and consuming plan entries
         // at each first-seen (variant, name) replays the expansion's
         // insertion order, so `next` stays in lockstep with the plan.
-        std::size_t jobsPerVariant = spec.loads.size() *
-                                     spec.groups.size() *
-                                     run.plan.mixCount;
         std::vector<LcCalibrationMap> byVariant(spec.variants.size());
         std::size_t next = 0;
         for (JobId id = 0; id < run.plan.graph.size(); id++) {
-            std::size_t v = id / jobsPerVariant;
+            std::size_t v = run.plan.variantOf(id, spec);
             SweepJob &job = run.plan.graph.mutableJob(id);
             for (const VmSpec &vm : job.mix.vms) {
                 for (const std::string &lc : vm.lcApps) {

@@ -109,6 +109,8 @@ struct SpecColumn
      *  "batchWS"     gmean of batch weighted speedup (gmeanSpeedups)
      *  "batchWSMean" arithmetic mean of batch speedup (fig17)
      *  "attackers"   mean of stat("sys.attackersPerAccess")
+     *  "a.b.c"       mean of stat(key); a dotted key must name a
+     *                registry leaf, which checkSpec verifies
      */
     std::string key;
     std::string header;
@@ -207,10 +209,29 @@ struct SpecPlan
                    mixCount +
                mix;
     }
+
+    /** Variant index of job @p id: jobIndex's outermost level. */
+    std::size_t
+    variantOf(std::size_t id, const ExperimentSpec &spec) const
+    {
+        return id / (spec.loads.size() * spec.groups.size() * mixCount);
+    }
 };
 
 /** Expands @p spec without running anything (validation, tests). */
 SpecPlan expandSpec(const ExperimentSpec &spec);
+
+/**
+ * Checks @p spec's stat references against the live registry. Expands
+ * the spec and, for every job and every design it runs (Static first,
+ * as runCalibrated does), builds the System without running it.
+ * Throws FatalError "field: reason", naming the job label and design,
+ * when a dotted output.columns key is not a registry leaf or a
+ * timelineStats selector selects no leaf. It costs one System build
+ * per (job, design), so fromJson, expandSpec and runSpec never call
+ * it; jumanji_cli's --scenario and --scenario-check do.
+ */
+void checkSpec(const ExperimentSpec &spec);
 
 /** A finished spec run: the plan plus results in job order. */
 struct SpecRun

@@ -588,4 +588,42 @@ JsonValue::parse(const std::string &text, const std::string &where)
     return Parser(text, where).parseDocument();
 }
 
+ObjectReader::ObjectReader(const JsonValue &json, std::string prefix,
+                           const std::string &rootName)
+    : json_(json), prefix_(std::move(prefix))
+{
+    if (!json.isObject())
+        fatal((prefix_.empty() ? rootName : prefix_) +
+              ": expected object, got " + json.kindName());
+    consumed_.resize(json.members().size(), false);
+}
+
+const JsonValue *
+ObjectReader::get(const std::string &key)
+{
+    const auto &members = json_.members();
+    for (std::size_t i = 0; i < members.size(); i++) {
+        if (members[i].first == key) {
+            consumed_[i] = true;
+            return &members[i].second;
+        }
+    }
+    return nullptr;
+}
+
+std::string
+ObjectReader::path(const std::string &key) const
+{
+    return prefix_.empty() ? key : prefix_ + "." + key;
+}
+
+void
+ObjectReader::finish() const
+{
+    const auto &members = json_.members();
+    for (std::size_t i = 0; i < members.size(); i++)
+        if (!consumed_[i])
+            fatal(path(members[i].first) + ": unknown key");
+}
+
 } // namespace jumanji

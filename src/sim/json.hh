@@ -128,6 +128,39 @@ class JsonValue
     void dumpTo(std::string &out, int indent, int depth) const;
 };
 
+/**
+ * Strict object walker shared by the config and spec readers: get()
+ * marks a member consumed, finish() rejects every unconsumed one as
+ * "<path>: unknown key". Member order is irrelevant; unknown keys are
+ * fatal so a typo can never silently no-op.
+ */
+class ObjectReader
+{
+  public:
+    /**
+     * @param prefix Dotted path of @p json in its document ("" at the
+     *        root); every diagnostic is prefixed with it.
+     * @param rootName Names a root (@p prefix empty) in the "expected
+     *        object" diagnostic: "config", "scenario".
+     */
+    ObjectReader(const JsonValue &json, std::string prefix,
+                 const std::string &rootName = "document");
+
+    /** Member named @p key, or nullptr when absent. */
+    const JsonValue *get(const std::string &key);
+
+    /** Dotted path of member @p key ("llc.ways"). */
+    std::string path(const std::string &key) const;
+
+    /** Throws FatalError naming the first unconsumed member. */
+    void finish() const;
+
+  private:
+    const JsonValue &json_;
+    std::string prefix_;
+    std::vector<bool> consumed_;
+};
+
 } // namespace jumanji
 
 #endif // JUMANJI_SIM_JSON_HH

@@ -36,64 +36,6 @@ fmtDouble(double v)
     return buf;
 }
 
-/**
- * Strict object walker: get() marks a key consumed, finish() rejects
- * everything unconsumed. Member order in the file is irrelevant;
- * unknown keys are fatal so typos cannot silently no-op.
- */
-class ObjectReader
-{
-  public:
-    ObjectReader(const JsonValue &json, std::string prefix)
-        : json_(json), prefix_(std::move(prefix))
-    {
-        if (!json.isObject())
-            fatal(label() + ": expected object, got " +
-                  json.kindName());
-        consumed_.resize(json.members().size(), false);
-    }
-
-    /** Member named @p key, or nullptr when absent. */
-    const JsonValue *
-    get(const std::string &key)
-    {
-        const auto &members = json_.members();
-        for (std::size_t i = 0; i < members.size(); i++) {
-            if (members[i].first == key) {
-                consumed_[i] = true;
-                return &members[i].second;
-            }
-        }
-        return nullptr;
-    }
-
-    std::string
-    path(const std::string &key) const
-    {
-        return prefix_.empty() ? key : prefix_ + "." + key;
-    }
-
-    void
-    finish() const
-    {
-        const auto &members = json_.members();
-        for (std::size_t i = 0; i < members.size(); i++)
-            if (!consumed_[i])
-                fatal(path(members[i].first) + ": unknown key");
-    }
-
-  private:
-    const JsonValue &json_;
-    std::string prefix_;
-    std::vector<bool> consumed_;
-
-    std::string
-    label() const
-    {
-        return prefix_.empty() ? "config" : prefix_;
-    }
-};
-
 // Typed field setters: assign only when the key is present, with the
 // range stated once and enforced at parse time.
 
@@ -280,7 +222,7 @@ configPreset(const std::string &name, const std::string &path)
 void
 applyConfigJson(SystemConfig &cfg, const JsonValue &json)
 {
-    ObjectReader r(json, "");
+    ObjectReader r(json, "", "config");
     if (const JsonValue *v = r.get("llc")) applyLlc(cfg.llc, *v);
     if (const JsonValue *v = r.get("mesh")) applyMesh(cfg.mesh, *v);
     if (const JsonValue *v = r.get("mem")) applyMem(cfg.mem, *v);

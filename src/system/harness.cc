@@ -111,38 +111,39 @@ ExperimentHarness::runCalibrated(const SystemConfig &config,
 {
     MixResult result;
     result.mix = mix;
-
-    // Static first: it is the normalization baseline.
-    SystemConfig staticCfg = config;
-    staticCfg.design = LlcDesign::Static;
-    staticCfg.load = load;
-    staticCfg.traceLabel = config.traceLabel + " Static";
-    System staticSystem(staticCfg, mix, calibrations);
-    RunResult staticRun = staticSystem.run();
-
-    {
+    for (const SystemConfig &cfg : designConfigs(config, designs, load)) {
+        System system(cfg, mix, calibrations);
         DesignResult dr;
-        dr.design = LlcDesign::Static;
-        dr.batchSpeedup = 1.0;
-        dr.run = staticRun;
+        dr.design = cfg.design;
+        dr.run = system.run();
+        // The first config is Static, the normalization baseline.
+        dr.batchSpeedup =
+            result.designs.empty()
+                ? 1.0
+                : dr.run.batchWeightedSpeedup(result.designs.front().run);
         result.designs.push_back(std::move(dr));
     }
+    return result;
+}
 
-    for (LlcDesign design : designs) {
-        if (design == LlcDesign::Static) continue;
+std::vector<SystemConfig>
+ExperimentHarness::designConfigs(const SystemConfig &config,
+                                 const std::vector<LlcDesign> &designs,
+                                 LoadLevel load)
+{
+    std::vector<LlcDesign> order = {LlcDesign::Static};
+    for (LlcDesign design : designs)
+        if (design != LlcDesign::Static) order.push_back(design);
+    std::vector<SystemConfig> configs;
+    for (LlcDesign design : order) {
         SystemConfig cfg = config;
         cfg.design = design;
         cfg.load = load;
         cfg.traceLabel =
             config.traceLabel + " " + llcDesignName(design);
-        System system(cfg, mix, calibrations);
-        DesignResult dr;
-        dr.design = design;
-        dr.run = system.run();
-        dr.batchSpeedup = dr.run.batchWeightedSpeedup(staticRun);
-        result.designs.push_back(std::move(dr));
+        configs.push_back(std::move(cfg));
     }
-    return result;
+    return configs;
 }
 
 std::map<LlcDesign, double>

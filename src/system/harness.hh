@@ -87,6 +87,15 @@ class ExperimentHarness
                                    LoadLevel load,
                                    const LcCalibrationMap &calibrations);
 
+    /**
+     * The configs runCalibrated builds one System from each, in run
+     * order: Static (the normalization baseline) first, then the
+     * other @p designs, each at @p load with its own trace label.
+     */
+    static std::vector<SystemConfig>
+    designConfigs(const SystemConfig &config,
+                  const std::vector<LlcDesign> &designs, LoadLevel load);
+
   private:
     SystemConfig base_;
     LcCalibrationMap calibrationCache_;

@@ -15,9 +15,9 @@
  * built from the run's warmup/measure windows so the interesting
  * transitions land inside the measurement window. Phase labels are
  * part of the observable surface: per-phase tail-latency stats are
- * registered as apps.kv.<label>.{p95,p99,count}, and the lint
- * stat-xref pass extracts the addPhase() label literals from
- * load_trace.cc to validate scenario columns against them.
+ * registered as apps.kv.<label>.{p95,p99,count} for the trace a run
+ * uses, and driver::checkSpec resolves scenario columns against
+ * those registered names.
  */
 
 #ifndef JUMANJI_WORKLOADS_KV_LOAD_TRACE_HH

@@ -3,8 +3,10 @@
  * Scenario-layer tests: config JSON round-trips under the foldConfig
  * fingerprint, schema violations fail with precise "field: reason"
  * diagnostics, the C++ spec builders in bench/specs.hh and the
- * shipped examples/scenarios/ files are the same specs, expansion
- * order is stable, and a spec-driven run is byte-identical — results
+ * shipped examples/scenarios/ files are the same specs, checkSpec
+ * resolves every scenario stat reference against the live registry
+ * and names the job and design of a dead one, expansion order is
+ * stable, and a spec-driven run is byte-identical — results
  * *and* rendered table — to a plain serial loop that spells out the
  * Sec. VII methodology, pinning it from outside src/driver/spec.cc.
  */
@@ -14,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -112,6 +115,10 @@ TEST(ConfigJson, UnknownKeysAreFatalWithTheirFullPath)
                       JsonValue::parse("{\"bogus\": 1}", "test"));
               }),
               "fatal: bogus: unknown key");
+    EXPECT_EQ(fatalMessage([] {
+                  SystemConfig::fromJson(JsonValue::parse("[]", "test"));
+              }),
+              "fatal: config: expected object, got array");
 }
 
 TEST(ConfigJson, OutOfRangeValuesNameTheirBound)
@@ -221,6 +228,10 @@ TEST(Spec, ValidationRejectsShapeMismatches)
                   ExperimentSpec::fromJson(JsonValue::parse("{}", "t"));
               }),
               "fatal: name: missing required key");
+    EXPECT_EQ(fatalMessage([] {
+                  ExperimentSpec::fromJson(JsonValue::parse("[]", "t"));
+              }),
+              "fatal: scenario: expected object, got array");
 
     ExperimentSpec badColumn = base;
     badColumn.output.columns[0].key = "bogus";
@@ -231,6 +242,136 @@ TEST(Spec, ValidationRejectsShapeMismatches)
         "fatal: output.columns[0].key: unknown column key \"bogus\" "
         "(tailMean|tailWorst|batchWS|batchWSMean|attackers, or a "
         "dotted stat name)");
+}
+
+/** @p spec at one mix, whatever JUMANJI_MIXES says. */
+ExperimentSpec
+oneMix(ExperimentSpec spec)
+{
+    spec.mixes.count = 1;
+    spec.mixes.fromEnv = false;
+    return spec;
+}
+
+/** What jumanji_cli's loadScenario does: parse, validate, check. */
+void
+loadAndCheck(const JsonValue &doc)
+{
+    driver::checkSpec(oneMix(ExperimentSpec::fromJson(doc)));
+}
+
+TEST(Spec, CheckPassesEveryBuilderAndShippedScenario)
+{
+    std::vector<ExperimentSpec> specs = {
+        bench::specs::fig13Small(),
+        bench::specs::mainComparison("main-comparison"),
+        bench::specs::fig14Vulnerability(),
+        bench::specs::fig05CaseStudy(),
+        bench::specs::fig09Sensitivity(),
+        bench::specs::fig16IdealBatch(),
+        bench::specs::fig17VmScaling(),
+        bench::specs::fig18NocSensitivity(),
+        bench::specs::ablationVariants(),
+        bench::specs::epochLoadGrid(),
+        bench::specs::kvFlashCrowd(),
+    };
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(JUMANJI_SOURCE_DIR) + "/examples/scenarios"))
+        if (entry.path().extension() == ".json")
+            files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty());
+    for (const auto &file : files)
+        specs.push_back(ExperimentSpec::fromJson(
+            JsonValue::parse(readFile(file.string()), file.string())));
+
+    for (const ExperimentSpec &spec : specs) {
+        try {
+            driver::checkSpec(oneMix(spec));
+        } catch (const FatalError &e) {
+            ADD_FAILURE() << spec.name << ": " << e.what();
+        }
+    }
+}
+
+TEST(Spec, CheckNamesDeadColumnsAndSelectorsWithJobAndDesign)
+{
+    // A typo'd dotted column.
+    ExperimentSpec typo = oneMix(bench::specs::kvFlashCrowd());
+    typo.output.columns[1].key = "apps.kv.spoke.p95";
+    EXPECT_EQ(fatalMessage([&] { driver::checkSpec(typo); }),
+              "fatal: output.columns[1].key: no stat "
+              "\"apps.kv.spoke.p95\" in job "
+              "kv-flash-crowd/high/kv_small/mix0 (Static)");
+
+    // A real phase label, but of the diurnal trace: this scenario
+    // runs flashcrowd, whose registry has no "morning" phase.
+    ExperimentSpec morning = oneMix(bench::specs::kvFlashCrowd());
+    morning.output.columns[1].key = "apps.kv.morning.p95";
+    EXPECT_EQ(fatalMessage([&] { driver::checkSpec(morning); }),
+              "fatal: output.columns[1].key: no stat "
+              "\"apps.kv.morning.p95\" in job "
+              "kv-flash-crowd/high/kv_small/mix0 (Static)");
+    // The same column resolves once the job runs the diurnal trace.
+    morning.overrides = JsonValue::parse(
+        "{\"kv\": {\"trace\": \"diurnal\"}}", "test");
+    morning.output.columns = {{"apps.kv.morning.p95", "morning p95"}};
+    driver::checkSpec(morning);
+
+    // A dead selector in the top-level overrides.
+    ExperimentSpec selector = oneMix(bench::specs::fig13Small());
+    selector.overrides = JsonValue::parse(
+        "{\"timelineStats\": [\"llc.\", \"nope.prefix.\"]}", "test");
+    EXPECT_EQ(fatalMessage([&] { driver::checkSpec(selector); }),
+              "fatal: overrides.timelineStats[1]: selector "
+              "\"nope.prefix.\" selects no stat in job "
+              "fig13-small/high/masstree/mix0 (Static)");
+
+    // A dead selector in one variant's overrides: the variant's list
+    // replaces the top-level one, so the path names the variant.
+    ExperimentSpec variant = oneMix(bench::specs::epochLoadGrid());
+    variant.overrides = JsonValue::parse(
+        "{\"timelineStats\": [\"epoch.\"]}", "test");
+    variant.variants[1].overrides.set(
+        "timelineStats",
+        JsonValue::parse("[\"apps.\", \"bogus.\"]", "test"));
+    EXPECT_EQ(fatalMessage([&] { driver::checkSpec(variant); }),
+              "fatal: variants[1].overrides.timelineStats[1]: selector "
+              "\"bogus.\" selects no stat in job "
+              "epoch 600k (default)/high/Mixed/mix0 (Static)");
+}
+
+TEST(Spec, LoadingRejectsUnknownKeysAndBareColumnsWithTheirPath)
+{
+    // The schema half of what a scenario load rejects, through the
+    // same parse + checkSpec path as jumanji_cli --scenario-check.
+    const std::string file =
+        std::string(JUMANJI_SOURCE_DIR) +
+        "/examples/scenarios/fig13_small.json";
+    const JsonValue valid = JsonValue::parse(readFile(file), file);
+    auto reject = [&](const std::string &key, const JsonValue &value) {
+        JsonValue doc = valid;
+        doc.set(key, value);
+        return fatalMessage([&] { loadAndCheck(doc); });
+    };
+
+    EXPECT_EQ(reject("bogusKey", JsonValue::makeU64(1)),
+              "fatal: bogusKey: unknown key");
+    EXPECT_EQ(reject("seed", JsonValue::parse("{\"nope\": 2}", "t")),
+              "fatal: seed.nope: unknown key");
+    EXPECT_EQ(reject("overrides",
+                     JsonValue::parse("{\"llc\": {\"wayz\": 8}}", "t")),
+              "fatal: llc.wayz: unknown key");
+
+    JsonValue output = *valid.find("output");
+    JsonValue columns = JsonValue::makeArray();
+    columns.push(JsonValue::parse("{\"key\": \"notdotted\"}", "t"));
+    output.set("columns", columns);
+    EXPECT_EQ(reject("output", output),
+              "fatal: output.columns[0].key: unknown column key "
+              "\"notdotted\" (tailMean|tailWorst|batchWS|batchWSMean|"
+              "attackers, or a dotted stat name)");
 }
 
 TEST(Spec, ExpansionOrderIsStableAndSeedsDeriveFromTheBase)

@@ -9,13 +9,18 @@
  *                          examples/scenarios/ and docs/INTERNALS.md
  *                          §12) through the orchestrator and print
  *                          its report; --jobs/--cache-dir and the
- *                          observability exports apply. An invalid
- *                          scenario exits 2 with a "field: reason"
- *                          diagnostic on stderr.
+ *                          observability exports apply. The document
+ *                          first passes the --scenario-check checks;
+ *                          an invalid scenario exits 2 with a
+ *                          "field: reason" diagnostic on stderr.
  *     --scenario-check <file>
- *                          parse, validate, and expand a scenario
- *                          without simulating; prints the grid shape
- *                          and exits 0 iff the document is valid
+ *                          parse, validate, and expand a scenario,
+ *                          then build every job's System for every
+ *                          design it runs, without simulating, and
+ *                          resolve each dotted output column and
+ *                          timelineStats selector against its stat
+ *                          registry; prints the grid shape and exits
+ *                          0 iff the document is valid
  *     --design <name>      Static|Adaptive|VM-Part|Jigsaw|Jumanji|
  *                          Insecure|IdealBatch (default: all five main)
  *     --lc <name|Mixed>    latency-critical app selection: a
@@ -144,7 +149,11 @@ usage(const char *argv0, int exitCode = 2)
     std::exit(exitCode);
 }
 
-/** Loads and validates a scenario document (fatal on any error). */
+/**
+ * Loads and validates a scenario document, then resolves its stat
+ * references against the live registry (driver::checkSpec). Fatal on
+ * any error, before anything is simulated.
+ */
 driver::ExperimentSpec
 loadScenario(const std::string &path)
 {
@@ -152,7 +161,10 @@ loadScenario(const std::string &path)
     if (!is) fatal("cannot open " + path);
     std::string text((std::istreambuf_iterator<char>(is)),
                      std::istreambuf_iterator<char>());
-    return driver::ExperimentSpec::fromJson(JsonValue::parse(text, path));
+    driver::ExperimentSpec spec =
+        driver::ExperimentSpec::fromJson(JsonValue::parse(text, path));
+    driver::checkSpec(spec);
+    return spec;
 }
 
 /** Resident footprint of a working-set mixture, in MB (streaming

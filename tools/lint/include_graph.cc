@@ -176,11 +176,10 @@ runIncludeGraphPass(LintContext &ctx)
 
     std::map<std::string, const SourceFile *> byRel;
     for (const SourceFile &sf : ctx.files)
-        if (!sf.isJson) byRel.emplace(sf.relPath, &sf);
+        byRel.emplace(sf.relPath, &sf);
 
     // --- layering-dag: edge checks -----------------------------------
     for (const SourceFile &sf : ctx.files) {
-        if (sf.isJson) continue;
         const std::string from = subsystemOf(sf.relPath);
         auto fromRank = kRankOf.find(from);
         if (fromRank == kRankOf.end()) continue;
@@ -233,12 +232,11 @@ runIncludeGraphPass(LintContext &ctx)
             color[sf.relPath] = 2;
         };
     for (const SourceFile &sf : ctx.files)
-        if (!sf.isJson && color[sf.relPath] == 0) visit(sf);
+        if (color[sf.relPath] == 0) visit(sf);
 
     // --- unused-include ----------------------------------------------
     std::map<std::string, std::set<std::string>> exportsOf;
     for (const SourceFile &sf : ctx.files) {
-        if (sf.isJson) continue;
         std::set<std::string> mentioned;
         for (const Token &t : sf.lexed.tokens)
             if (t.kind == Tok::Ident) mentioned.insert(t.text);

@@ -3,10 +3,11 @@
  * jumanji_lint core: the pass framework behind the project's static
  * analyzer (docs/INTERNALS.md §8).
  *
- * The analyzer is a pipeline: every source file is lexed once
+ * The analyzer is a pipeline: every C++ source file is lexed once
  * (tools/lint/lexer.hh), then a fixed sequence of passes walks the
- * token streams (and, for the cross-artifact pass, the scenario JSON
- * files) and reports findings. Three pass families:
+ * token streams and reports findings. It reads no JSON: scenario
+ * documents are checked against the live stat registry by
+ * jumanji_cli --scenario-check instead. Three pass families:
  *
  *   rules.cc          the per-file token rules (no-unseeded-rand,
  *                     clock-routing, rng-routing, unordered-iter,
@@ -15,10 +16,9 @@
  *                     concurrency-routing)
  *   include_graph.cc  layering-dag (subsystem DAG conformance,
  *                     include cycles) and unused-include
- *   stat_xref.cc      stat-xref (dotted stat names referenced by
- *                     string must be bindable) and schema-xref
- *                     (scenario JSON keys must exist in the
- *                     ObjectReader schemas)
+ *   stat_xref.cc      stat-xref (dotted stat names and timeline
+ *                     selectors referenced by string in C++ must
+ *                     be bindable)
  *
  * Suppressions: "lint-allow" / "lint-allow-file" comments (see
  * parseSuppressions). Every suppression must actually suppress
@@ -79,7 +79,6 @@ struct SourceFile
     /** line -> suppressions declared on that line. */
     std::map<std::size_t, std::vector<Suppression>> lineAllows;
     std::vector<Suppression> fileAllows;
-    bool isJson = false;
 };
 
 /** The whole scan set plus the findings accumulated so far. */
@@ -110,7 +109,7 @@ void runTokenRules(LintContext &ctx);
 /** layering-dag + unused-include over the project include graph. */
 void runIncludeGraphPass(LintContext &ctx);
 
-/** stat-xref + schema-xref across C++ and scenario JSON files. */
+/** stat-xref: C++ stat references against C++ stat bindings. */
 void runStatXrefPass(LintContext &ctx);
 
 /**
@@ -123,8 +122,8 @@ void runSuppressionAudit(LintContext &ctx);
 
 /**
  * Loads, lexes, and scans @p roots (files or directories;
- * directories are walked recursively for .cc/.hh/.cpp/.hpp/.h and,
- * under a "scenarios" directory, .json). Directories named
+ * directories are walked recursively for .cc/.hh/.cpp/.hpp/.h).
+ * Directories named
  * "lint_fixtures" are skipped — they hold deliberate violations for
  * tests/test_lint.cc. Leaves ctx.findings sorted by (file, line,
  * rule). Throws std::runtime_error on IO errors.
@@ -154,9 +153,6 @@ std::string renderSarif(const std::vector<Finding> &findings);
 // --- Shared helpers ---------------------------------------------------
 
 bool pathEndsWith(const std::string &path, const std::string &suffix);
-
-/** Byte offset of the start of 1-based @p line in @p raw. */
-std::size_t lineStartOffset(const std::string &raw, std::size_t line);
 
 /**
  * Repo-relative form of @p path: the suffix starting at the last

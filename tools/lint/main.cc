@@ -5,10 +5,10 @@
  * Usage:
  *   jumanji_lint [--json | --sarif] [--report <path>] <file-or-dir>...
  *
- * Directories are scanned recursively for C++ sources and, under a
- * "scenarios" directory, JSON scenario files; directories named
- * "lint_fixtures" are skipped (they hold deliberate violations for
- * tests/test_lint.cc). --report writes the findings JSON to a file
+ * Directories are scanned recursively for C++ sources only (scenario
+ * JSON is checked by jumanji_cli --scenario-check); directories
+ * named "lint_fixtures" are skipped (they hold deliberate violations
+ * for tests/test_lint.cc). --report writes the findings JSON to a file
  * regardless of the stdout format.
  *
  * Exit status: 0 clean, 1 findings, 2 usage/IO error.

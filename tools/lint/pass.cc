@@ -28,16 +28,6 @@ isSourcePath(const fs::path &p)
            ext == ".hpp" || ext == ".h";
 }
 
-/** Scenario JSON: a .json file under a "scenarios" directory. */
-bool
-isScenarioJson(const fs::path &p)
-{
-    if (p.extension() != ".json") return false;
-    for (const auto &part : p.parent_path())
-        if (part == "scenarios") return true;
-    return false;
-}
-
 /**
  * Extracts waivers from the comment stream. Syntax (unchanged from
  * the regex-era tool):
@@ -113,18 +103,7 @@ jsonEscape(const std::string &in)
     return out;
 }
 
-} // namespace
-
-// --- Shared helpers ---------------------------------------------------
-
-bool
-pathEndsWith(const std::string &path, const std::string &suffix)
-{
-    return path.size() >= suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
+/** Byte offset of the start of 1-based @p line in @p raw. */
 std::size_t
 lineStartOffset(const std::string &raw, std::size_t line)
 {
@@ -135,6 +114,18 @@ lineStartOffset(const std::string &raw, std::size_t line)
         offset = nl + 1;
     }
     return offset;
+}
+
+} // namespace
+
+// --- Shared helpers ---------------------------------------------------
+
+bool
+pathEndsWith(const std::string &path, const std::string &suffix)
+{
+    return path.size() >= suffix.size() &&
+           path.compare(path.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
 }
 
 std::string
@@ -280,11 +271,8 @@ addSource(LintContext &ctx, const std::string &path,
     sf.path = path;
     sf.relPath = repoRelative(path);
     sf.raw = raw;
-    sf.isJson = pathEndsWith(path, ".json");
-    if (!sf.isJson) {
-        sf.lexed = lex(sf.raw);
-        parseSuppressions(sf);
-    }
+    sf.lexed = lex(sf.raw);
+    parseSuppressions(sf);
     ctx.files.push_back(std::move(sf));
 }
 
@@ -324,9 +312,7 @@ runLint(LintContext &ctx, const std::vector<std::string> &roots)
                     it.disable_recursion_pending();
                     continue;
                 }
-                if (it->is_regular_file() &&
-                    (isSourcePath(it->path()) ||
-                     isScenarioJson(it->path())))
+                if (it->is_regular_file() && isSourcePath(it->path()))
                     paths.push_back(it->path());
             }
         } else if (fs::is_regular_file(root, ec)) {

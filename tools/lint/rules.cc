@@ -541,9 +541,8 @@ runTokenRules(LintContext &ctx)
 {
     std::set<std::string> unorderedNames;
     for (const SourceFile &sf : ctx.files)
-        if (!sf.isJson) collectUnorderedNames(sf, unorderedNames);
+        collectUnorderedNames(sf, unorderedNames);
     for (const SourceFile &sf : ctx.files) {
-        if (sf.isJson) continue;
         checkRandAndClocks(ctx, sf);
         checkClockRouting(ctx, sf);
         checkRngRouting(ctx, sf);

@@ -1,42 +1,27 @@
 /**
  * @file
- * Cross-artifact consistency passes for jumanji_lint.
+ * The stat-xref pass of jumanji_lint: C++ stat references checked
+ * against C++ stat bindings.
  *
- * stat-xref — stat names are a string-keyed contract: bindings
+ * Stat names are a string-keyed contract: bindings
  * (StatRegistry::addCounter/addGauge/addFormula/addDistribution)
- * create dotted names, and benches, specs, timeline selectors, and
- * scenario files reference them by string. Names are often built by
- * concatenation, so both sides are abstracted into patterns over
- * literals plus two wildcards: ANY (an unknown subexpression, zero
- * or more chars) and NUM (a statIndexName() call, one or more
- * digits). A reference is dangling when its pattern intersects no
- * binding pattern (glob intersection, patternsIntersect); dotted
- * references only, so opaque lookups stay out of scope. Distribution
- * leaves (.count/.mean/.p50/.../.bNN) are handled by a strip-and-
- * retry. Timeline selectors (StatRegistry prefix matching) are
- * checked against literal-leading name fragments instead: any
- * constructible prefix chain ("llc.bank" + statIndexName(b) + ".").
+ * create dotted names, and benches, tests and tools reference them by
+ * string. Names are often built by concatenation, so both sides are
+ * abstracted into patterns over literals plus two wildcards: ANY (an
+ * unknown subexpression, zero or more chars) and NUM (a
+ * statIndexName() call, one or more digits). A reference is dangling
+ * when its pattern intersects no binding pattern (glob intersection,
+ * patternsIntersect); dotted references only, so opaque lookups stay
+ * out of scope. Distribution leaves (.count/.mean/.p50/.../.bNN) are
+ * handled by a strip-and-retry. Timeline selectors (StatRegistry
+ * prefix matching) are checked against literal-leading name
+ * fragments instead: any constructible prefix chain ("llc.bank" +
+ * statIndexName(b) + ".").
  *
- * schema-xref — scenario JSON must satisfy the ObjectReader schemas.
- * The schemas are not duplicated here: they are extracted from the
- * token streams of src/system/config_json.cc (SystemConfig) and
- * src/driver/spec.cc (experiment spec), by attributing get()/setU32/
- * setU64/setDouble/setBool key literals to the nearest preceding
- * ObjectReader construction of the same variable. Readers built with
- * a non-literal prefix (the per-item readers for groups/variants/
- * columns) pool their keys into one item schema. Aggregate column
- * keys come from columnKeys() in spec.cc; a column "key" that is
- * neither an aggregate nor a resolvable dotted stat name is a
- * finding. apps.kv.<phase>.* column keys get a stricter check: the
- * phase segment is interpolated into the stat name at runtime (the
- * binding pattern is apps.kv.*.p95, which any phase string matches),
- * so the segment is validated against the addPhase() label literals
- * of the load-trace presets (any load_trace.cc in the scan set);
- * without that file the phase check is skipped.
- *
- * Both passes degrade gracefully on partial scans: no bindings in
- * the scan set disables reference checking, and missing schema
- * sources disable scenario validation.
+ * Scenario documents are not scanned: jumanji_cli --scenario-check
+ * resolves their columns and selectors against the live registry
+ * (driver::checkSpec), which no pattern algebra can match for
+ * exactness. A scan set with no bindings checks nothing.
  */
 
 #include "tools/lint/lint.hh"
@@ -357,305 +342,6 @@ extractFromFile(const SourceFile &sf, Extracted &out)
             out.candidates.push_back(parseChain(ts, i));
 }
 
-// --- ObjectReader schema extraction -----------------------------------
-
-struct Schemas
-{
-    /** Literal-prefix readers: prefix -> accepted keys. */
-    std::map<std::string, std::set<std::string>> byPrefix;
-    /** Keys of readers built with a computed prefix (array items). */
-    std::set<std::string> itemKeys;
-    bool loaded = false;
-};
-
-void
-addSchemaKey(Schemas &out,
-             const std::map<std::string, std::pair<bool, std::string>>
-                 &readers,
-             const std::string &var, const std::string &key)
-{
-    auto it = readers.find(var);
-    if (it == readers.end()) return;
-    if (it->second.first) out.byPrefix[it->second.second].insert(key);
-    else out.itemKeys.insert(key);
-}
-
-Schemas
-extractSchemas(const SourceFile &sf)
-{
-    Schemas out;
-    out.loaded = true;
-    // var -> (prefix is a literal, prefix). Sequential scan means a
-    // reuse of the same variable name rebinds it, which matches the
-    // lexical structure of both schema sources.
-    std::map<std::string, std::pair<bool, std::string>> readers;
-    const Tokens &ts = sf.lexed.tokens;
-    for (std::size_t i = 0; i < ts.size(); i++) {
-        const Token &t = ts[i];
-        if (t.kind != Tok::Ident) continue;
-        if (t.text == "ObjectReader" && i + 2 < ts.size() &&
-            ts[i + 1].kind == Tok::Ident && tokIs(ts, i + 2, "(")) {
-            // The prefix is the second constructor argument: the
-            // token after the first comma at call depth.
-            std::size_t close = skipBalancedParens(ts, i + 2);
-            int depth = 0;
-            for (std::size_t j = i + 2; j < close; j++) {
-                if (tokIs(ts, j, "(")) depth++;
-                else if (tokIs(ts, j, ")")) depth--;
-                else if (tokIs(ts, j, ",") && depth == 1) {
-                    bool literal = j + 1 < close &&
-                                   ts[j + 1].kind == Tok::String;
-                    readers[ts[i + 1].text] = {
-                        literal,
-                        literal ? ts[j + 1].text : std::string()};
-                    break;
-                }
-            }
-            continue;
-        }
-        // var.get("key")
-        if (readers.count(t.text) != 0 && tokIs(ts, i + 1, ".") &&
-            i + 4 < ts.size() && ts[i + 2].kind == Tok::Ident &&
-            ts[i + 2].text == "get" && tokIs(ts, i + 3, "(") &&
-            ts[i + 4].kind == Tok::String) {
-            addSchemaKey(out, readers, t.text, ts[i + 4].text);
-            continue;
-        }
-        // setU32(var, "key", ...)
-        if ((t.text == "setU32" || t.text == "setU64" ||
-             t.text == "setDouble" || t.text == "setBool") &&
-            tokIs(ts, i + 1, "(") && i + 4 < ts.size() &&
-            ts[i + 2].kind == Tok::Ident && tokIs(ts, i + 3, ",") &&
-            ts[i + 4].kind == Tok::String)
-            addSchemaKey(out, readers, ts[i + 2].text,
-                         ts[i + 4].text);
-    }
-    return out;
-}
-
-/**
- * Collects every addPhase("label", ...) first-argument literal.
- * Called on load_trace.cc files only: the preset builders there are
- * the single source of the phase labels the apps.kv.<phase>.* stat
- * names are built from. The LoadTrace::addPhase definition itself is
- * skipped naturally (its first token after "(" is "const", not a
- * string).
- */
-void
-extractPhaseLabels(const SourceFile &sf, std::set<std::string> &out)
-{
-    const Tokens &ts = sf.lexed.tokens;
-    for (std::size_t i = 0; i + 2 < ts.size(); i++)
-        if (ts[i].kind == Tok::Ident && ts[i].text == "addPhase" &&
-            tokIs(ts, i + 1, "(") && ts[i + 2].kind == Tok::String)
-            out.insert(ts[i + 2].text);
-}
-
-/**
- * The <phase> segment of an "apps.kv.<phase>.<leaf>" stat name, or
- * "" when @p key has a different shape.
- */
-std::string
-kvPhaseSegment(const std::string &key)
-{
-    static const char kPrefix[] = "apps.kv.";
-    const std::size_t start = sizeof(kPrefix) - 1;
-    if (key.rfind(kPrefix, 0) != 0) return std::string();
-    std::size_t dot = key.find('.', start);
-    if (dot == std::string::npos) return std::string();
-    return key.substr(start, dot - start);
-}
-
-/** The aggregate column keys from columnKeys() in spec.cc. */
-std::set<std::string>
-extractAggregates(const SourceFile &sf)
-{
-    std::set<std::string> out;
-    const Tokens &ts = sf.lexed.tokens;
-    for (std::size_t i = 0; i < ts.size(); i++) {
-        if (ts[i].kind != Tok::Ident || ts[i].text != "columnKeys")
-            continue;
-        if (!tokIs(ts, i + 1, "(") || !tokIs(ts, i + 2, ")") ||
-            !tokIs(ts, i + 3, "{"))
-            continue; // a call site, not the definition
-        int depth = 0;
-        for (std::size_t j = i + 3; j < ts.size(); j++) {
-            if (tokIs(ts, j, "{")) depth++;
-            else if (tokIs(ts, j, "}") && --depth == 0) break;
-            else if (ts[j].kind == Tok::String)
-                out.insert(ts[j].text);
-        }
-    }
-    return out;
-}
-
-// --- Scenario JSON ----------------------------------------------------
-
-struct JVal
-{
-    enum Kind
-    {
-        Obj,
-        Arr,
-        Str,
-        Other
-    };
-    Kind kind = Other;
-    std::vector<std::pair<std::string, JVal>> fields; // Obj
-    std::vector<JVal> items;                          // Arr
-    std::string str;                                  // Str
-    std::size_t line = 0; // of the value (Obj key: of the key)
-};
-
-/** A tiny JSON reader that keeps line numbers for every value. */
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &s) : s_(s) {}
-
-    bool ok() const { return ok_; }
-    std::size_t errorLine() const { return line_; }
-
-    JVal
-    parse()
-    {
-        JVal v = value();
-        ws();
-        if (i_ < s_.size()) ok_ = false;
-        return v;
-    }
-
-  private:
-    void
-    ws()
-    {
-        while (i_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[i_])) != 0) {
-            if (s_[i_] == '\n') line_++;
-            i_++;
-        }
-    }
-
-    bool
-    eat(char c)
-    {
-        ws();
-        if (i_ < s_.size() && s_[i_] == c) {
-            i_++;
-            return true;
-        }
-        return false;
-    }
-
-    std::string
-    string()
-    {
-        std::string out;
-        if (!eat('"')) {
-            ok_ = false;
-            return out;
-        }
-        while (i_ < s_.size() && s_[i_] != '"') {
-            if (s_[i_] == '\\' && i_ + 1 < s_.size()) {
-                out += s_[i_ + 1]; // undecoded is fine for key names
-                i_ += 2;
-                continue;
-            }
-            if (s_[i_] == '\n') line_++;
-            out += s_[i_++];
-        }
-        if (i_ >= s_.size()) ok_ = false;
-        else i_++;
-        return out;
-    }
-
-    JVal
-    value()
-    {
-        ws();
-        JVal v;
-        v.line = line_;
-        if (i_ >= s_.size()) {
-            ok_ = false;
-            return v;
-        }
-        char c = s_[i_];
-        if (c == '{') {
-            i_++;
-            v.kind = JVal::Obj;
-            ws();
-            if (eat('}')) return v;
-            while (ok_) {
-                ws();
-                std::size_t keyLine = line_;
-                std::string key = string();
-                if (!ok_ || !eat(':')) {
-                    ok_ = false;
-                    return v;
-                }
-                JVal child = value();
-                child.line = child.line == 0 ? keyLine : child.line;
-                v.fields.emplace_back(key, std::move(child));
-                v.fields.back().second.line = keyLine;
-                if (eat(',')) continue;
-                if (eat('}')) return v;
-                ok_ = false;
-            }
-            return v;
-        }
-        if (c == '[') {
-            i_++;
-            v.kind = JVal::Arr;
-            ws();
-            if (eat(']')) return v;
-            while (ok_) {
-                v.items.push_back(value());
-                if (eat(',')) continue;
-                if (eat(']')) return v;
-                ok_ = false;
-            }
-            return v;
-        }
-        if (c == '"') {
-            v.kind = JVal::Str;
-            v.str = string();
-            return v;
-        }
-        // Numbers, true/false/null: consume the scalar.
-        v.kind = JVal::Other;
-        while (i_ < s_.size() && s_[i_] != ',' && s_[i_] != '}' &&
-               s_[i_] != ']' &&
-               std::isspace(static_cast<unsigned char>(s_[i_])) == 0)
-            i_++;
-        return v;
-    }
-
-    const std::string &s_;
-    std::size_t i_ = 0;
-    std::size_t line_ = 1;
-    bool ok_ = true;
-};
-
-const JVal *
-field(const JVal &obj, const std::string &key)
-{
-    if (obj.kind != JVal::Obj) return nullptr;
-    for (const auto &f : obj.fields)
-        if (f.first == key) return &f.second;
-    return nullptr;
-}
-
-std::string
-joined(const std::set<std::string> &set)
-{
-    std::string out;
-    for (const auto &s : set) {
-        if (!out.empty()) out += '|';
-        out += s;
-    }
-    return out;
-}
-
 } // namespace
 
 // --- The pass ---------------------------------------------------------
@@ -664,23 +350,11 @@ void
 runStatXrefPass(LintContext &ctx)
 {
     Extracted ex;
-    const SourceFile *specFile = nullptr;
-    const SourceFile *configFile = nullptr;
-    std::set<std::string> phaseLabels;
-    bool havePhaseSource = false;
-    for (const SourceFile &sf : ctx.files) {
-        if (sf.isJson) continue;
-        extractFromFile(sf, ex);
-        if (pathEndsWith(sf.relPath, "driver/spec.cc")) specFile = &sf;
-        if (pathEndsWith(sf.relPath, "system/config_json.cc"))
-            configFile = &sf;
-        if (pathEndsWith(sf.relPath, "load_trace.cc")) {
-            havePhaseSource = true;
-            extractPhaseLabels(sf, phaseLabels);
-        }
-    }
+    for (const SourceFile &sf : ctx.files) extractFromFile(sf, ex);
+    // A partial scan with no bindings cannot tell dangling from
+    // out-of-scope, so it checks nothing.
+    if (ex.bindings.empty()) return;
 
-    const bool haveBindings = !ex.bindings.empty();
     auto resolves = [&](const std::string &pat) {
         for (const std::string &b : ex.bindings)
             if (patternsIntersect(pat, b)) return true;
@@ -701,165 +375,17 @@ runStatXrefPass(LintContext &ctx)
         return false;
     };
 
-    if (haveBindings) {
-        for (const StatRef &r : ex.refs)
-            if (!resolves(r.pattern))
-                ctx.report(*r.sf, "stat-xref", r.line, r.offset,
-                           "stat reference \"" + display(r.pattern) +
-                               "\" matches no registered stat "
-                               "binding");
-        for (const StatRef &s : ex.selectors)
-            if (!selectorResolves(s.pattern))
-                ctx.report(*s.sf, "stat-xref", s.line, s.offset,
-                           "timeline selector \"" +
-                               display(s.pattern) +
-                               "\" can never match a registered "
-                               "stat name");
-    }
-
-    // --- Scenario JSON validation ------------------------------------
-    if (specFile == nullptr || configFile == nullptr) return;
-    bool anyJson = false;
-    for (const SourceFile &sf : ctx.files)
-        if (sf.isJson) anyJson = true;
-    if (!anyJson) return;
-
-    const Schemas spec = extractSchemas(*specFile);
-    const Schemas config = extractSchemas(*configFile);
-    const std::set<std::string> aggregates = extractAggregates(*specFile);
-
-    auto reportAt = [&](const SourceFile &sf, std::size_t line,
-                        const std::string &rule,
-                        const std::string &message) {
-        ctx.report(sf, rule, line, lineStartOffset(sf.raw, line),
-                   message);
-    };
-
-    auto checkKeys = [&](const SourceFile &sf, const JVal &obj,
-                         const std::set<std::string> &allowed,
-                         const std::string &label,
-                         const std::string &source) {
-        if (obj.kind != JVal::Obj) return;
-        for (const auto &f : obj.fields)
-            if (allowed.count(f.first) == 0)
-                reportAt(sf, f.second.line, "schema-xref",
-                         "key \"" + f.first +
-                             "\" is not accepted by the " + label +
-                             " reader (" + source + ")");
-    };
-
-    const std::string specSrc = "src/driver/spec.cc";
-    const std::string cfgSrc = "src/system/config_json.cc";
-
-    auto specSchema = [&](const std::string &prefix)
-        -> const std::set<std::string> & {
-        static const std::set<std::string> kEmpty;
-        auto it = spec.byPrefix.find(prefix);
-        return it == spec.byPrefix.end() ? kEmpty : it->second;
-    };
-    auto cfgSchema = [&](const std::string &prefix)
-        -> const std::set<std::string> & {
-        static const std::set<std::string> kEmpty;
-        auto it = config.byPrefix.find(prefix);
-        return it == config.byPrefix.end() ? kEmpty : it->second;
-    };
-
-    auto checkOverrides = [&](const SourceFile &sf, const JVal &ov) {
-        if (ov.kind != JVal::Obj) return;
-        checkKeys(sf, ov, cfgSchema(""), "SystemConfig", cfgSrc);
-        for (const auto &f : ov.fields) {
-            if (config.byPrefix.count(f.first) != 0 &&
-                f.first != "")
-                checkKeys(sf, f.second, cfgSchema(f.first),
-                          "\"" + f.first + "\"", cfgSrc);
-            if (f.first == "timelineStats" &&
-                f.second.kind == JVal::Arr && haveBindings)
-                for (const JVal &item : f.second.items)
-                    if (item.kind == JVal::Str &&
-                        !selectorResolves(item.str))
-                        reportAt(sf, item.line, "stat-xref",
-                                 "timeline selector \"" + item.str +
-                                     "\" can never match a "
-                                     "registered stat name");
-        }
-    };
-
-    for (const SourceFile &sf : ctx.files) {
-        if (!sf.isJson) continue;
-        JsonParser parser(sf.raw);
-        JVal root = parser.parse();
-        if (!parser.ok()) {
-            reportAt(sf, parser.errorLine(), "schema-xref",
-                     "scenario file is not valid JSON");
-            continue;
-        }
-        if (root.kind != JVal::Obj) continue;
-        checkKeys(sf, root, specSchema(""), "experiment spec",
-                  specSrc);
-        for (const auto &f : root.fields) {
-            if (f.first == "seed")
-                checkKeys(sf, f.second, specSchema("seed"),
-                          "\"seed\"", specSrc);
-            else if (f.first == "mixes")
-                checkKeys(sf, f.second, specSchema("mixes"),
-                          "\"mixes\"", specSrc);
-            else if (f.first == "overrides")
-                checkOverrides(sf, f.second);
-            else if (f.first == "groups" || f.first == "variants") {
-                if (f.second.kind != JVal::Arr) continue;
-                for (const JVal &item : f.second.items) {
-                    checkKeys(sf, item, spec.itemKeys,
-                              "\"" + f.first + "\" item", specSrc);
-                    if (const JVal *ov = field(item, "overrides"))
-                        checkOverrides(sf, *ov);
-                }
-            } else if (f.first == "output") {
-                checkKeys(sf, f.second, specSchema("output"),
-                          "\"output\"", specSrc);
-                const JVal *columns = field(f.second, "columns");
-                if (columns == nullptr ||
-                    columns->kind != JVal::Arr)
-                    continue;
-                for (const JVal &col : columns->items) {
-                    checkKeys(sf, col, spec.itemKeys,
-                              "\"columns\" item", specSrc);
-                    const JVal *key = field(col, "key");
-                    if (key == nullptr || key->kind != JVal::Str)
-                        continue;
-                    if (aggregates.count(key->str) != 0) continue;
-                    if (hasLiteralDot(key->str)) {
-                        // The phase segment is interpolated into the
-                        // stat name at runtime, so the generic
-                        // pattern check accepts any string there;
-                        // check it against the preset labels.
-                        std::string phase = kvPhaseSegment(key->str);
-                        if (havePhaseSource && !phase.empty() &&
-                            phaseLabels.count(phase) == 0)
-                            reportAt(sf, key->line, "stat-xref",
-                                     "column key \"" + key->str +
-                                         "\" names KV load-trace "
-                                         "phase \"" + phase +
-                                         "\" but no addPhase() "
-                                         "label matches (known: " +
-                                         joined(phaseLabels) + ")");
-                        else if (haveBindings && !resolves(key->str))
-                            reportAt(sf, key->line, "stat-xref",
-                                     "column references stat \"" +
-                                         key->str +
-                                         "\" but no binding can "
-                                         "produce that name");
-                    } else {
-                        reportAt(sf, key->line, "schema-xref",
-                                 "column key \"" + key->str +
-                                     "\" is neither an aggregate "
-                                     "column (" +
-                                     joined(aggregates) +
-                                     ") nor a dotted stat name");
-                    }
-                }
-            }
-        }
-    }
+    for (const StatRef &r : ex.refs)
+        if (!resolves(r.pattern))
+            ctx.report(*r.sf, "stat-xref", r.line, r.offset,
+                       "stat reference \"" + display(r.pattern) +
+                           "\" matches no registered stat binding");
+    for (const StatRef &s : ex.selectors)
+        if (!selectorResolves(s.pattern))
+            ctx.report(*s.sf, "stat-xref", s.line, s.offset,
+                       "timeline selector \"" + display(s.pattern) +
+                           "\" can never match a registered stat "
+                           "name");
 }
 
 } // namespace jlint
