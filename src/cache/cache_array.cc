@@ -45,6 +45,20 @@ CacheArray::setIndex(LineAddr line) const
     return static_cast<std::uint32_t>(mixBits(line) & (sets_ - 1));
 }
 
+std::uint32_t
+CacheArray::findWay(std::uint32_t set, LineAddr line) const
+{
+    // Ascending ways, tag first: each iteration is independent, unlike
+    // a clear-lowest-bit walk over the valid mask. A way keeps its tag
+    // after invalidation, so the valid bit decides.
+    const LineAddr *tagRow =
+        tags_.data() + static_cast<std::size_t>(set) * ways_;
+    const std::uint64_t valid = validBits_[set];
+    for (std::uint32_t w = 0; w < ways_; w++)
+        if (tagRow[w] == line && ((valid >> w) & 1) != 0) return w;
+    return ways_;
+}
+
 void
 CacheArray::accountFill(const AccessOwner &owner)
 {
@@ -131,17 +145,11 @@ CacheArray::access(LineAddr line, const AccessOwner &owner)
     const std::size_t base = static_cast<std::size_t>(set) * ways_;
     const LineAddr *tagRow = tags_.data() + base;
 
-    // Lookup: CAT semantics, hits may land in any way. Scanning valid
-    // ways in ascending order via the bitmask matches the original
-    // way-by-way walk.
-    for (std::uint64_t bits = validBits_[set]; bits != 0;
-         bits &= bits - 1) {
-        auto w = static_cast<std::uint32_t>(std::countr_zero(bits));
-        if (tagRow[w] == line) {
-            repl_->onHit(set, w);
-            result.hit = true;
-            return result;
-        }
+    // Lookup: CAT semantics, hits may land in any way.
+    if (std::uint32_t w = findWay(set, line); w < ways_) {
+        repl_->onHit(set, w);
+        result.hit = true;
+        return result;
     }
 
     // Miss: fill within the owner's way mask (resolved once).
@@ -184,12 +192,7 @@ CacheArray::insert(LineAddr line, const AccessOwner &owner)
 {
     std::uint32_t set = setIndex(line);
     const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    const LineAddr *tagRow = tags_.data() + base;
-    for (std::uint64_t bits = validBits_[set]; bits != 0;
-         bits &= bits - 1) {
-        auto w = static_cast<std::uint32_t>(std::countr_zero(bits));
-        if (tagRow[w] == line) return true;
-    }
+    if (findWay(set, line) < ways_) return true;
     const WayMask &mask = *maskFor(owner.vc);
     if (mask.empty()) return false;
 
@@ -217,15 +220,7 @@ CacheArray::insert(LineAddr line, const AccessOwner &owner)
 bool
 CacheArray::contains(LineAddr line) const
 {
-    std::uint32_t set = setIndex(line);
-    const LineAddr *tagRow =
-        tags_.data() + static_cast<std::size_t>(set) * ways_;
-    for (std::uint64_t bits = validBits_[set]; bits != 0;
-         bits &= bits - 1) {
-        auto w = static_cast<std::uint32_t>(std::countr_zero(bits));
-        if (tagRow[w] == line) return true;
-    }
-    return false;
+    return findWay(setIndex(line), line) < ways_;
 }
 
 void

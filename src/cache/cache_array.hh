@@ -167,6 +167,9 @@ class CacheArray
   private:
     std::uint32_t setIndex(LineAddr line) const;
 
+    /** The valid way of @p set holding @p line, or numWays(). */
+    std::uint32_t findWay(std::uint32_t set, LineAddr line) const;
+
     void accountFill(const AccessOwner &owner);
     void accountDrop(const AccessOwner &owner);
 

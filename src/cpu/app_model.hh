@@ -93,7 +93,10 @@ class AppModel
      */
     virtual void onAccessComplete(Tick finish) { (void)finish; }
 
-    /** Timing/energy traits. */
+    /**
+     * Timing/energy traits. The reference must stay valid for the
+     * app's lifetime: CoreModel resolves it once.
+     */
     virtual const AppTraits &traits() const = 0;
 
     /** True for latency-critical (deadline-bearing) applications. */

@@ -37,6 +37,7 @@ CoreModel::CoreModel(CoreId id, const AccessOwner &owner, AppModel *app,
 {
     if (app_ == nullptr || path_ == nullptr)
         fatal("CoreModel: app and path must be non-null");
+    traits_ = &app_->traits();
 }
 
 Tick
@@ -47,10 +48,10 @@ CoreModel::completeAccess(Tick now)
     JUMANJI_ASSERT(now >= pendingIssueTick_,
                    "access arrived before it was issued");
     accessPending_ = false;
-    const AppTraits &traits = app_->traits();
 
-    PathAccessResult r = path_->accessArrived(
-        now, static_cast<std::uint32_t>(id_), owner_, pendingLine_);
+    PathAccessResult r =
+        path_->accessArrived(now, static_cast<std::uint32_t>(id_), owner_,
+                             pendingLine_, pendingRoute_);
     if (r.llcHit) {
         counters_.llcHits++;
     } else {
@@ -61,9 +62,9 @@ CoreModel::completeAccess(Tick now)
 
     // Latency seen by the core: request traversal + bank/memory +
     // response traversal (the latter two are in r.latency).
-    Tick latency = pendingTraversal_ + r.latency;
+    Tick latency = pendingRoute_.traversal + r.latency;
     Tick stall = static_cast<Tick>(std::ceil(
-        static_cast<double>(latency) * traits.stallFactor));
+        static_cast<double>(latency) * traits_->stallFactor));
     stallCycles_ += stall;
     app_->onAccessComplete(pendingIssueTick_ + latency);
 
@@ -84,7 +85,7 @@ CoreModel::resume(Tick now)
     }
 
     // Compute burst.
-    const AppTraits &traits = app_->traits();
+    const AppTraits &traits = *traits_;
     Tick burst = static_cast<Tick>(
         std::ceil(static_cast<double>(step.instrs) / traits.baseIpc));
     instrs_ += step.instrs;
@@ -103,13 +104,12 @@ CoreModel::resume(Tick now)
         counters_.l2Misses++;
         // Issue: resume at the bank-arrival tick to take the port in
         // true arrival order.
-        MemPath::Route route = path_->planAccess(
+        pendingRoute_ = path_->planAccess(
             static_cast<std::uint32_t>(id_), owner_.vc, *step.access);
         accessPending_ = true;
         pendingLine_ = *step.access;
         pendingIssueTick_ = now + burst;
-        pendingTraversal_ = route.traversal;
-        return pendingIssueTick_ + route.traversal;
+        return pendingIssueTick_ + pendingRoute_.traversal;
     }
 
     Tick next = now + burst;

@@ -51,6 +51,9 @@ class CoreModel : public Agent
     AppModel &app() { return *app_; }
     const AppModel &constApp() const { return *app_; }
 
+    /** True between an access's issue and its bank arrival. */
+    bool accessInFlight() const { return accessPending_; }
+
     /** Instructions retired so far. */
     std::uint64_t instrsRetired() const { return instrs_; }
 
@@ -79,6 +82,8 @@ class CoreModel : public Agent
     CoreId id_;
     AccessOwner owner_;
     AppModel *app_;
+    /** app_->traits(), read on every step. */
+    const AppTraits *traits_ = nullptr;
     MemPath *path_;
     Rng rng_;
 
@@ -86,7 +91,8 @@ class CoreModel : public Agent
     bool accessPending_ = false;
     LineAddr pendingLine_ = 0;
     Tick pendingIssueTick_ = 0;
-    Tick pendingTraversal_ = 0;
+    /** The route planned at issue; its traversal is the request's. */
+    MemPath::Route pendingRoute_;
 
     std::uint64_t instrs_ = 0;
     Tick stallCycles_ = 0;

@@ -70,16 +70,24 @@ MemPath::planAccess(std::uint32_t coreTile, VcId vc, LineAddr line) const
     route.hops = mesh_.hops(coreTile,
                             static_cast<std::uint32_t>(route.bank));
     route.traversal = mesh_.traversalLatency(route.hops);
+    route.tile = coreTile;
+    route.generation = vtb_.generation();
     return route;
 }
 
 PathAccessResult
 MemPath::accessArrived(Tick now, std::uint32_t coreTile,
-                       const AccessOwner &owner, LineAddr line)
+                       const AccessOwner &owner, LineAddr line,
+                       const Route &planned)
 {
     PathAccessResult result;
 
-    Route route = planAccess(coreTile, owner.vc, line);
+    const Route route =
+        planned.generation == vtb_.generation() && planned.tile == coreTile
+            ? planned
+            : planAccess(coreTile, owner.vc, line);
+    JUMANJI_ASSERT(route.bank == vtb_.lookup(owner.vc, line),
+                   "a reused route names a stale bank");
     result.bank = route.bank;
     result.hopsToBank = route.hops;
 
@@ -88,8 +96,8 @@ MemPath::accessArrived(Tick now, std::uint32_t coreTile,
     // extra wait is part of the observed latency.
     Tick linkDelay = 0;
     if (mesh_.params().modelLinkContention) {
-        // The route is re-planned at arrival; a reconfiguration
-        // between issue and arrival can change the traversal, so
+        // A reconfiguration or migration between issue and arrival
+        // re-plans the route and can change the traversal, so
         // clamp instead of underflowing Tick (an underflow would
         // poison the link busy-until times permanently).
         Tick issue = now > route.traversal ? now - route.traversal : 0;
@@ -159,8 +167,8 @@ MemPath::access(Tick now, std::uint32_t coreTile, const AccessOwner &owner,
                 LineAddr line)
 {
     Route route = planAccess(coreTile, owner.vc, line);
-    PathAccessResult result =
-        accessArrived(now + route.traversal, coreTile, owner, line);
+    PathAccessResult result = accessArrived(now + route.traversal,
+                                            coreTile, owner, line, route);
     // Full issue-to-data latency includes the request traversal.
     result.latency += route.traversal;
     return result;
@@ -169,11 +177,13 @@ MemPath::access(Tick now, std::uint32_t coreTile, const AccessOwner &owner,
 std::uint64_t
 MemPath::installPlacement(VcId vc, const PlacementDescriptor &desc)
 {
-    bool hadOld = vtb_.has(vc);
-    PlacementDescriptor old;
-    if (hadOld) old = vtb_.descriptor(vc);
+    const PlacementDescriptor *installed = vtb_.descriptorPtr(vc);
+    if (installed == nullptr) {
+        vtb_.install(vc, desc);
+        return 0;
+    }
+    const PlacementDescriptor old = *installed;
     vtb_.install(vc, desc);
-    if (!hadOld) return 0;
     if (old == desc) return 0;
 
     // Background coherence walk: *migrate* lines whose bank changed.
@@ -183,14 +193,43 @@ MemPath::installPlacement(VcId vc, const PlacementDescriptor &desc)
     // invalidation storm would cost ~100x more *relative* time than
     // it does in the paper, so migration is the behaviour-preserving
     // model — see DESIGN.md.)
+    //
+    // Only banks that lose a slot can hold a line that moves. Every
+    // resident line of the VC sits in old.bankFor(line): fills land
+    // on the VTB bank at arrival and migrations on desc.bankFor. So
+    // a bank all of whose old slots keep it holds no moving line,
+    // and skipping it leaves the evictee order unchanged.
+    std::vector<bool> losesSlot(banks_.size(), false);
+    for (std::uint32_t s = 0; s < PlacementDescriptor::kSlots; s++) {
+        // kInvalidBank converts to an index past the end.
+        const auto was = static_cast<std::size_t>(old.slot(s));
+        if (old.slot(s) != desc.slot(s) && was < losesSlot.size())
+            losesSlot[was] = true;
+    }
+
     std::uint64_t moved = 0;
     std::vector<std::pair<LineAddr, AccessOwner>> evictees;
     for (auto &bank : banks_) {
         BankId here = bank->id();
+        auto moves = [&](LineAddr line, const AccessOwner &o) {
+            return o.vc == vc && desc.bankFor(line) != here;
+        };
+        if (!losesSlot[static_cast<std::size_t>(here)]) {
+#if JUMANJI_CHECKS_ACTIVE
+            // A predicate that never accepts leaves the array as is.
+            bank->array().invalidateIf(
+                [&](LineAddr line, const AccessOwner &o) {
+                    JUMANJI_INVARIANT(!moves(line, o),
+                                      "the walk skipped a bank holding "
+                                      "a line that moves");
+                    return false;
+                });
+#endif
+            continue;
+        }
         bank->array().invalidateIf(
             [&](LineAddr line, const AccessOwner &o) {
-                if (o.vc != vc) return false;
-                if (desc.bankFor(line) == here) return false;
+                if (!moves(line, o)) return false;
                 evictees.emplace_back(line, o);
                 return true;
             });

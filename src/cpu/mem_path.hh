@@ -69,6 +69,10 @@ class MemPath
         std::uint32_t hops = 0;
         /** One-way core->bank traversal latency. */
         Tick traversal = 0;
+        /** The core tile the route starts from. */
+        std::uint32_t tile = 0;
+        /** Vtb::generation() when the bank was looked up. */
+        std::uint64_t generation = 0;
     };
 
     /** Looks up the bank and traversal for (@p vc, @p line). */
@@ -86,7 +90,22 @@ class MemPath
      */
     PathAccessResult accessArrived(Tick now, std::uint32_t coreTile,
                                    const AccessOwner &owner,
-                                   LineAddr line);
+                                   LineAddr line)
+    {
+        return accessArrived(now, coreTile, owner, line,
+                             planAccess(coreTile, owner.vc, line));
+    }
+
+    /**
+     * As above, reusing @p planned, the route planned at issue for
+     * the same (vc, line). It is re-planned only when the VTB
+     * changed since (a reconfiguration while the request was in
+     * flight) or the core moved off planned.tile (a thread
+     * migration); otherwise a new plan would be identical.
+     */
+    PathAccessResult accessArrived(Tick now, std::uint32_t coreTile,
+                                   const AccessOwner &owner,
+                                   LineAddr line, const Route &planned);
 
     /**
      * Single-call convenience used by tests: plans the access,

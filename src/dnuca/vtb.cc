@@ -171,6 +171,7 @@ Vtb::install(VcId vc, const PlacementDescriptor &desc)
 {
     table_[vc] = desc;
     installs_++;
+    generation_++;
 }
 
 void

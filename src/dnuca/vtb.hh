@@ -54,7 +54,7 @@ class PlacementDescriptor
     BankId slot(std::uint32_t i) const { return slots_[i % kSlots]; }
     void setSlot(std::uint32_t i, BankId bank) { slots_[i % kSlots] = bank; }
 
-    /** Target bank for @p line. Inline: probed twice per access. */
+    /** Target bank for @p line. Inline: probed on every access. */
     BankId bankFor(LineAddr line) const { return slots_[slotFor(line)]; }
 
     /** Hash slot used for @p line (exposed for tests/attacks). */
@@ -133,8 +133,8 @@ class Vtb
 
     /**
      * Target bank for (@p vc, @p line). @pre has(vc). Inline: called
-     * at issue and again at arrival for every access. The miss
-     * (unknown-VC) arm funnels through descriptor(), which panics.
+     * at issue for every access. The miss (unknown-VC) arm funnels
+     * through descriptor(), which panics.
      */
     BankId lookup(VcId vc, LineAddr line) const
     {
@@ -143,7 +143,18 @@ class Vtb
     }
 
     /** Removes all descriptors. */
-    void clear() { table_.clear(); }
+    void
+    clear()
+    {
+        table_.clear();
+        generation_++;
+    }
+
+    /**
+     * Bumped by every install() and clear(). A lookup made under the
+     * current generation still names the bank a new lookup would.
+     */
+    std::uint64_t generation() const { return generation_; }
 
     std::size_t size() const { return table_.size(); }
 
@@ -159,6 +170,7 @@ class Vtb
     // debugging dumps) still visits VCs in a deterministic order.
     SmallIdMap<VcId, PlacementDescriptor> table_;
     std::uint64_t installs_ = 0;
+    std::uint64_t generation_ = 0;
 };
 
 } // namespace jumanji

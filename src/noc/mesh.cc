@@ -24,6 +24,9 @@ MeshTopology::MeshTopology(const MeshParams &params)
 {
     if (params.cols == 0 || params.rows == 0)
         fatal("MeshTopology: mesh dimensions must be nonzero");
+    coords_.reserve(numTiles());
+    for (std::uint32_t t = 0; t < numTiles(); t++)
+        coords_.push_back(Coord{xOf(t), yOf(t)});
 }
 
 Tick
@@ -54,30 +57,6 @@ MeshTopology::traverse(Tick start, std::uint32_t fromTile,
     JUMANJI_ASSERT(now >= start,
                    "contended traversal finished before it started");
     return now;
-}
-
-std::uint32_t
-MeshTopology::hops(std::uint32_t fromTile, std::uint32_t toTile) const
-{
-    JUMANJI_ASSERT(fromTile < numTiles() && toTile < numTiles(),
-                   "tile index outside the mesh");
-    std::int64_t dx = static_cast<std::int64_t>(xOf(fromTile)) -
-                      static_cast<std::int64_t>(xOf(toTile));
-    std::int64_t dy = static_cast<std::int64_t>(yOf(fromTile)) -
-                      static_cast<std::int64_t>(yOf(toTile));
-    std::uint32_t h =
-        static_cast<std::uint32_t>(std::llabs(dx) + std::llabs(dy));
-    // Mesh-hop bound: an X-Y route is at most the mesh semi-perimeter.
-    JUMANJI_ASSERT(h <= params_.cols + params_.rows - 2,
-                   "hop count exceeds the mesh semi-perimeter");
-    return h;
-}
-
-Tick
-MeshTopology::traversalLatency(std::uint32_t hopCount) const
-{
-    return static_cast<Tick>(hopCount) *
-           (params_.routerDelay + params_.linkDelay);
 }
 
 Tick

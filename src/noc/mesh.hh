@@ -14,10 +14,10 @@
 #define JUMANJI_NOC_MESH_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "src/sim/check.hh"
 #include "src/sim/types.hh"
 
 namespace jumanji {
@@ -59,11 +59,33 @@ class MeshTopology
     std::uint32_t numTiles() const { return params_.cols * params_.rows; }
     const MeshParams &params() const { return params_; }
 
-    /** Manhattan (X-Y route) hop count between two tiles. */
-    std::uint32_t hops(std::uint32_t fromTile, std::uint32_t toTile) const;
+    /**
+     * Manhattan (X-Y route) hop count between two tiles. Inline: run
+     * for every LLC access and every miss.
+     */
+    std::uint32_t
+    hops(std::uint32_t fromTile, std::uint32_t toTile) const
+    {
+        JUMANJI_ASSERT(fromTile < numTiles() && toTile < numTiles(),
+                       "tile index outside the mesh");
+        const Coord a = coords_[fromTile];
+        const Coord b = coords_[toTile];
+        const std::uint32_t h = (a.x > b.x ? a.x - b.x : b.x - a.x) +
+                                (a.y > b.y ? a.y - b.y : b.y - a.y);
+        // Mesh-hop bound: an X-Y route is at most the mesh
+        // semi-perimeter.
+        JUMANJI_ASSERT(h <= params_.cols + params_.rows - 2,
+                       "hop count exceeds the mesh semi-perimeter");
+        return h;
+    }
 
     /** One-way traversal latency for @p hopCount hops. */
-    Tick traversalLatency(std::uint32_t hopCount) const;
+    Tick
+    traversalLatency(std::uint32_t hopCount) const
+    {
+        return static_cast<Tick>(hopCount) *
+               (params_.routerDelay + params_.linkDelay);
+    }
 
     /**
      * Round-trip latency core tile -> bank tile -> core tile.
@@ -108,7 +130,16 @@ class MeshTopology
         return static_cast<std::size_t>(tile) * 4 + dir;
     }
 
+    /** A tile's column and row. */
+    struct Coord
+    {
+        std::uint32_t x;
+        std::uint32_t y;
+    };
+
     MeshParams params_;
+    /** coords_[t] = (xOf(t), yOf(t)), computed once. */
+    std::vector<Coord> coords_;
     /** Busy-until per directed link (contention model). */
     std::vector<Tick> linkBusyUntil_;
     std::uint64_t linkWaitCycles_ = 0;

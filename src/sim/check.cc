@@ -12,12 +12,7 @@
 
 namespace jumanji {
 
-CheckContext &
-checkContext()
-{
-    thread_local CheckContext ctx;
-    return ctx;
-}
+constinit thread_local CheckContext detail::threadCheckContext;
 
 CheckContextScope::CheckContextScope()
 {

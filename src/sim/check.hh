@@ -62,13 +62,25 @@ struct CheckContext
     bool active = false;
 };
 
+namespace detail {
+
+/** Storage behind checkContext(); constinit, so no init guard. */
+extern constinit thread_local CheckContext threadCheckContext;
+
+} // namespace detail
+
 /**
  * The current thread's context. Each simulation runs single-threaded
  * on one worker; making the context thread-local lets the driver run
  * several independent Systems concurrently without their failure
- * dumps (or the scope assert below) cross-talking.
+ * dumps (or the scope assert below) cross-talking. Inline: the event
+ * queue and every core step publish into it.
  */
-CheckContext &checkContext();
+inline CheckContext &
+checkContext()
+{
+    return detail::threadCheckContext;
+}
 
 /**
  * RAII marker for one live simulation run on this worker thread.

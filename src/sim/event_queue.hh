@@ -12,8 +12,9 @@
 #ifndef JUMANJI_SIM_EVENT_QUEUE_HH
 #define JUMANJI_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <functional>
 #include <vector>
 
 #include "src/sim/check.hh"
@@ -45,6 +46,13 @@ class Agent
 
 /**
  * The DES kernel: schedules agents and advances simulated time.
+ *
+ * Contract: Agent::resume() must not call schedule(). The resumed
+ * agent's entry stays at the top of the heap while it runs and is
+ * then replaced in place by its next wake-up (one sift-down per
+ * event instead of a pop plus a push). Because (when, seq) keys are
+ * unique, this visits agents in exactly the order a pop-then-push
+ * heap would.
  */
 class EventQueue
 {
@@ -53,7 +61,8 @@ class EventQueue
     void
     schedule(Agent *agent, Tick when)
     {
-        heap_.push(Entry{when, seq_++, agent});
+        heap_.push_back(Entry{when, seq_++, agent});
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     }
 
     /** Current simulated time. */
@@ -71,21 +80,28 @@ class EventQueue
     Tick
     runUntil(Tick until)
     {
-        while (!heap_.empty() && heap_.top().when < until) {
-            Entry e = heap_.top();
-            heap_.pop();
+        while (!heap_.empty() && heap_.front().when < until) {
+            Entry &top = heap_.front();
             // Event-queue monotonicity: the heap must never surface
             // an event from the past.
-            JUMANJI_INVARIANT(e.when >= now_,
+            JUMANJI_INVARIANT(top.when >= now_,
                               "event queue went backwards in time");
-            now_ = e.when;
+            now_ = top.when;
             checkSetTick(now_);
-            Tick next = e.agent->resume(now_);
-            if (next != kTickMax) {
+            [[maybe_unused]] const std::size_t size = heap_.size();
+            Tick next = top.agent->resume(now_);
+            JUMANJI_INVARIANT(heap_.size() == size,
+                              "Agent::resume called EventQueue::schedule");
+            if (next == kTickMax) {
+                heap_.front() = heap_.back();
+                heap_.pop_back();
+            } else {
                 // Time must advance; a zero-delay self-loop would hang.
                 if (next <= now_) next = now_ + 1;
-                heap_.push(Entry{next, seq_++, e.agent});
+                heap_.front().when = next;
+                heap_.front().seq = seq_++;
             }
+            if (!heap_.empty()) siftDownTop();
         }
         if (now_ < until) now_ = until;
         checkSetTick(now_);
@@ -114,7 +130,30 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    /**
+     * Restores the heap after heap_[0] changed, moving it towards the
+     * leaves until no child is earlier. Children of i sit at 2i+1 and
+     * 2i+2, the layout std::push_heap keeps.
+     */
+    void
+    siftDownTop()
+    {
+        const Entry e = heap_.front();
+        const std::size_t n = heap_.size();
+        std::size_t i = 0;
+        for (;;) {
+            std::size_t child = 2 * i + 1;
+            if (child >= n) break;
+            if (child + 1 < n && heap_[child] > heap_[child + 1]) child++;
+            if (!(e > heap_[child])) break;
+            heap_[i] = heap_[child];
+            i = child;
+        }
+        heap_[i] = e;
+    }
+
+    /** Min-heap on (when, seq); heap_[0] runs next. */
+    std::vector<Entry> heap_;
     std::uint64_t seq_ = 0;
     Tick now_ = 0;
 };

@@ -18,6 +18,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 #include "src/sim/json.hh"
 #include "src/sim/logging.hh"
@@ -270,7 +271,16 @@ applyConfigJson(SystemConfig &cfg, const JsonValue &json)
 void
 validateConfig(const SystemConfig &cfg)
 {
-    std::uint32_t tiles = cfg.mesh.cols * cfg.mesh.rows;
+    // In 64 bits: a 32-bit product wraps (65536 x 65537 would pass
+    // as 65536 tiles).
+    const std::uint64_t tiles =
+        static_cast<std::uint64_t>(cfg.mesh.cols) * cfg.mesh.rows;
+    if (tiles > std::numeric_limits<std::uint32_t>::max())
+        fatal("mesh.rows: " + std::to_string(cfg.mesh.cols) + "x" +
+              std::to_string(cfg.mesh.rows) + " = " +
+              std::to_string(tiles) + " tiles (must be <= " +
+              std::to_string(std::numeric_limits<std::uint32_t>::max()) +
+              ")");
     if (cfg.llc.banks != tiles)
         fatal("llc.banks: " + std::to_string(cfg.llc.banks) +
               " banks but mesh is " + std::to_string(cfg.mesh.cols) +

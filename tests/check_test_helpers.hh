@@ -15,6 +15,8 @@ namespace jumanji::checktest {
 void forcedAssert(bool ok, int *evalCount);
 void forcedInvariant(bool ok, int *evalCount);
 [[noreturn]] void forcedUnreachable();
+/** Runs an EventQueue whose agent calls schedule() from resume(). */
+void forcedScheduleFromResume();
 
 // Compiled with JUMANJI_DISABLE_CHECKS (test_check_disabled.cc).
 // The condition increments *evalCount and is false, so if a disabled

@@ -264,6 +264,30 @@ TEST(CacheArray, InvalidateVc)
     EXPECT_EQ(array.occupancyOfVc(1), 10u);
 }
 
+TEST(CacheArray, InvalidatedLineMissesDespiteItsStaleTag)
+{
+    // One set: all four lines share it, one per way.
+    CacheArray array(1, 4, ReplKind::LRU, 1);
+    for (LineAddr l = 10; l < 14; l++) array.access(l, owner(0));
+    ASSERT_TRUE(array.contains(11));
+
+    // Invalidation clears the way's valid bit; its tag stays 11.
+    EXPECT_EQ(array.invalidateIf([](LineAddr line, const AccessOwner &) {
+                  return line == 11;
+              }),
+              1u);
+    EXPECT_FALSE(array.contains(11));
+    EXPECT_TRUE(array.contains(12));
+    EXPECT_FALSE(array.access(11, owner(0)).hit);
+    EXPECT_TRUE(array.access(11, owner(0)).hit);
+
+    array.invalidateVc(0);
+    EXPECT_FALSE(array.access(12, owner(0)).hit);
+    array.invalidateAll();
+    EXPECT_TRUE(array.insert(13, owner(0)));
+    EXPECT_EQ(array.validLines(), 1u);
+}
+
 TEST(CacheArray, InvalidateAll)
 {
     CacheArray array(16, 4, ReplKind::LRU, 1);

@@ -25,6 +25,7 @@ using checktest::disabledAssert;
 using checktest::disabledInvariant;
 using checktest::forcedAssert;
 using checktest::forcedInvariant;
+using checktest::forcedScheduleFromResume;
 using checktest::forcedUnreachable;
 
 class CheckTest : public ::testing::Test
@@ -74,6 +75,13 @@ TEST_F(CheckTest, FailingInvariantThrowsPanicError)
     int evals = 0;
     EXPECT_THROW(forcedInvariant(false, &evals), PanicError);
     EXPECT_EQ(evals, 1);
+}
+
+TEST_F(CheckTest, ScheduleFromResumeBreaksTheQueueContract)
+{
+    // EventQueue replaces the resumed agent's top entry in place, so
+    // a resume() that schedules would corrupt the heap order.
+    EXPECT_THROW(forcedScheduleFromResume(), PanicError);
 }
 
 TEST_F(CheckTest, UnreachableThrowsPanicError)

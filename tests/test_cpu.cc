@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/cpu/core_model.hh"
 #include "src/cpu/mem_path.hh"
 #include "src/sim/logging.hh"
+#include "src/sim/rng.hh"
 
 namespace jumanji {
 namespace {
@@ -235,6 +239,149 @@ TEST(MemPath, PartialMoveInvalidatesOnlyMovedSlices)
     std::uint64_t invalidated = path->installPlacement(0, after);
     EXPECT_EQ(invalidated, occ1);
     EXPECT_EQ(path->bank(0).constArray().occupancyOfVc(0), occ0);
+}
+
+/**
+ * The reference installPlacement must match: a full coherence walk
+ * through public APIs. Install through the VTB, run every bank's
+ * invalidateIf in ascending order, then re-insert the evictees when
+ * migrating.
+ */
+std::uint64_t
+referenceInstall(MemPath &path, VcId vc, const PlacementDescriptor &desc,
+                 bool migrate)
+{
+    const PlacementDescriptor *old = path.vtb().descriptorPtr(vc);
+    const bool walk = old != nullptr && !(*old == desc);
+    path.vtb().install(vc, desc);
+    if (!walk) return 0;
+    std::vector<std::pair<LineAddr, AccessOwner>> evictees;
+    for (std::uint32_t b = 0; b < path.numBanks(); b++) {
+        const auto here = static_cast<BankId>(b);
+        path.bank(here).array().invalidateIf(
+            [&](LineAddr line, const AccessOwner &o) {
+                if (o.vc != vc || desc.bankFor(line) == here) return false;
+                evictees.emplace_back(line, o);
+                return true;
+            });
+    }
+    if (!migrate) return evictees.size();
+    std::uint64_t moved = 0;
+    for (const auto &[line, o] : evictees) {
+        path.bank(desc.bankFor(line)).array().insert(line, o);
+        moved++;
+    }
+    return moved;
+}
+
+TEST(MemPath, WalkOfLosingBanksMatchesAFullWalk)
+{
+    LlcParams llc = tinyLlc();
+    llc.banks = 8;
+    llc.ways = 8;
+    llc.repl = ReplKind::DRRIP;
+    MeshParams mesh = quadMesh();
+    mesh.cols = 4;
+    constexpr VcId kVcs = 4;
+    constexpr LineAddr kLinesPerVc = 300;
+
+    for (bool migrate : {true, false}) {
+        MemPath fast(llc, mesh, MemoryParams{}, tinyUmon(), 5);
+        MemPath full(llc, mesh, MemoryParams{}, tinyUmon(), 5);
+        fast.setMigrateOnReconfig(migrate);
+        Rng rng(migrate ? 11 : 12);
+
+        std::vector<PlacementDescriptor> current(kVcs);
+        for (VcId vc = 0; vc < kVcs; vc++) {
+            fast.registerVc(vc);
+            full.registerVc(vc);
+            // Each VC starts on two banks of its own.
+            current[vc].fillStriped({2 * vc, 2 * vc + 1});
+            fast.installPlacement(vc, current[vc]);
+            referenceInstall(full, vc, current[vc], migrate);
+        }
+
+        Tick now = 0;
+        std::uint64_t walked = 0;
+        for (int change = 0; change < 240; change++) {
+            for (int a = 0; a < 60; a++) {
+                const auto vc = static_cast<VcId>(rng.below(kVcs));
+                AccessOwner o = owner(vc, vc % 2);
+                const LineAddr line =
+                    static_cast<LineAddr>(vc) * 1000 +
+                    rng.below(kLinesPerVc);
+                const auto tile =
+                    static_cast<std::uint32_t>(rng.below(llc.banks));
+                now += 1 + rng.below(20);
+                EXPECT_EQ(fast.access(now, tile, o, line).llcHit,
+                          full.access(now, tile, o, line).llcHit);
+            }
+
+            // A new stabilized placement for one VC over 1-5 random
+            // banks; every tenth change reinstalls the same one.
+            const auto vc = static_cast<VcId>(rng.below(kVcs));
+            PlacementDescriptor next = current[vc];
+            if (change % 10 != 9) {
+                std::vector<std::pair<BankId, double>> shares;
+                const std::uint64_t banks = 1 + rng.below(5);
+                for (std::uint64_t i = 0; i < banks; i++)
+                    shares.emplace_back(
+                        static_cast<BankId>(rng.below(llc.banks)),
+                        0.1 + rng.uniform());
+                PlacementDescriptor fresh;
+                fresh.fillProportional(shares);
+                next = fresh.stabilizedAgainst(current[vc]);
+            }
+            const std::uint64_t got = fast.installPlacement(vc, next);
+            ASSERT_EQ(got, referenceInstall(full, vc, next, migrate))
+                << "change " << change;
+            walked += got;
+            current[vc] = next;
+
+            for (std::uint32_t b = 0; b < llc.banks; b++) {
+                const CacheArray &a = fast.bank(static_cast<BankId>(b))
+                                          .constArray();
+                const CacheArray &r = full.bank(static_cast<BankId>(b))
+                                          .constArray();
+                for (VcId v = 0; v < kVcs; v++)
+                    ASSERT_EQ(a.occupancyOfVc(v), r.occupancyOfVc(v))
+                        << "change " << change << " bank " << b;
+                for (VcId v = 0; v < kVcs; v++) {
+                    for (LineAddr l = 0; l < kLinesPerVc; l++) {
+                        const LineAddr line =
+                            static_cast<LineAddr>(v) * 1000 + l;
+                        ASSERT_EQ(a.contains(line), r.contains(line))
+                            << "change " << change << " bank " << b
+                            << " line " << line;
+                    }
+                }
+            }
+        }
+        // The placements really moved lines, in both modes.
+        EXPECT_GT(walked, 500u) << "migrate=" << migrate;
+    }
+}
+
+TEST(MemPath, InFlightAccessLandsInTheNewBank)
+{
+    // Planned at issue against bank 3; the VC moves to bank 1 before
+    // the request arrives, so the access must use bank 1.
+    auto path = makePath();
+    path->registerVc(0);
+    PlacementDescriptor before, after;
+    before.fillStriped({3});
+    after.fillStriped({1});
+    path->installPlacement(0, before);
+
+    MemPath::Route planned = path->planAccess(0, 0, 42);
+    ASSERT_EQ(planned.bank, 3);
+    path->installPlacement(0, after);
+    PathAccessResult r =
+        path->accessArrived(planned.traversal, 0, owner(0), 42, planned);
+    EXPECT_EQ(r.bank, 1);
+    EXPECT_EQ(r.hopsToBank, 1u);
+    EXPECT_TRUE(path->bank(1).constArray().contains(42));
+    EXPECT_FALSE(path->bank(3).constArray().contains(42));
 }
 
 TEST(MemPath, WayMaskInstallation)

@@ -299,6 +299,60 @@ TEST(Migration, AllocationFollowsThread)
     EXPECT_EQ(system.runtime().appTile(0), 4u);
 }
 
+TEST(Migration, InFlightAccessIsChargedTheNewTilesHops)
+{
+    SystemConfig cfg = SystemConfig::benchScaled();
+    cfg.llc.setsPerBank = 32;
+    cfg.capacityScale = 0.0625;
+    cfg.epochTicks = 50000;
+    cfg.warmupTicks = 200000;
+    cfg.design = LlcDesign::Jumanji;
+    cfg.seed = 3;
+    WorkloadMix mix;
+    for (int v = 0; v < 2; v++) {
+        VmSpec vm;
+        vm.lcApps.push_back("silo");
+        vm.batchApps.push_back("429.mcf");
+        mix.vms.push_back(vm);
+    }
+    System system(cfg, mix);
+    // Past the epoch boundary at warmupTicks, so no reconfiguration
+    // (and no VTB change) happens while the access is in flight.
+    system.runUntil(cfg.warmupTicks + 1);
+
+    // Pin VM 0's batch app to one bank whose distance differs from
+    // its old tile and from the free tile 4 it migrates to.
+    const std::size_t app = 1;
+    CoreModel &core = *system.cores()[app];
+    const auto oldTile = static_cast<std::uint32_t>(core.id());
+    const std::uint32_t newTile = 4;
+    const BankId bank = 15;
+    MeshTopology mesh(cfg.mesh);
+    const std::uint32_t newHops =
+        mesh.hops(newTile, static_cast<std::uint32_t>(bank));
+    ASSERT_NE(mesh.hops(oldTile, static_cast<std::uint32_t>(bank)),
+              newHops);
+    PlacementDescriptor pinned;
+    pinned.fillStriped({bank});
+    system.memPath().installPlacement(core.owner().vc, pinned);
+
+    // Step one tick at a time to an access issued after the pin.
+    Tick t = system.queue().now();
+    auto stepWhile = [&](bool inFlight) {
+        for (int i = 0; i < 100000 && core.accessInFlight() == inFlight;
+             i++)
+            system.runUntil(++t);
+        ASSERT_NE(core.accessInFlight(), inFlight);
+    };
+    stepWhile(true);
+    stepWhile(false);
+    const std::uint64_t hopsBefore = core.counters().nocHops;
+    system.migrateApp(app, newTile);
+    stepWhile(true);
+    // Both directions are charged from the tile the core now sits on.
+    EXPECT_EQ(core.counters().nocHops - hopsBefore, 2ull * newHops);
+}
+
 TEST(Migration, RejectsOccupiedTile)
 {
     SystemConfig cfg = SystemConfig::benchScaled();

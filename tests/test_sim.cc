@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "src/sim/event_queue.hh"
 #include "src/sim/logging.hh"
@@ -170,6 +176,132 @@ TEST(EventQueue, DeterministicTieBreak)
     queue.schedule(&c, 50);
     queue.runUntil(100);
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+}
+
+/** The kernel with one std::priority_queue pop and push per event. */
+class ReferenceQueue
+{
+  public:
+    void
+    schedule(Agent *agent, Tick when)
+    {
+        heap_.push(Entry{when, seq_++, agent});
+    }
+
+    Tick
+    runUntil(Tick until)
+    {
+        while (!heap_.empty() && heap_.top().when < until) {
+            Entry e = heap_.top();
+            heap_.pop();
+            now_ = e.when;
+            Tick next = e.agent->resume(now_);
+            if (next != kTickMax) {
+                if (next <= now_) next = now_ + 1;
+                heap_.push(Entry{next, seq_++, e.agent});
+            }
+        }
+        if (now_ < until) now_ = until;
+        return now_;
+    }
+
+  private:
+    struct Entry
+    {
+        Tick when;
+        std::uint64_t seq;
+        Agent *agent;
+
+        bool
+        operator>(const Entry &o) const
+        {
+            if (when != o.when) return when > o.when;
+            return seq > o.seq;
+        }
+    };
+
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    std::uint64_t seq_ = 0;
+    Tick now_ = 0;
+};
+
+using ResumeLog = std::vector<std::pair<int, Tick>>;
+
+/**
+ * Logs (id, tick) on every resume and draws its next wake-up from a
+ * private stream: mostly its short period (so ticks tie often),
+ * sometimes now or the past (clamped to now + 1), and kTickMax once
+ * its life runs out.
+ */
+class ScriptedAgent : public Agent
+{
+  public:
+    ScriptedAgent(int id, ResumeLog *log, std::uint64_t seed)
+        : id_(id), log_(log), rng_(seed)
+    {
+        period_ = 1 + rng_.below(6);
+        life_ = 20 + rng_.below(400);
+    }
+
+    Tick
+    resume(Tick now) override
+    {
+        log_->emplace_back(id_, now);
+        if (--life_ == 0) return kTickMax;
+        switch (rng_.below(8)) {
+        case 0:
+            return now;
+        case 1:
+            return now - std::min<Tick>(now, rng_.below(3));
+        case 2:
+            return now + period_ * (1 + rng_.below(4));
+        default:
+            return now + period_;
+        }
+    }
+
+  private:
+    int id_;
+    ResumeLog *log_;
+    Rng rng_;
+    Tick period_;
+    std::uint64_t life_;
+};
+
+TEST(EventQueue, MatchesAPopAndPushReference)
+{
+    constexpr int kAgents = 48;
+    ResumeLog got, want;
+    std::vector<std::unique_ptr<ScriptedAgent>> agents;
+    EventQueue queue;
+    ReferenceQueue reference;
+    Rng rng(2024);
+    auto add = [&](int id, Tick when) {
+        const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(id);
+        agents.push_back(std::make_unique<ScriptedAgent>(id, &got, seed));
+        queue.schedule(agents.back().get(), when);
+        agents.push_back(std::make_unique<ScriptedAgent>(id, &want, seed));
+        reference.schedule(agents.back().get(), when);
+    };
+    for (int id = 0; id < kAgents; id++) add(id, rng.below(4));
+
+    // runUntil in slices, some empty, with late agents joining at or
+    // after the current tick between slices.
+    Tick until = 0;
+    for (int slice = 0; slice < 60; slice++) {
+        until += rng.below(50);
+        ASSERT_EQ(queue.runUntil(until), reference.runUntil(until));
+        if (slice % 6 == 5) add(kAgents + slice, until + rng.below(3));
+    }
+    EXPECT_EQ(queue.runToCompletion(), reference.runUntil(kTickMax));
+    EXPECT_TRUE(queue.empty());
+
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < got.size(); i++)
+        if (got[i].second == got[i - 1].second) ties++;
+    EXPECT_GT(got.size(), 10000u);
+    EXPECT_GT(ties, 1000u);
+    EXPECT_EQ(got, want);
 }
 
 TEST(SampleStat, PercentilesSorted)

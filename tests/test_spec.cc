@@ -144,6 +144,16 @@ TEST(ConfigJson, GeometryMismatchNamesBothSides)
               }),
               "fatal: llc.banks: 16 banks but mesh is 5x4 = 20 tiles "
               "(banks must equal mesh tiles)");
+    // 65536 x 65537 wraps to 65536 in 32 bits; the product is checked
+    // in 64 bits and rejected before any allocation.
+    EXPECT_EQ(fatalMessage([] {
+                  SystemConfig::fromJson(JsonValue::parse(
+                      "{\"mesh\": {\"cols\": 65536, \"rows\": 65537}, "
+                      "\"llc\": {\"banks\": 65536}}",
+                      "test"));
+              }),
+              "fatal: mesh.rows: 65536x65537 = 4295032832 tiles (must be "
+              "<= 4294967295)");
 }
 
 TEST(ConfigJson, ControllerThresholdOrderingIsValidated)

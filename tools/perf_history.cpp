@@ -21,10 +21,10 @@
  *  - everything else is reported informationally.
  *
  * Keys present in only one snapshot are informational (the bench
- * schema may grow fields). By default out-of-band deltas only warn
- * and the exit status stays 0 — wall-clock on shared runners is too
- * noisy to gate on; --strict turns violations into exit 1 for
- * byte-controlled environments.
+ * schema may grow fields). A semantic mismatch always exits 1.
+ * Out-of-band timing keys only warn and leave the exit status 0 —
+ * wall-clock on shared runners is too noisy to gate on; --strict
+ * turns them into exit 1 for byte-controlled environments.
  *
  * append validates the snapshot parses and appends it as one
  * compact JSONL line, so the trajectory file is greppable history:
@@ -132,6 +132,21 @@ isTimingKey(const std::string &key)
            endsWith(key, "_ns");
 }
 
+/**
+ * @p v as printf text: integers in full (counters such as
+ * 6299686 must not round to 6.29969e+06), the rest in %.6g.
+ */
+std::string
+formatValue(double v)
+{
+    char buf[64];
+    if (std::fabs(v) < 9.007199254740992e15 && v == std::trunc(v))
+        std::snprintf(buf, sizeof buf, "%.0f", v);
+    else
+        std::snprintf(buf, sizeof buf, "%.6g", v);
+    return buf;
+}
+
 int
 runCompare(const std::string &basePath, const std::string &candPath,
            double tolerance, bool strict)
@@ -141,6 +156,7 @@ runCompare(const std::string &basePath, const std::string &candPath,
     flattenNumbers(loadJson(candPath), "", cand);
 
     std::size_t compared = 0;
+    std::size_t mismatches = 0;
     std::size_t violations = 0;
     for (const NumericLeaf &b : base) {
         const NumericLeaf *c = findLeaf(cand, b.key);
@@ -150,46 +166,48 @@ runCompare(const std::string &basePath, const std::string &candPath,
             continue;
         }
         compared++;
+        const std::string was = formatValue(b.value);
+        const std::string now = formatValue(c->value);
         if (isSemanticKey(b.key)) {
             if (b.value == c->value) {
-                std::printf("  ok    %-28s %.6g (exact)\n",
-                            b.key.c_str(), b.value);
+                std::printf("  ok    %-28s %s (exact)\n", b.key.c_str(),
+                            was.c_str());
             } else {
-                violations++;
-                std::printf("  FAIL  %-28s %.6g -> %.6g (semantic "
+                mismatches++;
+                std::printf("  FAIL  %-28s %s -> %s (semantic "
                             "counter must match exactly)\n",
-                            b.key.c_str(), b.value, c->value);
+                            b.key.c_str(), was.c_str(), now.c_str());
             }
             continue;
         }
         if (isTimingKey(b.key) && b.value != 0.0) {
             const double rel = (c->value - b.value) / b.value;
             if (std::fabs(rel) <= tolerance) {
-                std::printf("  ok    %-28s %.6g -> %.6g (%+.1f%%)\n",
-                            b.key.c_str(), b.value, c->value,
+                std::printf("  ok    %-28s %s -> %s (%+.1f%%)\n",
+                            b.key.c_str(), was.c_str(), now.c_str(),
                             rel * 100.0);
             } else {
                 violations++;
-                std::printf("  WARN  %-28s %.6g -> %.6g (%+.1f%%, "
+                std::printf("  WARN  %-28s %s -> %s (%+.1f%%, "
                             "band ±%.0f%%)\n",
-                            b.key.c_str(), b.value, c->value,
+                            b.key.c_str(), was.c_str(), now.c_str(),
                             rel * 100.0, tolerance * 100.0);
             }
             continue;
         }
-        std::printf("  info  %-28s %.6g -> %.6g\n", b.key.c_str(),
-                    b.value, c->value);
+        std::printf("  info  %-28s %s -> %s\n", b.key.c_str(),
+                    was.c_str(), now.c_str());
     }
     for (const NumericLeaf &c : cand)
         if (findLeaf(base, c.key) == nullptr)
             std::printf("  +     %-28s only in candidate\n",
                         c.key.c_str());
 
-    std::printf("perf_history: %zu keys compared, %zu out of band "
-                "(tolerance ±%.0f%%)%s\n",
-                compared, violations, tolerance * 100.0,
-                strict ? "" : ", warn-only");
-    return (strict && violations > 0) ? 1 : 0;
+    std::printf("perf_history: %zu keys compared, %zu semantic "
+                "mismatches, %zu out of band (tolerance ±%.0f%%)%s\n",
+                compared, mismatches, violations, tolerance * 100.0,
+                strict ? "" : ", timing warn-only");
+    return (mismatches > 0 || (strict && violations > 0)) ? 1 : 0;
 }
 
 int
