@@ -3,10 +3,15 @@
  * Shared helpers for the figure/table reproduction binaries.
  *
  * Every binary prints the rows/series of one table or figure from
- * the paper. Sweeps are driver::ExperimentSpec values (bench/specs.hh)
- * run through runSpec/runSpecMain; benches with their own table
- * format print from SpecRun::results. Scale knobs, parsed by
- * src/driver/env.hh (a malformed value warns once and falls back):
+ * the paper. A spec-based exhibit is one scenario document under
+ * examples/scenarios/; when the generic table renderer prints it,
+ * `jumanji_cli --scenario <file>` is its only runner, and the
+ * binaries here are left for the exhibits with their own table
+ * format (fig05, fig14, fig15, table1, the ablations), which load
+ * their file with scenario() and print from SpecRun::results, and
+ * for the exhibits that drive a System by hand. Scale knobs, parsed
+ * by src/driver/env.hh (a malformed value warns once and falls
+ * back):
  *   JUMANJI_MIXES=<n>      random batch mixes per configuration
  *   JUMANJI_SEED=<n>       base seed
  *   JUMANJI_JOBS=<n>       driver worker threads (default 1; output
@@ -26,9 +31,7 @@
 #define JUMANJI_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
@@ -37,43 +40,12 @@
 namespace jumanji {
 namespace bench {
 
-/**
- * JUMANJI_SEED override, else @p fallback (driver::seedFromEnv: the
- * reason no bench needs getenv for seeds, which the env-routing lint
- * rule enforces).
- */
-inline std::uint64_t
-seedFromEnv(std::uint64_t fallback = 1)
-{
-    return driver::seedFromEnv(fallback);
-}
-
-/** The Static normalization baseline every comparison is run against. */
-inline LlcDesign
-baselineDesign()
-{
-    return LlcDesign::Static;
-}
-
-/**
- * The four non-baseline designs of the main comparison (Sec. VII).
- * baselineDesign() is not listed: the harness always runs Static
- * first as the normalization baseline, so jobs carry only the
- * designs compared against it.
- */
-inline std::vector<LlcDesign>
-mainDesigns()
-{
-    return {LlcDesign::Adaptive, LlcDesign::VMPart, LlcDesign::Jigsaw,
-            LlcDesign::Jumanji};
-}
-
 /** Standard bench-scale config with env seed. */
 inline SystemConfig
 benchConfig()
 {
     SystemConfig cfg = SystemConfig::benchScaled();
-    cfg.seed = seedFromEnv();
+    cfg.seed = driver::seedFromEnv();
     return cfg;
 }
 
@@ -92,49 +64,27 @@ note(const std::string &text)
 }
 
 /**
- * The process-wide experiment driver, configured from the env knobs
- * above. Every bench funnels its simulations through this one
- * orchestrator so JUMANJI_JOBS/JUMANJI_CACHE_DIR apply uniformly and
- * the driver.* stats cover the whole binary.
+ * The exhibit's scenario document, examples/scenarios/@p file in the
+ * source tree this binary was built from.
  */
-inline driver::Orchestrator &
-orchestrator()
+inline driver::ExperimentSpec
+scenario(const std::string &file)
 {
-    static driver::Orchestrator orch([] {
-        driver::Orchestrator::Options opts;
-        opts.jobs = driver::jobCountFromEnv(1);
-        opts.cacheDir = driver::cacheDirFromEnv();
-        const char *summary = std::getenv("JUMANJI_SUMMARY");
-        if (summary != nullptr) opts.summaryPath = summary;
-        opts.telemetry = driver::telemetryOptionsFromEnv();
-        return opts;
-    }());
-    return orch;
+    return driver::ExperimentSpec::fromFile(
+        std::string(JUMANJI_SOURCE_DIR) + "/examples/scenarios/" + file);
 }
 
 /**
- * Runs a spec through the process-wide orchestrator and returns the
- * plan + results, in job order (for benches that print their own
- * table, e.g. fig15's energy split or the ablation's trading probe).
+ * Runs a spec through the process-wide orchestrator, configured from
+ * the env knobs above (driver::orchestratorOptionsFromEnv), and
+ * returns the plan + results in job order. One orchestrator serves
+ * the whole binary, so the driver.* stats cover it.
  */
 inline driver::SpecRun
 runSpec(const driver::ExperimentSpec &spec)
 {
-    return driver::runSpec(spec, orchestrator());
-}
-
-/**
- * The whole body of a spec-rendered bench binary: banner, run, table,
- * note (the banner prints before the first simulation starts, so a
- * crashed run is attributable).
- */
-inline void
-runSpecMain(const driver::ExperimentSpec &spec)
-{
-    header(spec.output.title, spec.output.caption);
-    driver::SpecRun run = runSpec(spec);
-    std::fputs(driver::renderSpecTable(spec, run).c_str(), stdout);
-    if (!spec.output.note.empty()) note(spec.output.note);
+    static driver::Orchestrator orch(driver::orchestratorOptionsFromEnv());
+    return driver::runSpec(spec, orch);
 }
 
 } // namespace bench

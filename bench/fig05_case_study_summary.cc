@@ -9,7 +9,7 @@
  * deadlines; Jumanji meets deadlines with near-Jigsaw speedup.
  */
 
-#include "bench/specs.hh"
+#include "bench/bench_common.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -18,10 +18,9 @@ int
 main()
 {
     setQuiet(true);
-    header("Figure 5", "case study: tail latency + batch speedup per "
-                       "design");
-    const std::vector<MixResult> results =
-        runSpec(specs::fig05CaseStudy()).results;
+    const driver::ExperimentSpec spec = scenario("fig05_case_study.json");
+    header(spec.output.title, spec.output.caption);
+    const std::vector<MixResult> results = runSpec(spec).results;
 
     auto speedups = gmeanSpeedups(results);
     auto vuln = meanVulnerability(results);
@@ -29,7 +28,7 @@ main()
     std::printf("%-20s %14s %14s %14s\n", "design", "tail/deadline",
                 "batch speedup", "attackers");
     std::vector<LlcDesign> all = {LlcDesign::Static};
-    for (LlcDesign d : mainDesigns()) all.push_back(d);
+    for (LlcDesign d : spec.designs) all.push_back(d);
     for (LlcDesign d : all) {
         double meanTail = 0.0;
         for (const auto &mix : results) meanTail += mix.of(d).meanTailRatio();
@@ -38,7 +37,6 @@ main()
                     meanTail, speedups[d], vuln[d]);
     }
 
-    note("Paper: Jumanji meets the deadline, nearly matches Jigsaw's "
-         "speedup, and never shares banks across VMs.");
+    note(spec.output.note);
     return 0;
 }

@@ -175,8 +175,8 @@ main()
     header("Figure 11", "LLC port attack: attacker access times with "
                         "and without a rotating victim");
 
-    AttackRun without = runAttack(false, seedFromEnv());
-    AttackRun with = runAttack(true, seedFromEnv());
+    AttackRun without = runAttack(false, driver::seedFromEnv());
+    AttackRun with = runAttack(true, driver::seedFromEnv());
 
     printTrace("victim absent (baseline)", without);
     printTrace("victim present (12-bank rotation)", with);

@@ -10,7 +10,7 @@
  * slightly worse (associativity loss).
  */
 
-#include "bench/specs.hh"
+#include "bench/bench_common.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -22,7 +22,7 @@ main()
     header("Figure 15", "dynamic data-movement energy by level, "
                         "normalized to Static");
     const std::vector<MixResult> results =
-        runSpec(specs::mainComparison("fig15-energy")).results;
+        runSpec(scenario("main_comparison.json")).results;
 
     // Average energy per *instruction* (equal work, as the paper's
     // fixed-work methodology implies), then normalize to Static.

@@ -13,7 +13,7 @@
 
 #include <algorithm>
 
-#include "bench/specs.hh"
+#include "bench/bench_common.hh"
 
 using namespace jumanji;
 using namespace jumanji::bench;
@@ -24,8 +24,8 @@ main()
     setQuiet(true);
     header("Table I", "tail latency / security / batch speedup by "
                       "design (measured)");
-    const std::vector<MixResult> results =
-        runSpec(specs::mainComparison("table1-comparison")).results;
+    const driver::ExperimentSpec spec = scenario("main_comparison.json");
+    const std::vector<MixResult> results = runSpec(spec).results;
     auto speedups = gmeanSpeedups(results);
     auto vuln = meanVulnerability(results);
 
@@ -34,7 +34,7 @@ main()
                 "batch speedup");
 
     std::vector<LlcDesign> all = {LlcDesign::Static};
-    for (LlcDesign d : mainDesigns()) all.push_back(d);
+    for (LlcDesign d : spec.designs) all.push_back(d);
 
     // S-NUCA reference for the "speeds up batch" criterion.
     double snucaBest = 1.0;

@@ -117,11 +117,17 @@ heartbeatMsFromEnv(std::uint32_t fallback)
                    "a whole number of milliseconds >= 0");
 }
 
-std::string
-cacheDirFromEnv()
+Orchestrator::Options
+orchestratorOptionsFromEnv()
 {
-    const char *env = std::getenv("JUMANJI_CACHE_DIR");
-    return env == nullptr ? std::string() : std::string(env);
+    Orchestrator::Options opts;
+    opts.jobs = jobCountFromEnv(1);
+    if (const char *cacheDir = std::getenv("JUMANJI_CACHE_DIR"))
+        opts.cacheDir = cacheDir;
+    if (const char *summary = std::getenv("JUMANJI_SUMMARY"))
+        opts.summaryPath = summary;
+    opts.telemetry = telemetryOptionsFromEnv();
+    return opts;
 }
 
 } // namespace driver

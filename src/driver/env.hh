@@ -2,8 +2,8 @@
  * @file
  * The environment knobs of the tools and benches (JUMANJI_MIXES,
  * JUMANJI_JOBS, JUMANJI_SEED, JUMANJI_KV_LOAD_SCALE,
- * JUMANJI_HEARTBEAT_MS, JUMANJI_CACHE_DIR), read in one place with
- * one policy: an unset
+ * JUMANJI_HEARTBEAT_MS, JUMANJI_CACHE_DIR, JUMANJI_SUMMARY), read in
+ * one place with one policy: an unset
  * variable yields the fallback; a set value that does not parse or is
  * out of range warns once per variable on stderr (warnAlways: quiet
  * mode does not hide it) and yields the fallback — a typo'd knob
@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+
+#include "src/driver/orchestrator.hh"
 
 namespace jumanji {
 namespace driver {
@@ -52,8 +54,14 @@ double kvLoadScaleFromEnv(double fallback = 1.0);
  */
 std::uint32_t heartbeatMsFromEnv(std::uint32_t fallback = 0);
 
-/** JUMANJI_CACHE_DIR, or empty (cache off). */
-std::string cacheDirFromEnv();
+/**
+ * The orchestrator the environment asks for: JUMANJI_JOBS workers
+ * (default 1), the JUMANJI_CACHE_DIR result cache (unset = off), the
+ * JUMANJI_SUMMARY line file (unset = none), and the telemetry knobs
+ * (telemetryOptionsFromEnv). The benches run on it as is;
+ * jumanji_cli starts from it and lets its flags override.
+ */
+Orchestrator::Options orchestratorOptionsFromEnv();
 
 } // namespace driver
 } // namespace jumanji

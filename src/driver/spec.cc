@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include "src/driver/env.hh"
@@ -212,36 +214,39 @@ validateSpec(const ExperimentSpec &spec)
         (spec.loads.size() != 1 || spec.groups.size() != 1))
         fatal("output.sectionLabel: required when the grid has more "
               "than one (load, group) section");
+    // Every "{...}" must be one expandTemplate knows; anything else
+    // would print literally.
+    const std::string &label = spec.output.sectionLabel;
+    for (std::size_t i = label.find('{'); i != std::string::npos;
+         i = label.find('{', i + 1)) {
+        std::size_t end = label.find('}', i);
+        if (end == std::string::npos) break;
+        std::string key = label.substr(i + 1, end - i - 1);
+        if (key != "load" && key != "group" && key != "mixes")
+            fatal("output.sectionLabel: unknown placeholder \"{" + key +
+                  "}\" (load|group|mixes)");
+    }
 }
 
+/** Expands a section label whose placeholders validateSpec vetted. */
 std::string
 expandTemplate(const std::string &tmpl, const std::string &load,
                const std::string &group, std::uint32_t mixes)
 {
     std::string out;
-    for (std::size_t i = 0; i < tmpl.size();) {
-        if (tmpl[i] == '{') {
-            std::size_t end = tmpl.find('}', i);
-            if (end != std::string::npos) {
-                std::string key = tmpl.substr(i + 1, end - i - 1);
-                if (key == "load") {
-                    out += load;
-                    i = end + 1;
-                    continue;
-                }
-                if (key == "group") {
-                    out += group;
-                    i = end + 1;
-                    continue;
-                }
-                if (key == "mixes") {
-                    out += std::to_string(mixes);
-                    i = end + 1;
-                    continue;
-                }
-            }
+    for (std::size_t i = 0; i < tmpl.size(); i++) {
+        std::size_t end =
+            tmpl[i] == '{' ? tmpl.find('}', i) : std::string::npos;
+        if (end == std::string::npos) {
+            out += tmpl[i];
+            continue;
         }
-        out += tmpl[i++];
+        std::string key = tmpl.substr(i + 1, end - i - 1);
+        if (key == "load") out += load;
+        else if (key == "group") out += group;
+        else if (key == "mixes") out += std::to_string(mixes);
+        else panic("unvalidated section-label placeholder {" + key + "}");
+        i = end;
     }
     return out;
 }
@@ -456,91 +461,14 @@ ExperimentSpec::fromJson(const JsonValue &json)
     return spec;
 }
 
-JsonValue
-ExperimentSpec::toJson() const
+ExperimentSpec
+ExperimentSpec::fromFile(const std::string &path)
 {
-    JsonValue root = JsonValue::makeObject();
-    root.set("name", JsonValue::makeString(name));
-    root.set("preset", JsonValue::makeString(preset));
-    root.set("overrides", overrides.isNull() ? JsonValue::makeObject()
-                                             : overrides);
-
-    JsonValue jSeed = JsonValue::makeObject();
-    jSeed.set("fromEnv", JsonValue::makeBool(seed.fromEnv));
-    jSeed.set("fallback", JsonValue::makeU64(seed.fallback));
-    root.set("seed", std::move(jSeed));
-
-    JsonValue jMixes = JsonValue::makeObject();
-    jMixes.set("count", JsonValue::makeU64(mixes.count));
-    jMixes.set("fromEnv", JsonValue::makeBool(mixes.fromEnv));
-    jMixes.set("vms", JsonValue::makeU64(mixes.vms));
-    jMixes.set("batchPerVm", JsonValue::makeU64(mixes.batchPerVm));
-    jMixes.set("salt", JsonValue::makeBool(mixes.salt));
-    root.set("mixes", std::move(jMixes));
-
-    JsonValue jDesigns = JsonValue::makeArray();
-    for (LlcDesign d : designs)
-        jDesigns.push(JsonValue::makeString(llcDesignName(d)));
-    root.set("designs", std::move(jDesigns));
-
-    JsonValue jLoads = JsonValue::makeArray();
-    for (LoadLevel l : loads)
-        jLoads.push(JsonValue::makeString(loadName(l)));
-    root.set("loads", std::move(jLoads));
-
-    JsonValue jGroups = JsonValue::makeArray();
-    for (const SpecGroup &group : groups) {
-        JsonValue jGroup = JsonValue::makeObject();
-        jGroup.set("label", JsonValue::makeString(group.label));
-        JsonValue jLc = JsonValue::makeArray();
-        for (const std::string &lc : group.lcNames)
-            jLc.push(JsonValue::makeString(lc));
-        jGroup.set("lc", std::move(jLc));
-        jGroups.push(std::move(jGroup));
-    }
-    root.set("groups", std::move(jGroups));
-
-    JsonValue jVariants = JsonValue::makeArray();
-    for (const SpecVariant &variant : variants) {
-        JsonValue jVariant = JsonValue::makeObject();
-        jVariant.set("label", JsonValue::makeString(variant.label));
-        jVariant.set("overrides", variant.overrides.isNull()
-                                      ? JsonValue::makeObject()
-                                      : variant.overrides);
-        if (variant.regroupVms > 0)
-            jVariant.set("regroupVms",
-                         JsonValue::makeU64(variant.regroupVms));
-        jVariants.push(std::move(jVariant));
-    }
-    root.set("variants", std::move(jVariants));
-
-    root.set("calibration",
-             JsonValue::makeString(calibration ==
-                                           CalibrationMode::Shared
-                                       ? "shared"
-                                       : "perJob"));
-
-    JsonValue jOutput = JsonValue::makeObject();
-    jOutput.set("title", JsonValue::makeString(output.title));
-    jOutput.set("caption", JsonValue::makeString(output.caption));
-    jOutput.set("note", JsonValue::makeString(output.note));
-    jOutput.set("layout", JsonValue::makeString(output.layout));
-    jOutput.set("sectionLabel",
-                JsonValue::makeString(output.sectionLabel));
-    jOutput.set("labelHeader",
-                JsonValue::makeString(output.labelHeader));
-    jOutput.set("labelWidth", JsonValue::makeU64(output.labelWidth));
-    jOutput.set("staticRow", JsonValue::makeBool(output.staticRow));
-    JsonValue jColumns = JsonValue::makeArray();
-    for (const SpecColumn &col : output.columns) {
-        JsonValue jCol = JsonValue::makeObject();
-        jCol.set("key", JsonValue::makeString(col.key));
-        jCol.set("header", JsonValue::makeString(col.header));
-        jColumns.push(std::move(jCol));
-    }
-    jOutput.set("columns", std::move(jColumns));
-    root.set("output", std::move(jOutput));
-    return root;
+    std::ifstream is(path);
+    if (!is) fatal("cannot open " + path);
+    std::string text((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
+    return fromJson(JsonValue::parse(text, path));
 }
 
 SpecPlan
@@ -574,6 +502,27 @@ expandSpec(const ExperimentSpec &spec)
         }
         validateConfig(cfg);
         plan.variantConfigs.push_back(std::move(cfg));
+    }
+
+    // A mix puts one app on each tile. Reject one that cannot fit
+    // before makeMix allocates it: vms alone may be up to 2^32-1.
+    const std::uint64_t apps = std::uint64_t{spec.mixes.vms} *
+                               (std::uint64_t{spec.mixes.batchPerVm} + 1);
+    for (std::size_t v = 0; v < plan.variantConfigs.size(); v++) {
+        const MeshParams &mesh = plan.variantConfigs[v].mesh;
+        const std::uint64_t tiles = std::uint64_t{mesh.cols} * mesh.rows;
+        if (apps > tiles)
+            fatal("mixes.vms: " + std::to_string(spec.mixes.vms) +
+                  " VMs x (1 LC + " +
+                  std::to_string(spec.mixes.batchPerVm) + " batch) = " +
+                  std::to_string(apps) + " apps, more than the " +
+                  std::to_string(mesh.cols) + "x" +
+                  std::to_string(mesh.rows) + " = " +
+                  std::to_string(tiles) + " tiles of variants[" +
+                  std::to_string(v) + "]" +
+                  (spec.variants[v].label.empty()
+                       ? ""
+                       : " (\"" + spec.variants[v].label + "\")"));
     }
 
     plan.mixCount = spec.mixes.fromEnv

@@ -10,8 +10,10 @@
  * execution with byte-identical output, the content-addressed result
  * cache, and submission-order merging.
  *
- * It is the only way a sweep runs: every bench, jumanji_cli's flags
- * and --scenario documents all build an ExperimentSpec. The Sec. VII
+ * It is the only way a sweep runs: each spec-based exhibit is one
+ * document under examples/scenarios/ (run by jumanji_cli --scenario,
+ * or loaded by the bench that prints its own table), and
+ * jumanji_cli's flags build one too. The Sec. VII
  * methodology — per-mix seed derivation, mix RNG salting, and the
  * lazy first-seen shared-calibration order — lives in expandSpec
  * alone, pinned from outside by tests/test_spec.cc's serial reference
@@ -48,7 +50,7 @@ struct SeedPolicy
  * How workload mixes are generated: @p count random mixes
  * (JUMANJI_MIXES overrides when fromEnv), each built by
  * makeMix(group.lc, vms, batchPerVm, rng) with the rng seeded from
- * the job's seed — salted for the sweep-style benches (fig13/14/15/
+ * the job's seed — salted for the sweep-style exhibits (fig13/14/15/
  * 17/18, table1, jumanji_cli), unsalted for the single-mix case
  * studies (fig09, ablations). expandSpec holds the derivation.
  */
@@ -133,9 +135,10 @@ struct SpecOutput
     std::string note;
     std::string layout = "design-table";
     /**
-     * Section heading template; "{load}", "{group}", "{mixes}" and
-     * "{variant}" expand per section. Empty = single-section output
-     * with no heading line (requires one load and one group).
+     * Section heading template; "{load}", "{group}" and "{mixes}"
+     * expand per section, and any other "{...}" placeholder is
+     * rejected. Empty = single-section output with no heading line
+     * (requires one load and one group).
      */
     std::string sectionLabel;
     /** First-column header ("design", "parameters", ...). */
@@ -171,13 +174,12 @@ struct ExperimentSpec
     static ExperimentSpec fromJson(const JsonValue &json);
 
     /**
-     * Canonical serialization: every field explicit, so
-     * fromJson(x).toJson() is a normal form — two specs are
-     * equivalent iff their toJson dumps are equal (tests compare the
-     * C++ builders in bench/specs.hh against examples/scenarios/
-     * this way).
+     * Reads, parses and validates the scenario document at @p path
+     * (fromJson). Throws FatalError "cannot open <path>" when the
+     * file cannot be read. Stat references are not resolved here;
+     * checkSpec does that.
      */
-    JsonValue toJson() const;
+    static ExperimentSpec fromFile(const std::string &path);
 };
 
 /**

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/specs.hh"
 #include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
@@ -153,8 +152,8 @@ TEST(LoadTrace, PresetsCoverTheRunAndTheSpikeHitsItsPeak)
     }
 
     // flashcrowd: before | spike (middle 30% of measure, at peak) |
-    // after — the labels the apps.kv.* stats and the fig_kv columns
-    // are built from.
+    // after — the labels the apps.kv.* stats and the
+    // kv_flash_crowd.json columns are built from.
     LoadTrace flash = loadTraceFromName("flashcrowd", warmup, measure, 4.0);
     EXPECT_EQ(flash.phaseLabels(),
               (std::vector<std::string>{"before", "spike", "after"}));
@@ -254,7 +253,9 @@ TEST(KvSweep, ByteIdenticalAcrossWorkerCounts)
     // The shipped flash-crowd scenario, shrunk to test scale and
     // pinned (no env coupling), run with 1 and with 4 workers: the
     // rendered table and the full stats fingerprint must match.
-    driver::ExperimentSpec spec = bench::specs::kvFlashCrowd();
+    driver::ExperimentSpec spec = driver::ExperimentSpec::fromFile(
+        std::string(JUMANJI_SOURCE_DIR) +
+        "/examples/scenarios/kv_flash_crowd.json");
     spec.seed.fromEnv = false;
     spec.mixes.fromEnv = false;
     spec.mixes.count = 2;

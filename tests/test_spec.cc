@@ -2,13 +2,14 @@
  * @file
  * Scenario-layer tests: config JSON round-trips under the foldConfig
  * fingerprint, schema violations fail with precise "field: reason"
- * diagnostics, the C++ spec builders in bench/specs.hh and the
- * shipped examples/scenarios/ files are the same specs, checkSpec
- * resolves every scenario stat reference against the live registry
- * and names the job and design of a dead one, expansion order is
- * stable, and a spec-driven run is byte-identical — results
- * *and* rendered table — to a plain serial loop that spells out the
- * Sec. VII methodology, pinning it from outside src/driver/spec.cc.
+ * diagnostics, every shipped examples/scenarios/ file (the one
+ * definition of each spec-based exhibit) expands to a pinned set of
+ * jobs, checkSpec resolves every scenario stat reference against the
+ * live registry and names the job and design of a dead one,
+ * expansion order is stable, and a spec-driven run is byte-identical
+ * — results *and* rendered table — to a plain serial loop that
+ * spells out the Sec. VII methodology, pinning it from outside
+ * src/driver/spec.cc.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/specs.hh"
 #include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
@@ -169,51 +169,117 @@ TEST(ConfigJson, ControllerThresholdOrderingIsValidated)
         << msg;
 }
 
-TEST(Spec, BuildersMatchTheShippedScenarioFiles)
+/**
+ * One digest of everything @p spec expands to at one mix with the
+ * seed policy pinned: each job's config, mix, designs, load and
+ * calibration mode, then the shared calibration plan. Labels are
+ * left out; they feed only traces and telemetry.
+ */
+std::uint64_t
+pinnedPlanDigest(ExperimentSpec spec)
 {
-    const std::string root = JUMANJI_SOURCE_DIR;
-    struct Pair
-    {
-        ExperimentSpec builder;
-        std::string file;
-    };
-    std::vector<Pair> pairs = {
-        {bench::specs::fig13Small(),
-         root + "/examples/scenarios/fig13_small.json"},
-        {bench::specs::epochLoadGrid(),
-         root + "/examples/scenarios/epoch_load_grid.json"},
-        {bench::specs::kvFlashCrowd(),
-         root + "/examples/scenarios/kv_flash_crowd.json"},
-    };
-    for (const Pair &p : pairs) {
-        ExperimentSpec fromFile = ExperimentSpec::fromJson(
-            JsonValue::parse(readFile(p.file), p.file));
-        // toJson is canonical: equal dumps == equivalent specs.
-        EXPECT_EQ(fromFile.toJson().dump(2), p.builder.toJson().dump(2))
-            << p.file << " drifted from its bench/specs.hh builder";
+    spec.mixes.count = 1;
+    spec.mixes.fromEnv = false;
+    spec.seed.fromEnv = false;
+    const SpecPlan plan = expandSpec(spec);
+    Fingerprint fp;
+    for (driver::JobId id = 0; id < plan.graph.size(); id++) {
+        const driver::SweepJob &job = plan.graph.job(id);
+        foldConfig(fp, job.config);
+        foldMix(fp, job.mix);
+        fp.addU64(job.designs.size());
+        for (LlcDesign d : job.designs)
+            fp.addU64(static_cast<std::uint64_t>(d));
+        fp.addU64(static_cast<std::uint64_t>(job.load));
+        fp.addU64(job.selfCalibrate ? 1 : 0);
     }
+    fp.addU64(plan.calibrationPlan.size());
+    for (const driver::CalibrationJob &cal : plan.calibrationPlan) {
+        fp.addString(cal.lcName);
+        foldConfig(fp, cal.config);
+    }
+    return fp.value();
 }
 
-TEST(Spec, JsonRoundTripIsANormalForm)
+std::string
+scenarioPath(const std::string &file)
 {
-    std::vector<ExperimentSpec> specs = {
-        bench::specs::fig13Small(),    bench::specs::fig09Sensitivity(),
-        bench::specs::fig16IdealBatch(), bench::specs::fig17VmScaling(),
-        bench::specs::fig18NocSensitivity(),
-        bench::specs::ablationVariants(), bench::specs::epochLoadGrid(),
-        bench::specs::kvFlashCrowd(),
+    return std::string(JUMANJI_SOURCE_DIR) + "/examples/scenarios/" + file;
+}
+
+ExperimentSpec
+shippedScenario(const std::string &file)
+{
+    return ExperimentSpec::fromFile(scenarioPath(file));
+}
+
+TEST(Spec, ShippedScenariosExpandToPinnedJobs)
+{
+    // pinnedPlanDigest of each shipped exhibit, first computed from
+    // the C++ builders the files replaced. A digest that moves means
+    // an exhibit now runs different jobs: fix the file, or re-pin and
+    // say why. JUMANJI_KV_LOAD_SCALE is the one env knob the pinned
+    // policies do not cover, so it is unset (as test_kv leaves it).
+    unsetenv("JUMANJI_KV_LOAD_SCALE");
+    const std::map<std::string, std::uint64_t> pins = {
+        {"ablation_design_choices.json", 0xa2dce1b83499c528ull},
+        {"epoch_load_grid.json", 0xae5203c8cfe6b3f1ull},
+        {"fig05_case_study.json", 0xd7f4763d70d4713aull},
+        {"fig09_controller_sensitivity.json", 0x9039042981dae3f2ull},
+        {"fig13_small.json", 0x922cfc961eab4cf5ull},
+        {"fig14_vulnerability.json", 0x084594dda1cd9d91ull},
+        {"fig16_ideal_batch.json", 0xeb1f0d9b91f7ddb1ull},
+        {"fig17_vm_scaling.json", 0x727152fedee3dc50ull},
+        {"fig18_noc_sensitivity.json", 0x791c0b90ae9a4639ull},
+        {"kv_flash_crowd.json", 0xe356050bcae64f3eull},
+        {"main_comparison.json", 0xb6f5665fcb5a7260ull},
     };
-    for (const ExperimentSpec &spec : specs) {
-        std::string canonical = spec.toJson().dump(2);
-        ExperimentSpec back = ExperimentSpec::fromJson(spec.toJson());
-        EXPECT_EQ(back.toJson().dump(2), canonical)
-            << spec.name << ": fromJson(toJson()) is not identity";
-    }
+    std::map<std::string, std::uint64_t> found;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(scenarioPath("")))
+        if (entry.path().extension() == ".json")
+            found[entry.path().filename().string()] = pinnedPlanDigest(
+                ExperimentSpec::fromFile(entry.path().string()));
+    EXPECT_EQ(found, pins);
+}
+
+/** @p spec at one mix, whatever JUMANJI_MIXES says. */
+ExperimentSpec
+oneMix(ExperimentSpec spec)
+{
+    spec.mixes.count = 1;
+    spec.mixes.fromEnv = false;
+    return spec;
+}
+
+/** What jumanji_cli's loadScenario does: parse, validate, check. */
+void
+loadAndCheck(const JsonValue &doc)
+{
+    driver::checkSpec(oneMix(ExperimentSpec::fromJson(doc)));
+}
+
+/** A shipped scenario document, parsed but not yet a spec. */
+JsonValue
+shippedDocument(const std::string &file)
+{
+    return JsonValue::parse(readFile(scenarioPath(file)),
+                            scenarioPath(file));
+}
+
+/** shippedDocument with one top-level key replaced. */
+JsonValue
+patchedScenario(const std::string &file, const std::string &key,
+                const JsonValue &value)
+{
+    JsonValue doc = shippedDocument(file);
+    doc.set(key, value);
+    return doc;
 }
 
 TEST(Spec, ValidationRejectsShapeMismatches)
 {
-    ExperimentSpec base = bench::specs::fig13Small();
+    ExperimentSpec base = shippedScenario("fig13_small.json");
 
     ExperimentSpec twoVariants = base;
     twoVariants.variants.push_back(driver::SpecVariant{});
@@ -221,7 +287,8 @@ TEST(Spec, ValidationRejectsShapeMismatches)
               "fatal: output.layout: design-table requires exactly one "
               "variant (got 2)");
 
-    ExperimentSpec variantTable = bench::specs::fig18NocSensitivity();
+    ExperimentSpec variantTable =
+        shippedScenario("fig18_noc_sensitivity.json");
     variantTable.designs.push_back(LlcDesign::Adaptive);
     EXPECT_EQ(fatalMessage([&] { expandSpec(variantTable); }),
               "fatal: output.layout: variant-table requires exactly "
@@ -243,64 +310,74 @@ TEST(Spec, ValidationRejectsShapeMismatches)
               }),
               "fatal: scenario: expected object, got array");
 
-    ExperimentSpec badColumn = base;
-    badColumn.output.columns[0].key = "bogus";
-    EXPECT_EQ(
-        fatalMessage([&] {
-            ExperimentSpec::fromJson(badColumn.toJson());
-        }),
-        "fatal: output.columns[0].key: unknown column key \"bogus\" "
-        "(tailMean|tailWorst|batchWS|batchWSMean|attackers, or a "
-        "dotted stat name)");
+    JsonValue output = *shippedDocument("fig13_small.json").find("output");
+    JsonValue columns = JsonValue::makeArray();
+    columns.push(JsonValue::parse("{\"key\": \"bogus\"}", "t"));
+    output.set("columns", columns);
+    EXPECT_EQ(fatalMessage([&] {
+                  ExperimentSpec::fromJson(
+                      patchedScenario("fig13_small.json", "output", output));
+              }),
+              "fatal: output.columns[0].key: unknown column key \"bogus\" "
+              "(tailMean|tailWorst|batchWS|batchWSMean|attackers, or a "
+              "dotted stat name)");
+
+    // A placeholder expandTemplate does not know would print as is.
+    output = *shippedDocument("fig13_small.json").find("output");
+    output.set("sectionLabel",
+               JsonValue::makeString(
+                   "[{load} load, variant {variant}, {mixs} mixes]"));
+    EXPECT_EQ(fatalMessage([&] {
+                  ExperimentSpec::fromJson(
+                      patchedScenario("fig13_small.json", "output", output));
+              }),
+              "fatal: output.sectionLabel: unknown placeholder "
+              "\"{variant}\" (load|group|mixes)");
+
+    // A mix that cannot fit the mesh is rejected before makeMix
+    // allocates it: 4e9 VMs would exhaust memory, and 2 x (1 + 2) = 6
+    // apps on testTiny's 2x2 mesh would only fail inside System.
+    EXPECT_EQ(fatalMessage([] {
+                  loadAndCheck(patchedScenario(
+                      "fig13_small.json", "mixes",
+                      JsonValue::parse("{\"vms\": 4000000000, "
+                                       "\"batchPerVm\": 64}",
+                                       "t")));
+              }),
+              "fatal: mixes.vms: 4000000000 VMs x (1 LC + 64 batch) = "
+              "260000000000 apps, more than the 5x4 = 20 tiles of "
+              "variants[0]");
+    JsonValue tiny = patchedScenario(
+        "fig13_small.json", "mixes",
+        JsonValue::parse("{\"vms\": 2, \"batchPerVm\": 2}", "t"));
+    tiny.set("preset", JsonValue::makeString("testTiny"));
+    EXPECT_EQ(fatalMessage([&] { loadAndCheck(tiny); }),
+              "fatal: mixes.vms: 2 VMs x (1 LC + 2 batch) = 6 apps, more "
+              "than the 2x2 = 4 tiles of variants[0]");
+    // A variant that shrinks the mesh is named with its label.
+    ExperimentSpec shrunk = shippedScenario("fig18_noc_sensitivity.json");
+    shrunk.variants[2].overrides = JsonValue::parse(
+        "{\"mesh\": {\"cols\": 4}, \"llc\": {\"banks\": 16}}", "t");
+    EXPECT_EQ(fatalMessage([&] { expandSpec(shrunk); }),
+              "fatal: mixes.vms: 4 VMs x (1 LC + 4 batch) = 20 apps, more "
+              "than the 4x4 = 16 tiles of variants[2] (\"3\")");
 }
 
-/** @p spec at one mix, whatever JUMANJI_MIXES says. */
-ExperimentSpec
-oneMix(ExperimentSpec spec)
+TEST(Spec, CheckPassesEveryShippedScenario)
 {
-    spec.mixes.count = 1;
-    spec.mixes.fromEnv = false;
-    return spec;
-}
-
-/** What jumanji_cli's loadScenario does: parse, validate, check. */
-void
-loadAndCheck(const JsonValue &doc)
-{
-    driver::checkSpec(oneMix(ExperimentSpec::fromJson(doc)));
-}
-
-TEST(Spec, CheckPassesEveryBuilderAndShippedScenario)
-{
-    std::vector<ExperimentSpec> specs = {
-        bench::specs::fig13Small(),
-        bench::specs::mainComparison("main-comparison"),
-        bench::specs::fig14Vulnerability(),
-        bench::specs::fig05CaseStudy(),
-        bench::specs::fig09Sensitivity(),
-        bench::specs::fig16IdealBatch(),
-        bench::specs::fig17VmScaling(),
-        bench::specs::fig18NocSensitivity(),
-        bench::specs::ablationVariants(),
-        bench::specs::epochLoadGrid(),
-        bench::specs::kvFlashCrowd(),
-    };
     std::vector<std::filesystem::path> files;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             std::string(JUMANJI_SOURCE_DIR) + "/examples/scenarios"))
+    for (const auto &entry :
+         std::filesystem::directory_iterator(scenarioPath("")))
         if (entry.path().extension() == ".json")
             files.push_back(entry.path());
     std::sort(files.begin(), files.end());
     ASSERT_FALSE(files.empty());
-    for (const auto &file : files)
-        specs.push_back(ExperimentSpec::fromJson(
-            JsonValue::parse(readFile(file.string()), file.string())));
-
-    for (const ExperimentSpec &spec : specs) {
+    for (const auto &file : files) {
         try {
-            driver::checkSpec(oneMix(spec));
+            driver::checkSpec(
+                oneMix(ExperimentSpec::fromFile(file.string())));
         } catch (const FatalError &e) {
-            ADD_FAILURE() << spec.name << ": " << e.what();
+            ADD_FAILURE() << file.filename() << ": " << e.what();
         }
     }
 }
@@ -308,7 +385,7 @@ TEST(Spec, CheckPassesEveryBuilderAndShippedScenario)
 TEST(Spec, CheckNamesDeadColumnsAndSelectorsWithJobAndDesign)
 {
     // A typo'd dotted column.
-    ExperimentSpec typo = oneMix(bench::specs::kvFlashCrowd());
+    ExperimentSpec typo = oneMix(shippedScenario("kv_flash_crowd.json"));
     typo.output.columns[1].key = "apps.kv.spoke.p95";
     EXPECT_EQ(fatalMessage([&] { driver::checkSpec(typo); }),
               "fatal: output.columns[1].key: no stat "
@@ -317,7 +394,7 @@ TEST(Spec, CheckNamesDeadColumnsAndSelectorsWithJobAndDesign)
 
     // A real phase label, but of the diurnal trace: this scenario
     // runs flashcrowd, whose registry has no "morning" phase.
-    ExperimentSpec morning = oneMix(bench::specs::kvFlashCrowd());
+    ExperimentSpec morning = oneMix(shippedScenario("kv_flash_crowd.json"));
     morning.output.columns[1].key = "apps.kv.morning.p95";
     EXPECT_EQ(fatalMessage([&] { driver::checkSpec(morning); }),
               "fatal: output.columns[1].key: no stat "
@@ -330,7 +407,7 @@ TEST(Spec, CheckNamesDeadColumnsAndSelectorsWithJobAndDesign)
     driver::checkSpec(morning);
 
     // A dead selector in the top-level overrides.
-    ExperimentSpec selector = oneMix(bench::specs::fig13Small());
+    ExperimentSpec selector = oneMix(shippedScenario("fig13_small.json"));
     selector.overrides = JsonValue::parse(
         "{\"timelineStats\": [\"llc.\", \"nope.prefix.\"]}", "test");
     EXPECT_EQ(fatalMessage([&] { driver::checkSpec(selector); }),
@@ -340,7 +417,7 @@ TEST(Spec, CheckNamesDeadColumnsAndSelectorsWithJobAndDesign)
 
     // A dead selector in one variant's overrides: the variant's list
     // replaces the top-level one, so the path names the variant.
-    ExperimentSpec variant = oneMix(bench::specs::epochLoadGrid());
+    ExperimentSpec variant = oneMix(shippedScenario("epoch_load_grid.json"));
     variant.overrides = JsonValue::parse(
         "{\"timelineStats\": [\"epoch.\"]}", "test");
     variant.variants[1].overrides.set(
@@ -356,14 +433,10 @@ TEST(Spec, LoadingRejectsUnknownKeysAndBareColumnsWithTheirPath)
 {
     // The schema half of what a scenario load rejects, through the
     // same parse + checkSpec path as jumanji_cli --scenario-check.
-    const std::string file =
-        std::string(JUMANJI_SOURCE_DIR) +
-        "/examples/scenarios/fig13_small.json";
-    const JsonValue valid = JsonValue::parse(readFile(file), file);
-    auto reject = [&](const std::string &key, const JsonValue &value) {
-        JsonValue doc = valid;
-        doc.set(key, value);
-        return fatalMessage([&] { loadAndCheck(doc); });
+    auto reject = [](const std::string &key, const JsonValue &value) {
+        return fatalMessage([&] {
+            loadAndCheck(patchedScenario("fig13_small.json", key, value));
+        });
     };
 
     EXPECT_EQ(reject("bogusKey", JsonValue::makeU64(1)),
@@ -374,7 +447,7 @@ TEST(Spec, LoadingRejectsUnknownKeysAndBareColumnsWithTheirPath)
                      JsonValue::parse("{\"llc\": {\"wayz\": 8}}", "t")),
               "fatal: llc.wayz: unknown key");
 
-    JsonValue output = *valid.find("output");
+    JsonValue output = *shippedDocument("fig13_small.json").find("output");
     JsonValue columns = JsonValue::makeArray();
     columns.push(JsonValue::parse("{\"key\": \"notdotted\"}", "t"));
     output.set("columns", columns);
@@ -390,7 +463,8 @@ TEST(Spec, ExpansionOrderIsStableAndSeedsDeriveFromTheBase)
     spec.name = "order";
     spec.preset = "testTiny";
     spec.seed = {false, 42};
-    spec.mixes = {2, false, 2, 2, true};
+    // 2 VMs x (1 LC + 1 batch) fill testTiny's 2x2 mesh.
+    spec.mixes = {2, false, 2, 1, true};
     spec.designs = {LlcDesign::Adaptive};
     spec.loads = {LoadLevel::High, LoadLevel::Low};
     spec.groups = {{"xapian", {"xapian"}}};

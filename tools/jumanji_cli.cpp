@@ -22,7 +22,9 @@
  *                          registry; prints the grid shape and exits
  *                          0 iff the document is valid
  *     --design <name>      Static|Adaptive|VM-Part|Jigsaw|Jumanji|
- *                          Insecure|IdealBatch (default: all five main)
+ *                          Jumanji-Insecure|Jumanji-IdealBatch, the
+ *                          names every table prints (repeatable;
+ *                          default: Static plus the four main designs)
  *     --lc <name|Mixed>    latency-critical app selection: a
  *                          TailBench-like app
  *                          (masstree|xapian|img-dnn|silo|moses), a
@@ -40,7 +42,9 @@
  *     --seed <n>           base seed, >= 1 (default 1)
  *     --paper-scale        use the full Table II capacity/time scale
  *     --jobs <n>           worker threads (default $JUMANJI_JOBS or 1);
- *                          output is byte-identical for any job count
+ *                          output is byte-identical for any job count.
+ *                          $JUMANJI_SUMMARY appends one driver
+ *                          summary line per orchestrator run
  *     --cache-dir <dir>    on-disk result cache keyed by
  *                          Fingerprint(code version, config, mix)
  *                          (default $JUMANJI_CACHE_DIR; unset = off)
@@ -110,7 +114,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,7 +121,6 @@
 #include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
-#include "src/sim/json.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/profiler.hh"
 #include "src/sim/statreg.hh"
@@ -157,12 +159,7 @@ usage(const char *argv0, int exitCode = 2)
 driver::ExperimentSpec
 loadScenario(const std::string &path)
 {
-    std::ifstream is(path);
-    if (!is) fatal("cannot open " + path);
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    driver::ExperimentSpec spec =
-        driver::ExperimentSpec::fromJson(JsonValue::parse(text, path));
+    driver::ExperimentSpec spec = driver::ExperimentSpec::fromFile(path);
     driver::checkSpec(spec);
     return spec;
 }
@@ -292,12 +289,9 @@ writeTimelineCsv(std::ostream &os, const std::vector<MixResult> &results)
 int
 runScenarioBenchJson(const std::string &path,
                      const driver::ExperimentSpec &spec,
-                     std::uint32_t jobs,
-                     const driver::TelemetryOptions &telemetry)
+                     driver::Orchestrator::Options opts)
 {
-    driver::Orchestrator::Options opts;
-    opts.jobs = jobs;
-    opts.telemetry = telemetry;
+    opts.cacheDir.clear();
     driver::Orchestrator orch(opts);
 
     auto start = std::chrono::steady_clock::now();
@@ -331,14 +325,14 @@ runScenarioBenchJson(const std::string &path,
                   " \"accesses_per_sec\": %.0f,\n"
                   " \"phases\": {\"calibrate_s\": 0.000, "
                   "\"simulate_s\": %.3f, \"report_s\": 0.000}}\n",
-                  driver::kCodeVersion, jobs, run.plan.mixCount,
+                  driver::kCodeVersion, opts.jobs, run.plan.mixCount,
                   static_cast<unsigned long long>(run.plan.base.seed),
                   wall, accesses, rate, wall);
     os << buf;
 
     std::printf("bench: scenario %s: %.0f accesses in %.3f s = "
                 "%.0f accesses/s (%u jobs) -> %s\n",
-                spec.name.c_str(), accesses, wall, rate, jobs,
+                spec.name.c_str(), accesses, wall, rate, opts.jobs,
                 path.c_str());
     return 0;
 }
@@ -356,19 +350,6 @@ writeProfileJson(const std::string &path)
     std::ofstream os(path);
     if (!os) fatal("cannot open " + path);
     prof::aggregateProfile().writeJson(os);
-}
-
-LlcDesign
-parseDesign(const std::string &name)
-{
-    if (name == "Static") return LlcDesign::Static;
-    if (name == "Adaptive") return LlcDesign::Adaptive;
-    if (name == "VM-Part") return LlcDesign::VMPart;
-    if (name == "Jigsaw") return LlcDesign::Jigsaw;
-    if (name == "Jumanji") return LlcDesign::Jumanji;
-    if (name == "Insecure") return LlcDesign::JumanjiInsecure;
-    if (name == "IdealBatch") return LlcDesign::JumanjiIdealBatch;
-    fatal("unknown design: " + name);
 }
 
 /**
@@ -401,8 +382,10 @@ main(int argc, char **argv)
     LoadLevel load = LoadLevel::High;
     std::uint32_t vms = 4, batchPerVm = 4, mixes = 3;
     std::uint64_t seed = 1;
-    std::uint32_t jobs = driver::jobCountFromEnv(1);
-    std::string cacheDir = driver::cacheDirFromEnv();
+    // The environment sets the orchestrator's defaults (jobs, cache,
+    // summary file, telemetry); the flags below override them.
+    driver::Orchestrator::Options orchOpts =
+        driver::orchestratorOptionsFromEnv();
     bool paperScale = false;
     bool sweepMode = false;
     bool selfcheck = false;
@@ -410,8 +393,6 @@ main(int argc, char **argv)
     std::string benchJsonPath;
     std::string scenarioPath, scenarioCheckPath;
     std::string profilePath;
-    driver::TelemetryOptions telemetry =
-        driver::telemetryOptionsFromEnv();
 
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
@@ -428,7 +409,7 @@ main(int argc, char **argv)
             } else if (arg == "--scenario-check") {
                 scenarioCheckPath = next();
             } else if (arg == "--design") {
-                designs.push_back(parseDesign(next()));
+                designs.push_back(llcDesignFromName(next(), arg));
             } else if (arg == "--lc") {
                 std::string name = next();
                 if (name == "Mixed") {
@@ -440,10 +421,7 @@ main(int argc, char **argv)
             } else if (arg == "--list-apps") {
                 return listApps();
             } else if (arg == "--load") {
-                std::string level = next();
-                if (level == "low") load = LoadLevel::Low;
-                else if (level == "high") load = LoadLevel::High;
-                else usage(argv[0]);
+                load = loadLevelFromName(next(), arg);
             } else if (arg == "--vms") {
                 vms = static_cast<std::uint32_t>(number(1, kU32Max));
             } else if (arg == "--batch") {
@@ -456,9 +434,10 @@ main(int argc, char **argv)
             } else if (arg == "--paper-scale") {
                 paperScale = true;
             } else if (arg == "--jobs") {
-                jobs = static_cast<std::uint32_t>(number(1, kU32Max));
+                orchOpts.jobs =
+                    static_cast<std::uint32_t>(number(1, kU32Max));
             } else if (arg == "--cache-dir") {
-                cacheDir = next();
+                orchOpts.cacheDir = next();
             } else if (arg == "--sweep") {
                 sweepMode = true;
             } else if (arg == "--selfcheck") {
@@ -474,9 +453,9 @@ main(int argc, char **argv)
             } else if (arg == "--profile") {
                 profilePath = next();
             } else if (arg == "--events-out") {
-                telemetry.eventsPath = next();
+                orchOpts.telemetry.eventsPath = next();
             } else if (arg == "--heartbeat-ms") {
-                telemetry.heartbeatMs =
+                orchOpts.telemetry.heartbeatMs =
                     static_cast<std::uint32_t>(number(0, kU32Max));
             } else if (arg == "--help" || arg == "-h") {
                 usage(argv[0], 0);
@@ -561,8 +540,7 @@ main(int argc, char **argv)
 
     try {
         if (!benchJsonPath.empty()) {
-            int rc = runScenarioBenchJson(benchJsonPath, spec, jobs,
-                                          telemetry);
+            int rc = runScenarioBenchJson(benchJsonPath, spec, orchOpts);
             writeProfileJson(profilePath);
             return rc;
         }
@@ -579,13 +557,10 @@ main(int argc, char **argv)
             tracer->writeTo(os);
         };
 
-        driver::Orchestrator::Options orchOpts;
-        orchOpts.jobs = jobs;
         // A warm cache would make the selfcheck's second run a replay
         // of the first — exactly what it must not be.
-        orchOpts.cacheDir = selfcheck ? std::string() : cacheDir;
+        if (selfcheck) orchOpts.cacheDir.clear();
         orchOpts.tracer = tracer.get();
-        orchOpts.telemetry = telemetry;
         driver::Orchestrator orchestrator(orchOpts);
 
         if (selfcheck) {

@@ -22,7 +22,7 @@
  *                        f-suffixed literals)
  *   io-routing           src/ minus the logging/stats/trace sinks
  *                        and the driver telemetry heartbeat
- *   env-routing          bench/ minus bench_common.hh
+ *   env-routing          bench/
  *   hot-path-container   src/cache|cpu|dnuca|mem
  *   concurrency-routing  src/ minus src/driver/
  */
@@ -409,16 +409,14 @@ checkIoRouting(LintContext &ctx, const SourceFile &sf)
 
 /**
  * Benches read environment knobs only through the src/driver/env.hh
- * parsers (directly or via bench_common.hh); src/ keeps its own
- * sanctioned readers (driver/env.cc, driver/telemetry.cc) and is not
- * scanned by this rule.
+ * parsers (driver::orchestratorOptionsFromEnv, driver::seedFromEnv,
+ * ...); src/ keeps its own sanctioned readers (driver/env.cc,
+ * driver/telemetry.cc) and is not scanned by this rule.
  */
 void
 checkEnvRouting(LintContext &ctx, const SourceFile &sf)
 {
-    if (!startsWith(sf.relPath, "bench/") ||
-        pathEndsWith(sf.relPath, "bench_common.hh"))
-        return;
+    if (!startsWith(sf.relPath, "bench/")) return;
     const Tokens &ts = sf.lexed.tokens;
     for (std::size_t i = 0; i < ts.size(); i++) {
         if (ts[i].kind != Tok::Ident || ts[i].text != "getenv")
