@@ -15,16 +15,6 @@ namespace {
 
 constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
-/** Warns with @p message the first time @p var is reported. */
-void
-warnOncePerVariable(const char *var, const std::string &message)
-{
-    static std::mutex mutex;
-    static std::set<std::string> warned;
-    std::lock_guard<std::mutex> lock(mutex);
-    if (warned.insert(var).second) warnAlways(message);
-}
-
 /**
  * The shared env policy: unset → @p fallback; parsed → the value;
  * anything else warns once per variable and falls back.
@@ -36,10 +26,9 @@ fromEnv(const char *var, T fallback, Parse parse, const char *expected)
     const char *env = std::getenv(var);
     if (env == nullptr) return fallback;
     if (std::optional<T> value = parse(env)) return *value;
-    warnOncePerVariable(var, std::string(var) + "=\"" + env +
-                                 "\" is not " + expected +
-                                 "; using fallback " +
-                                 std::to_string(fallback));
+    warnOnce(var, std::string(var) + "=\"" + env + "\" is not " +
+                      expected + "; using fallback " +
+                      std::to_string(fallback));
     return fallback;
 }
 
@@ -55,6 +44,15 @@ unsignedIn(std::uint64_t lo, std::uint64_t hi)
 }
 
 } // namespace
+
+void
+warnOnce(const std::string &key, const std::string &message)
+{
+    static std::mutex mutex;
+    static std::set<std::string> warned;
+    std::lock_guard<std::mutex> lock(mutex);
+    if (warned.insert(key).second) warnAlways(message);
+}
 
 std::optional<std::uint64_t>
 parseUnsigned(const std::string &text, std::uint64_t lo, std::uint64_t hi)

@@ -7,7 +7,8 @@
  * variable yields the fallback; a set value that does not parse or is
  * out of range warns once per variable on stderr (warnAlways: quiet
  * mode does not hide it) and yields the fallback — a typo'd knob
- * never silently runs as the default.
+ * never silently runs as the default. warnOnce is that warning, also
+ * used by the driver's output paths that cannot be written.
  */
 
 #ifndef JUMANJI_DRIVER_ENV_HH
@@ -21,6 +22,13 @@
 
 namespace jumanji {
 namespace driver {
+
+/**
+ * Prints "warn: <message>" on stderr through warnAlways the first
+ * time @p key is reported in this process, and does nothing after
+ * that. Safe to call from worker threads.
+ */
+void warnOnce(const std::string &key, const std::string &message);
 
 /**
  * Strict decimal parse of @p text into [@p lo, @p hi]: digits only —

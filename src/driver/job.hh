@@ -10,8 +10,8 @@
  * worker thread touches no shared state while executing one. That is
  * the whole concurrency story of the driver — simulation code stays
  * single-threaded per job (and the lint concurrency-routing rule
- * keeps it that way); only the pool and orchestrator in src/driver/
- * know threads exist.
+ * keeps it that way); only parallelFor and the orchestrator in
+ * src/driver/ know threads exist.
  */
 
 #ifndef JUMANJI_DRIVER_JOB_HH

@@ -6,9 +6,11 @@
 #include <optional>
 #include <utility>
 
+#include "src/driver/env.hh"
 #include "src/driver/pool.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/profiler.hh"
+#include "src/sim/statreg.hh"
 
 namespace jumanji {
 namespace driver {
@@ -26,6 +28,29 @@ accessesOf(const MixResult &result)
     return total > 0.0 ? static_cast<std::uint64_t>(total) : 0;
 }
 
+/** The counts of the summary line and the run event. */
+struct Tally
+{
+    std::uint64_t simulated = 0;
+    std::uint64_t cached = 0;
+    std::uint64_t failed = 0;
+};
+
+Tally
+tallyOf(const std::vector<JobTiming> &timings)
+{
+    Tally tally;
+    for (const JobTiming &t : timings) {
+        if (t.cached)
+            tally.cached++;
+        else if (t.ok)
+            tally.simulated++;
+        else
+            tally.failed++;
+    }
+    return tally;
+}
+
 } // namespace
 
 Orchestrator::Orchestrator(Options options)
@@ -33,36 +58,49 @@ Orchestrator::Orchestrator(Options options)
       telemetry_(options_.telemetry)
 {
     if (options_.jobs == 0) options_.jobs = 1;
-    workerJobs_.assign(options_.jobs, 0);
+}
 
-    statreg_.addCounter("driver.jobs.submitted",
-                        "jobs handed to run() across all invocations",
-                        &jobsSubmitted_);
-    statreg_.addCounter("driver.jobs.simulated",
-                        "jobs that ran a simulation on a worker",
-                        &jobsSimulated_);
-    statreg_.addCounter("driver.jobs.cached",
-                        "jobs answered from the result cache",
-                        &jobsCached_);
-    statreg_.addCounter("driver.jobs.failed",
-                        "jobs whose simulation threw", &jobsFailed_);
-    statreg_.addCounter("driver.calibrations.computed",
-                        "LC calibrations simulated on a worker",
-                        &calibrationsComputed_);
-    statreg_.addCounter("driver.calibrations.cached",
-                        "LC calibrations answered from the cache",
-                        &calibrationsCached_);
-    statreg_.addGauge("driver.queue.peakDepth",
-                      "high-water mark of queued tasks", [this] {
-                          return static_cast<double>(peakQueueDepth_);
-                      });
-    statreg_.addGauge("driver.workers", "worker-pool size", [this] {
-        return static_cast<double>(options_.jobs);
-    });
-    for (WorkerId w = 0; w < options_.jobs; w++)
-        statreg_.addCounter("driver.worker" + statIndexName(w) + ".jobs",
-                            "jobs executed by this worker",
-                            &workerJobs_[w]);
+std::vector<JobTiming>
+Orchestrator::runTasks(std::size_t n, bool probing, const Probe &probe,
+                       const Simulate &simulate)
+{
+    // Slot i is written by the calling thread while probing and by
+    // the one worker that runs task i after, never concurrently.
+    std::vector<JobTiming> timings(n);
+    telemetry_.beginBatch(n);
+
+    std::vector<std::size_t> misses;
+    for (std::size_t i = 0; i < n; i++) {
+        JobTiming &timing = timings[i];
+        if (probing) {
+            const double probeStart = telemetryNowSec();
+            {
+                JUMANJI_PROF_SCOPE("driver.cache.probe");
+                timing.cached = probe(i, timing);
+            }
+            timing.probeSec = telemetryNowSec() - probeStart;
+        }
+        if (!timing.cached) {
+            misses.push_back(i);
+            continue;
+        }
+        timing.ok = true;
+        telemetry_.jobDone(timing.accesses);
+    }
+
+    // Every miss waits from the start of the parallel phase.
+    const double submitAt = telemetryNowSec();
+    parallelFor(misses.size(), options_.jobs,
+                [&](std::size_t k, WorkerId w) {
+                    JobTiming &timing = timings[misses[k]];
+                    timing.submitAt = submitAt;
+                    timing.worker = w;
+                    timing.startAt = telemetryNowSec();
+                    simulate(misses[k], timing);
+                    timing.endAt = telemetryNowSec();
+                    telemetry_.jobDone(timing.accesses);
+                });
+    return timings;
 }
 
 std::vector<JobOutcome>
@@ -71,104 +109,55 @@ Orchestrator::run(const JobGraph &graph)
     const double runStart = telemetryNowSec();
     const std::size_t n = graph.size();
     std::vector<JobOutcome> outcomes(n);
-    jobsSubmitted_ += n;
 
     const bool tracing = options_.tracer != nullptr;
     std::vector<Tracer> jobTracers(tracing ? n : 0);
-    std::vector<WorkerId> ranOn(n, 0);
-    // Disjoint-slot discipline, same as outcomes/ranOn: slot id is
-    // written by the submitting thread before submit() and by the
-    // one worker that runs job id after, never concurrently.
-    std::vector<JobTiming> timings(n);
-    telemetry_.beginBatch(n);
 
-    std::uint64_t cached = 0;
-    {
-        Pool pool(options_.jobs);
-        for (JobId id = 0; id < n; id++) {
+    // Tracing bypasses the cache: a cached result has no trace events.
+    const std::vector<JobTiming> timings = runTasks(
+        n, !tracing && cache_.enabled(),
+        [&](std::size_t id, JobTiming &timing) {
             const SweepJob &job = graph.job(id);
-            JobTiming &timing = timings[id];
-            // Probe the cache on the submitting thread: a hit is a
-            // file read and never occupies a worker. Tracing bypasses
-            // the cache — a cached result has no trace events.
-            if (!tracing && job.cacheable && cache_.enabled()) {
-                const double probeStart = telemetryNowSec();
-                std::optional<MixResult> hit;
-                {
-                    JUMANJI_PROF_SCOPE("driver.cache.probe");
-                    hit = cache_.loadResult(jobKey(job));
+            if (!job.cacheable) return false;
+            std::optional<MixResult> hit = cache_.loadResult(jobKey(job));
+            if (!hit) return false;
+            JobOutcome &out = outcomes[id];
+            out.ok = true;
+            out.fromCache = true;
+            out.result = std::move(*hit);
+            timing.accesses = accessesOf(out.result);
+            return true;
+        },
+        [&](std::size_t id, JobTiming &timing) {
+            JUMANJI_PROF_SCOPE("driver.job.simulate");
+            const SweepJob &job = graph.job(id);
+            JobOutcome &out = outcomes[id];
+            SystemConfig cfg = job.config;
+            // Jobs never share a tracer: private or none.
+            cfg.tracer = tracing ? &jobTracers[id] : nullptr;
+            try {
+                if (job.selfCalibrate) {
+                    ExperimentHarness local(cfg);
+                    out.result = local.runMix(job.mix, job.designs,
+                                              job.load);
+                } else {
+                    out.result = ExperimentHarness::runCalibrated(
+                        cfg, job.mix, job.designs, job.load,
+                        job.calibrations);
                 }
-                timing.probeSec = telemetryNowSec() - probeStart;
-                if (hit) {
-                    outcomes[id].ok = true;
-                    outcomes[id].fromCache = true;
-                    outcomes[id].result = std::move(*hit);
-                    timing.cached = true;
-                    timing.ok = true;
-                    timing.accesses = accessesOf(outcomes[id].result);
-                    telemetry_.jobDone(timing.accesses);
-                    cached++;
-                    continue;
-                }
+                out.ok = true;
+            } catch (const std::exception &e) {
+                out.ok = false;
+                out.error = e.what();
             }
-            timing.submitAt = telemetryNowSec();
-            pool.submit([this, &graph, &outcomes, &jobTracers, &ranOn,
-                         &timings, tracing, id](WorkerId w) {
-                JUMANJI_PROF_SCOPE("driver.job.simulate");
-                const SweepJob &todo = graph.job(id);
-                JobOutcome &out = outcomes[id];
-                JobTiming &timing = timings[id];
-                timing.worker = w;
-                timing.startAt = telemetryNowSec();
-                ranOn[id] = w;
-                workerJobs_[w] += 1;
-                SystemConfig cfg = todo.config;
-                // Jobs never share a tracer: private or none.
-                cfg.tracer = tracing ? &jobTracers[id] : nullptr;
-                try {
-                    if (todo.selfCalibrate) {
-                        ExperimentHarness local(cfg);
-                        out.result = local.runMix(todo.mix,
-                                                  todo.designs,
-                                                  todo.load);
-                    } else {
-                        out.result = ExperimentHarness::runCalibrated(
-                            cfg, todo.mix, todo.designs, todo.load,
-                            todo.calibrations);
-                    }
-                    out.ok = true;
-                } catch (const std::exception &e) {
-                    out.ok = false;
-                    out.error = e.what();
-                }
-                if (out.ok && !tracing && todo.cacheable)
-                    cache_.storeResult(jobKey(todo), out.result);
-                timing.ok = out.ok;
-                if (out.ok) timing.accesses = accessesOf(out.result);
-                timing.endAt = telemetryNowSec();
-                telemetry_.jobDone(timing.accesses);
-            });
-        }
-        pool.drain();
-        if (pool.peakQueueDepth() > peakQueueDepth_)
-            peakQueueDepth_ = pool.peakQueueDepth();
-    }
+            if (out.ok && !tracing && job.cacheable)
+                cache_.storeResult(jobKey(job), out.result);
+            timing.ok = out.ok;
+            if (out.ok) timing.accesses = accessesOf(out.result);
+        });
 
     const double mergeStart = telemetryNowSec();
     JUMANJI_PROF_SCOPE("driver.merge");
-    std::uint64_t simulated = 0;
-    std::uint64_t failed = 0;
-    for (const JobOutcome &out : outcomes) {
-        if (out.fromCache) continue;
-        if (out.ok)
-            simulated++;
-        else
-            failed++;
-    }
-    jobsSimulated_ += simulated;
-    jobsCached_ += cached;
-    jobsFailed_ += failed;
-
     if (tracing) {
         // Submission-order merge: the combined trace is independent
         // of which worker ran what or in what order jobs finished.
@@ -184,21 +173,23 @@ Orchestrator::run(const JobGraph &graph)
                                         "worker " + statIndexName(w));
         for (JobId id = 0; id < n; id++)
             options_.tracer->complete(
-                pid, ranOn[id], "job", id, 1,
+                pid, timings[id].worker, "job", id, 1,
                 {{"job", static_cast<double>(id)}});
     }
 
-    // Events are emitted here, after the drain, in JobId order: the
-    // log's line order is deterministic even though its durations
-    // are wall-clock.
+    // Events are emitted here, after the workers have joined, in
+    // JobId order: the log's line order is deterministic even though
+    // its durations are wall-clock.
     if (telemetry_.eventsEnabled())
         for (JobId id = 0; id < n; id++)
             telemetry_.jobEvent(id, graph.job(id).label, timings[id]);
+    const Tally tally = tallyOf(timings);
     const double runEnd = telemetryNowSec();
-    telemetry_.runEvent("jobs", n, simulated, cached, failed,
-                        options_.jobs, runEnd - runStart,
+    telemetry_.runEvent("jobs", n, tally.simulated, tally.cached,
+                        tally.failed, options_.jobs, runEnd - runStart,
                         runEnd - mergeStart);
-    writeSummary(n, simulated, cached, failed, runEnd - runStart);
+    writeSummary(n, tally.simulated, tally.cached, tally.failed,
+                 runEnd - runStart);
     return outcomes;
 }
 
@@ -209,64 +200,43 @@ Orchestrator::runCalibrations(const std::vector<CalibrationJob> &requests)
     const std::size_t n = requests.size();
     std::vector<LcCalibration> results(n);
     std::vector<std::string> errors(n);
-    std::vector<JobTiming> timings(n);
-    telemetry_.beginBatch(n);
+    const auto keyOf = [&requests](std::size_t i) {
+        return calibrationKey(requests[i].config, requests[i].lcName);
+    };
 
-    std::uint64_t cached = 0;
-    {
-        Pool pool(options_.jobs);
-        for (std::size_t i = 0; i < n; i++) {
-            std::string key = calibrationKey(requests[i].config,
-                                             requests[i].lcName);
-            const double probeStart = telemetryNowSec();
-            if (auto hit = cache_.loadCalibration(key)) {
-                results[i] = *hit;
-                timings[i].probeSec = telemetryNowSec() - probeStart;
-                timings[i].cached = true;
-                timings[i].ok = true;
-                telemetry_.jobDone(0);
-                cached++;
-                continue;
+    const std::vector<JobTiming> timings = runTasks(
+        n, cache_.enabled(),
+        [&](std::size_t i, JobTiming &) {
+            std::optional<LcCalibration> hit =
+                cache_.loadCalibration(keyOf(i));
+            if (hit) results[i] = *hit;
+            return hit.has_value();
+        },
+        [&](std::size_t i, JobTiming &timing) {
+            JUMANJI_PROF_SCOPE("driver.calibration");
+            try {
+                ExperimentHarness local(requests[i].config);
+                results[i] = local.calibrationFor(requests[i].lcName);
+                cache_.storeCalibration(keyOf(i), results[i]);
+            } catch (const std::exception &e) {
+                errors[i] = e.what();
             }
-            timings[i].probeSec = telemetryNowSec() - probeStart;
-            timings[i].submitAt = telemetryNowSec();
-            pool.submit([this, &requests, &results, &errors, &timings,
-                         i, key](WorkerId w) {
-                JUMANJI_PROF_SCOPE("driver.calibration");
-                timings[i].worker = w;
-                timings[i].startAt = telemetryNowSec();
-                try {
-                    ExperimentHarness local(requests[i].config);
-                    results[i] =
-                        local.calibrationFor(requests[i].lcName);
-                    cache_.storeCalibration(key, results[i]);
-                } catch (const std::exception &e) {
-                    errors[i] = e.what();
-                }
-                timings[i].ok = errors[i].empty();
-                timings[i].endAt = telemetryNowSec();
-                telemetry_.jobDone(0);
-            });
-        }
-        pool.drain();
-        if (pool.peakQueueDepth() > peakQueueDepth_)
-            peakQueueDepth_ = pool.peakQueueDepth();
-    }
+            timing.ok = errors[i].empty();
+        });
 
     if (telemetry_.eventsEnabled())
         for (std::size_t i = 0; i < n; i++)
             telemetry_.calibrationEvent(requests[i].lcName,
                                         timings[i]);
-    telemetry_.runEvent("calibrations", n, n - cached, cached, 0,
-                        options_.jobs, telemetryNowSec() - runStart,
-                        0.0);
+    const Tally tally = tallyOf(timings);
+    telemetry_.runEvent("calibrations", n, tally.simulated, tally.cached,
+                        tally.failed, options_.jobs,
+                        telemetryNowSec() - runStart, 0.0);
 
     for (std::size_t i = 0; i < n; i++)
         if (!errors[i].empty())
             fatal("calibration of " + requests[i].lcName +
                   " failed: " + errors[i]);
-    calibrationsComputed_ += n - cached;
-    calibrationsCached_ += cached;
     return results;
 }
 
@@ -277,7 +247,12 @@ Orchestrator::writeSummary(std::uint64_t total, std::uint64_t simulated,
 {
     if (options_.summaryPath.empty()) return;
     std::ofstream out(options_.summaryPath, std::ios::app);
-    if (!out) return;
+    if (!out) {
+        warnOnce("summary:" + options_.summaryPath,
+                 "cannot open summary file \"" + options_.summaryPath +
+                     "\"; no summary line is written");
+        return;
+    }
     // The two trailing fields are wall-clock telemetry; they are
     // appended last so grep checks over the deterministic count
     // fields keep matching.

@@ -1,7 +1,14 @@
 /**
  * @file
- * Orchestrator: runs a JobGraph of independent sweep points across a
- * worker pool, merging outcomes back in job-submission order.
+ * Orchestrator: runs a JobGraph of independent sweep points, and the
+ * calibrations they share, on parallelFor workers, merging outcomes
+ * back in job-submission order.
+ *
+ * Both task lists go through one loop. It probes the result cache for
+ * every task on the calling thread (a hit is a file read and never
+ * occupies a worker), runs the misses through parallelFor in
+ * ascending index order, and returns one JobTiming per task; the
+ * summary line and the event log's counts come from those timings.
  *
  * The determinism contract, in one sentence: parallelism may change
  * *when* a result is computed, never *what* it is or *where* it lands
@@ -10,29 +17,28 @@
  *      calibrations) executed by single-threaded simulation code;
  *   2. outcomes, merged traces, and cache stores are indexed by JobId
  *      (= submission order), never by completion order or worker id;
- *   3. anything scheduling-dependent (which worker ran what, queue
- *      depths) lives in the orchestrator's own driver.* stat group,
- *      which is never folded into result fingerprints.
+ *   3. anything scheduling-dependent (which worker ran what, how long
+ *      a task waited) lives in the event log and the "driver workers"
+ *      trace lane, which are never folded into result fingerprints.
  * Hence `--jobs 4` and `--jobs 1` produce byte-identical tables and
  * --selfcheck digests.
  *
- * The on-disk ResultCache slots in transparently: a job whose key
- * hits is answered by a file read on the submitting thread and never
- * touches the pool. Tracing disables the cache (a cached result
- * carries no trace events), keeping traced runs complete.
+ * Tracing disables the result cache (a cached result carries no
+ * trace events), keeping traced runs complete.
  */
 
 #ifndef JUMANJI_DRIVER_ORCHESTRATOR_HH
 #define JUMANJI_DRIVER_ORCHESTRATOR_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/driver/job.hh"
 #include "src/driver/result_cache.hh"
 #include "src/driver/telemetry.hh"
-#include "src/sim/statreg.hh"
 #include "src/sim/tracing.hh"
 
 namespace jumanji {
@@ -44,6 +50,8 @@ struct CalibrationJob
     std::string lcName;
     /** The config the app is calibrated with (ExperimentHarness base). */
     SystemConfig config;
+    /** The spec variant whose jobs share this calibration. */
+    std::size_t variant = 0;
 };
 
 class Orchestrator
@@ -98,30 +106,32 @@ class Orchestrator
     std::vector<LcCalibration>
     runCalibrations(const std::vector<CalibrationJob> &requests);
 
-    /**
-     * The driver.* stat group: jobs.{submitted,simulated,cached,
-     * failed}, calibrations.{computed,cached}, queue.peakDepth,
-     * workers, and one workerNN.jobs counter per worker. Values
-     * accumulate across run() calls. Scheduling-dependent by design;
-     * never folded into result fingerprints.
-     */
-    const StatRegistry &stats() const { return statreg_; }
-
   private:
     Options options_;
     ResultCache cache_;
     Telemetry telemetry_;
-    StatRegistry statreg_;
 
-    std::uint64_t jobsSubmitted_ = 0;
-    std::uint64_t jobsSimulated_ = 0;
-    std::uint64_t jobsCached_ = 0;
-    std::uint64_t jobsFailed_ = 0;
-    std::uint64_t calibrationsComputed_ = 0;
-    std::uint64_t calibrationsCached_ = 0;
-    std::uint64_t peakQueueDepth_ = 0;
-    /** Jobs run per worker; slot w written only by worker w. */
-    std::vector<std::uint64_t> workerJobs_;
+    /**
+     * Answers task i from the result cache into the caller's output
+     * slot (setting the timing's accesses where it has any); returns
+     * false on a miss.
+     */
+    using Probe = std::function<bool(std::size_t, JobTiming &)>;
+    /**
+     * Computes task i into the caller's slot on a worker; sets the
+     * timing's ok (and accesses).
+     */
+    using Simulate = std::function<void(std::size_t, JobTiming &)>;
+
+    /**
+     * The task loop behind run() and runCalibrations(). When
+     * @p probing, probes every task on the calling thread, in index
+     * order, before any worker starts; then runs the misses through
+     * parallelFor. Returns one timing per task.
+     */
+    std::vector<JobTiming> runTasks(std::size_t n, bool probing,
+                                    const Probe &probe,
+                                    const Simulate &simulate);
 
     void writeSummary(std::uint64_t total, std::uint64_t simulated,
                       std::uint64_t cached, std::uint64_t failed,

@@ -1,70 +1,38 @@
 #include "src/driver/pool.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <mutex>
+#include <thread>
+#include <vector>
 
-#include "src/sim/check.hh"
 #include "src/sim/profiler.hh"
 
 namespace jumanji {
 namespace driver {
 
-namespace {
-
-/**
- * Serializes profile flushes from exiting workers. The profiler
- * itself is lock-free by design (simulation code may not hold
- * threading primitives), so the pool — the sanctioned home of
- * concurrency — owns the exclusion around the shared aggregate.
- */
-std::mutex &
-profileFlushMutex()
+void
+parallelFor(std::size_t n, std::uint32_t workers,
+            const std::function<void(std::size_t, WorkerId)> &body)
 {
-    static std::mutex m;
-    return m;
-}
-
-} // namespace
-
-Pool::Pool(std::uint32_t workers)
-{
-    if (workers == 0) workers = 1;
-    workerCount_ = workers;
-    threads_.reserve(workers);
-    for (WorkerId id = 0; id < workers; id++) {
-        threads_.emplace_back([this, id] {
-            while (std::optional<Task> task = queue_.pop()) (*task)(id);
-            std::lock_guard<std::mutex> lock(profileFlushMutex());
+    // The profiler is lock-free by design (simulation code may not
+    // hold threading primitives), so the exclusion around the shared
+    // aggregate lives here, with the threads.
+    static std::mutex profileFlushMutex;
+    const std::size_t threads =
+        std::min<std::size_t>(std::max<std::uint32_t>(workers, 1), n);
+    std::atomic<std::size_t> next{0};
+    // Declared after `next`: ~jthread joins every started thread
+    // before the counter goes away, on the exception path too.
+    std::vector<std::jthread> running;
+    running.reserve(threads);
+    for (WorkerId w = 0; w < threads; w++)
+        running.emplace_back([&, w] {
+            for (std::size_t i = next++; i < n; i = next++) body(i, w);
+            std::lock_guard<std::mutex> lock(profileFlushMutex);
             prof::flushThreadProfile();
         });
-    }
-}
-
-Pool::~Pool()
-{
-    if (!drained_) drain();
-}
-
-void
-Pool::submit(Task task)
-{
-    JUMANJI_ASSERT(!drained_, "Pool::submit after drain");
-    queue_.push(std::move(task));
-}
-
-void
-Pool::drain()
-{
-    if (drained_) return;
-    drained_ = true;
-    queue_.close();
-    for (std::thread &t : threads_) t.join();
-    threads_.clear();
-}
-
-std::uint32_t
-Pool::workers() const
-{
-    return workerCount_;
+    for (std::jthread &t : running) t.join();
 }
 
 } // namespace driver

@@ -1,64 +1,33 @@
 /**
  * @file
- * A fixed-size worker pool: N std::threads draining one MpmcQueue of
- * type-erased tasks. Each task receives the id of the worker running
- * it (0..N-1), which the orchestrator uses for per-worker stats and
- * trace lanes without any shared mutable state — worker-id-indexed
- * slots are written by exactly one thread and read only after join.
+ * parallelFor: the driver's one way to run a task list on threads.
+ * Every list it runs is complete before the first worker starts, so a
+ * shared counter is all the scheduling it needs.
  */
 
 #ifndef JUMANJI_DRIVER_POOL_HH
 #define JUMANJI_DRIVER_POOL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <thread>
-#include <vector>
-
-#include "src/driver/mpmc_queue.hh"
 
 namespace jumanji {
 namespace driver {
 
 using WorkerId = std::uint32_t;
 
-/** A pool task; must not throw (wrap work in its own try/catch). */
-using Task = std::function<void(WorkerId)>;
-
-class Pool
-{
-  public:
-    /** Spawns @p workers threads (at least 1). */
-    explicit Pool(std::uint32_t workers);
-
-    /** Joins all workers; pending tasks still run first. */
-    ~Pool();
-
-    Pool(const Pool &) = delete;
-    Pool &operator=(const Pool &) = delete;
-
-    /** Enqueues @p task; any worker may pick it up. */
-    void submit(Task task);
-
-    /**
-     * Closes the queue and joins every worker: all submitted tasks
-     * have finished when this returns, and their writes are visible
-     * to the caller (join is the synchronization point). The pool is
-     * spent afterwards — submit() must not be called again.
-     */
-    void drain();
-
-    std::uint32_t workers() const;
-
-    /** Queue high-water mark (valid any time; stable after drain). */
-    std::size_t peakQueueDepth() const { return queue_.peakDepth(); }
-
-  private:
-    MpmcQueue<Task> queue_;
-    std::vector<std::thread> threads_;
-    std::uint32_t workerCount_ = 0;
-    bool drained_ = false;
-};
+/**
+ * Runs body(i, w) once for every i in [0, n) on min(workers, n)
+ * threads (workers == 0 counts as 1), w being the running thread's
+ * id. Threads take indices in ascending order, so one worker runs
+ * them in order 0, 1, ..., n-1. Each thread flushes its profiler into
+ * prof::aggregateProfile() on exit. Returns once every thread has
+ * joined, so the body's writes are then visible to the caller.
+ * @p body must not throw.
+ */
+void parallelFor(std::size_t n, std::uint32_t workers,
+                 const std::function<void(std::size_t, WorkerId)> &body);
 
 } // namespace driver
 } // namespace jumanji

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/driver/env.hh"
 #include "src/sim/fingerprint.hh"
 #include "src/system/config.hh"
 #include "src/workloads/mixes.hh"
@@ -378,14 +379,23 @@ ResultCache::storeBlob(const std::string &path, const std::string &blob)
     std::lock_guard<std::mutex> lock(storeMutex_);
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
-    if (ec) return; // unwritable cache: degrade to no caching
+    if (ec) {
+        warnOnce("cache-dir:" + dir_,
+                 "cannot create result cache directory \"" + dir_ +
+                     "\"; results are not cached");
+        return;
+    }
     std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) return;
         out.write(blob.data(),
                   static_cast<std::streamsize>(blob.size()));
-        if (!out.good()) return;
+        if (!out.good()) {
+            warnOnce("cache-write:" + dir_,
+                     "cannot write to result cache directory \"" +
+                         dir_ + "\"; results are not cached");
+            return;
+        }
     }
     std::filesystem::rename(tmp, path, ec);
     if (ec) std::filesystem::remove(tmp, ec);

@@ -54,7 +54,8 @@ class ResultCache
   public:
     /** @param dir Cache directory; created on first store. Empty
      *         string disables the cache (all loads miss, stores
-     *         drop). */
+     *         drop). A directory that cannot be created or written
+     *         warns once per process and caches nothing. */
     explicit ResultCache(std::string dir);
 
     bool enabled() const { return !dir_.empty(); }

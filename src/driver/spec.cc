@@ -574,7 +574,7 @@ expandSpec(const ExperimentSpec &spec)
                             for (const std::string &lc : vm.lcApps)
                                 if (planned[v].insert(lc).second)
                                     plan.calibrationPlan.push_back(
-                                        {lc, job.config});
+                                        {lc, job.config, v});
                     plan.graph.add(std::move(job));
                 }
             }
@@ -632,29 +632,26 @@ runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator)
     run.plan = expandSpec(spec);
 
     if (spec.calibration == CalibrationMode::Shared) {
-        std::vector<LcCalibration> calibrations =
+        const std::vector<LcCalibration> calibrations =
             orchestrator.runCalibrations(run.plan.calibrationPlan);
-        // Calibrations are per (variant, name): each variant's config
-        // may differ, so its apps are calibrated separately. Walking the jobs in order and consuming plan entries
-        // at each first-seen (variant, name) replays the expansion's
-        // insertion order, so `next` stays in lockstep with the plan.
+        // Calibrations are per (variant, app): each variant's config
+        // may differ, so its apps are calibrated separately.
         std::vector<LcCalibrationMap> byVariant(spec.variants.size());
-        std::size_t next = 0;
+        for (std::size_t i = 0; i < calibrations.size(); i++) {
+            const CalibrationJob &request = run.plan.calibrationPlan[i];
+            byVariant[request.variant][request.lcName] = calibrations[i];
+        }
         for (JobId id = 0; id < run.plan.graph.size(); id++) {
-            std::size_t v = run.plan.variantOf(id, spec);
             SweepJob &job = run.plan.graph.mutableJob(id);
+            const LcCalibrationMap &planned =
+                byVariant[run.plan.variantOf(id, spec)];
             for (const VmSpec &vm : job.mix.vms) {
                 for (const std::string &lc : vm.lcApps) {
-                    if (byVariant[v].find(lc) == byVariant[v].end()) {
-                        if (next >=
-                                run.plan.calibrationPlan.size() ||
-                            run.plan.calibrationPlan[next].lcName !=
-                                lc)
-                            panic("calibration plan out of step at " +
-                                  job.label + "/" + lc);
-                        byVariant[v][lc] = calibrations[next++];
-                    }
-                    job.calibrations[lc] = byVariant[v][lc];
+                    auto it = planned.find(lc);
+                    if (it == planned.end())
+                        panic("job " + job.label +
+                              " has no planned calibration for " + lc);
+                    job.calibrations[lc] = it->second;
                 }
             }
         }

@@ -6,7 +6,6 @@
 
 #include "src/driver/env.hh"
 #include "src/sim/json.hh"
-#include "src/sim/logging.hh"
 
 namespace jumanji {
 namespace driver {
@@ -39,14 +38,10 @@ Telemetry::Telemetry(TelemetryOptions options)
 {
     if (options_.eventsPath.empty()) return;
     events_.open(options_.eventsPath, std::ios::app);
-    if (!events_.is_open()) {
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            warn("cannot open event log \"" + options_.eventsPath +
-                 "\"; events stay off");
-        }
-    }
+    if (!events_.is_open())
+        warnOnce("events:" + options_.eventsPath,
+                 "cannot open event log \"" + options_.eventsPath +
+                     "\"; events stay off");
 }
 
 void

@@ -14,7 +14,7 @@
  *    wait, cache-probe and simulate durations, cache hit/miss, and
  *    worker id, and one "run" summary event per orchestrator
  *    invocation. Events are written by the orchestrator's own
- *    thread after the pool has drained, in JobId order — the log
+ *    thread after the workers have joined, in JobId order — the log
  *    order is deterministic even though the timings are not.
  *
  *  - a rate-limited stderr heartbeat for long sweeps
@@ -68,17 +68,21 @@ struct TelemetryOptions
 TelemetryOptions telemetryOptionsFromEnv();
 
 /**
- * Per-job wall-clock record. Workers fill disjoint slots of a
- * vector indexed by JobId (the same discipline as the outcome
- * vector), so no synchronization is needed until the pool drains.
+ * Per-task wall-clock record. Workers fill disjoint slots of a
+ * vector indexed by task (the same discipline as the outcome
+ * vector), so no synchronization is needed until parallelFor joins.
  */
 struct JobTiming
 {
-    /** telemetryNowSec() timestamps; 0 when the step never ran. */
+    /**
+     * telemetryNowSec() timestamps; 0 when the step never ran.
+     * submitAt is the start of the parallel phase, after every
+     * cache probe.
+     */
     double submitAt = 0.0;
     double startAt = 0.0;
     double endAt = 0.0;
-    /** Result-cache probe on the submitting thread. */
+    /** Result-cache probe on the orchestrator's thread. */
     double probeSec = 0.0;
     WorkerId worker = 0;
     bool cached = false;
@@ -105,7 +109,7 @@ class Telemetry
     void jobDone(std::uint64_t accesses);
 
     // Event-log writes. Callers serialize (the orchestrator emits
-    // them from its own thread once the pool has drained).
+    // them from its own thread once the workers have joined).
     void jobEvent(JobId id, const std::string &label,
                   const JobTiming &t);
     void calibrationEvent(const std::string &lcName,

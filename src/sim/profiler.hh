@@ -27,11 +27,12 @@
  * (Profiler::current()) and records into it without synchronization.
  * Cross-thread aggregation is a merge problem, not a locking
  * problem: workers call flushThreadProfile() when they finish (the
- * driver pool serializes those calls under its own lock — this file
- * must stay free of threading primitives per concurrency-routing),
- * and reports are written from aggregateProfile() once the pool has
- * drained. profiler.cc is, with driver/telemetry.cc, one of exactly
- * two sanctioned wall-clock readers in src/ (clock-routing).
+ * driver's parallelFor serializes those calls under its own lock —
+ * this file must stay free of threading primitives per
+ * concurrency-routing), and reports are written from
+ * aggregateProfile() once the workers have joined. profiler.cc is,
+ * with driver/telemetry.cc, one of exactly two sanctioned wall-clock
+ * readers in src/ (clock-routing).
  */
 
 #ifndef JUMANJI_SIM_PROFILER_HH
@@ -151,8 +152,8 @@ bool profilingEnabled();
 /**
  * The process-wide aggregate that reports are written from. Access
  * is NOT synchronized here: callers serialize, which in practice
- * means the driver pool flushes each exiting worker under one lock
- * and the main thread reads only after drain().
+ * means parallelFor flushes each exiting worker under one lock and
+ * the main thread reads only after the workers have joined.
  */
 Profiler &aggregateProfile();
 

@@ -345,23 +345,6 @@ StatRegistry::value(const std::string &name) const
     panic("StatRegistry::value: unknown stat '" + name + "'");
 }
 
-void
-StatRegistry::dumpJson(std::ostream &os) const
-{
-    writeNestedStatsJson(os, snapshot());
-}
-
-void
-StatRegistry::fold(Fingerprint &fp) const
-{
-    std::vector<StatValue> snap = snapshot();
-    fp.addU64(snap.size());
-    for (const StatValue &sv : snap) {
-        fp.addString(sv.name);
-        fp.addDouble(sv.value);
-    }
-}
-
 // --------------------------------------------------- TimelineSeries
 
 std::size_t
@@ -370,38 +353,6 @@ TimelineSeries::columnIndex(const std::string &column) const
     for (std::size_t i = 0; i < columns.size(); i++)
         if (columns[i] == column) return i;
     return static_cast<std::size_t>(-1);
-}
-
-void
-TimelineSeries::writeCsv(std::ostream &os) const
-{
-    os << "tick";
-    for (const auto &c : columns) os << ',' << c;
-    os << '\n';
-    for (std::size_t r = 0; r < rows.size(); r++) {
-        os << ticks[r];
-        for (double v : rows[r]) os << ',' << formatNumber(v);
-        os << '\n';
-    }
-}
-
-void
-TimelineSeries::writeJson(std::ostream &os) const
-{
-    os << "{\"columns\": [";
-    for (std::size_t i = 0; i < columns.size(); i++)
-        os << (i ? ", " : "") << '"' << columns[i] << '"';
-    os << "], \"ticks\": [";
-    for (std::size_t i = 0; i < ticks.size(); i++)
-        os << (i ? ", " : "") << ticks[i];
-    os << "], \"rows\": [";
-    for (std::size_t r = 0; r < rows.size(); r++) {
-        os << (r ? ", " : "") << '[';
-        for (std::size_t c = 0; c < rows[r].size(); c++)
-            os << (c ? ", " : "") << formatNumber(rows[r][c]);
-        os << ']';
-    }
-    os << "]}";
 }
 
 void

@@ -117,12 +117,6 @@ class StatRegistry
     std::vector<std::string>
     leaves(const std::vector<std::string> &selectors) const;
 
-    /** Nested JSON dump of the full snapshot (stable field order). */
-    void dumpJson(std::ostream &os) const;
-
-    /** Folds the full snapshot (names and values) into @p fp. */
-    void fold(Fingerprint &fp) const;
-
     /**
      * Appends the values of the selected leaves to @p out, in the
      * same order snapshot(selectors) would produce them, without
@@ -197,12 +191,6 @@ struct TimelineSeries
     /** Index of @p column, or npos. */
     std::size_t columnIndex(const std::string &column) const;
 
-    /** "tick,<col>,<col>,..." header plus one CSV row per record. */
-    void writeCsv(std::ostream &os) const;
-
-    /** {"columns": [...], "ticks": [...], "rows": [[...], ...]}. */
-    void writeJson(std::ostream &os) const;
-
     void fold(Fingerprint &fp) const;
 };
 
@@ -228,9 +216,6 @@ class EpochRecorder
     std::size_t epochs() const { return series_.ticks.size(); }
     const TimelineSeries &series() const { return series_; }
 
-    void writeCsv(std::ostream &os) const { series_.writeCsv(os); }
-    void writeJson(std::ostream &os) const { series_.writeJson(os); }
-
   private:
     const StatRegistry *reg_;
     std::vector<std::string> selectors_;
@@ -240,8 +225,7 @@ class EpochRecorder
 
 /**
  * Renders a flat, sorted (name, value) list as nested JSON by
- * splitting names on '.' — shared by StatRegistry::dumpJson and the
- * CLI's multi-run --stats-json export.
+ * splitting names on '.' — the CLI's --stats-json export.
  */
 void writeNestedStatsJson(std::ostream &os,
                           const std::vector<StatValue> &stats,

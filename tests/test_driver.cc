@@ -1,15 +1,16 @@
 /**
  * @file
- * Driver subsystem tests: the queue/pool plumbing, the cache blob
- * codecs, and the three orchestration guarantees — (1) parallel
- * output is byte-identical to serial whatever the worker count,
- * (2) the result cache hits on unchanged inputs and misses on any
- * config edit, (3) a job that throws fatal() fails alone.
+ * Driver subsystem tests: parallelFor, the cache blob codecs, and the
+ * orchestration guarantees — (1) parallel output is byte-identical to
+ * serial whatever the worker count, (2) the result cache hits on
+ * unchanged inputs and misses on any config edit, (3) a job that
+ * throws fatal() fails alone, (4) an output path that cannot be
+ * written warns once and changes no result. Counts are read where CI
+ * reads them: JobOutcome, the summary file and the event log.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -18,17 +19,16 @@
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/driver/env.hh"
 #include "src/driver/job.hh"
-#include "src/driver/mpmc_queue.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/pool.hh"
 #include "src/driver/result_cache.hh"
 #include "src/driver/telemetry.hh"
 #include "src/sim/json.hh"
+#include "src/sim/profiler.hh"
 #include "src/system/harness.hh"
 
 namespace jumanji {
@@ -98,62 +98,122 @@ resultsOf(const std::vector<JobOutcome> &outcomes)
     return results;
 }
 
-TEST(MpmcQueue, DeliversInFifoOrderAndDrainsAfterClose)
+/** Parses a JSONL event log into one JsonValue per line. */
+std::vector<JsonValue>
+readEvents(const std::string &path)
 {
-    driver::MpmcQueue<int> q;
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    EXPECT_EQ(q.peakDepth(), 3u);
-    q.close();
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    EXPECT_FALSE(q.pop().has_value());
+    std::ifstream is(path);
+    EXPECT_TRUE(is.good()) << path;
+    std::vector<JsonValue> events;
+    std::string line;
+    while (std::getline(is, line))
+        if (!line.empty())
+            events.push_back(JsonValue::parse(line, path));
+    return events;
 }
 
-TEST(Pool, RunsEveryTaskExactlyOnceAcrossWorkers)
+/** The lines of a summary file, in order. */
+std::vector<std::string>
+readLines(const std::string &path)
 {
-    driver::Pool pool(4);
-    EXPECT_EQ(pool.workers(), 4u);
-    std::atomic<int> ran{0};
-    std::vector<std::uint32_t> seenWorker(64, 99);
-    for (int i = 0; i < 64; i++)
-        pool.submit([&ran, &seenWorker, i](driver::WorkerId w) {
-            seenWorker[i] = w;
-            ran.fetch_add(1);
-        });
-    pool.drain();
-    EXPECT_EQ(ran.load(), 64);
-    for (std::uint32_t w : seenWorker) EXPECT_LT(w, 4u);
+    std::ifstream is(path);
+    EXPECT_TRUE(is.good()) << path;
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(is, line)) lines.push_back(line);
+    return lines;
 }
 
-TEST(Pool, WorkersActuallyRunConcurrently)
+/** How many times @p needle occurs in @p text. */
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t count = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        count++;
+    return count;
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
+{
+    // Slot i is written only by the task for index i, and read after
+    // parallelFor has joined its workers.
+    std::vector<int> runs(64, 0);
+    std::vector<driver::WorkerId> ranOn(64, 99);
+    driver::parallelFor(64, 4, [&](std::size_t i, driver::WorkerId w) {
+        runs[i]++;
+        ranOn[i] = w;
+    });
+    for (std::size_t i = 0; i < runs.size(); i++) {
+        EXPECT_EQ(runs[i], 1) << "index " << i;
+        EXPECT_LT(ranOn[i], 4u);
+    }
+
+    // Fewer tasks than workers start only one thread per task.
+    std::vector<driver::WorkerId> few(3, 99);
+    driver::parallelFor(3, 8, [&](std::size_t i, driver::WorkerId w) {
+        few[i] = w;
+    });
+    for (driver::WorkerId w : few) EXPECT_LT(w, 3u);
+
+    // One worker takes the indices in order.
+    std::vector<std::size_t> order;
+    driver::parallelFor(5, 1, [&](std::size_t i, driver::WorkerId w) {
+        EXPECT_EQ(w, 0u);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+    bool ran = false;
+    driver::parallelFor(0, 4,
+                        [&](std::size_t, driver::WorkerId) { ran = true; });
+    EXPECT_FALSE(ran);
+}
+
+TEST(ParallelFor, WorkersActuallyRunConcurrently)
 {
     // Rendezvous proof: four tasks each block until all four are
-    // inside a task simultaneously. A pool that secretly serialized
-    // tasks (the bug this guards against) could never reach four and
-    // would hang — which the 10 s escape hatch turns into a failure.
-    // This holds on any machine, including single-CPU CI runners:
-    // concurrency is about overlapping lifetimes, not parallel
-    // speedup.
-    driver::Pool pool(4);
+    // inside a task simultaneously. A parallelFor that secretly
+    // serialized tasks (the bug this guards against) could never
+    // reach four and would hang — which the 10 s escape hatch turns
+    // into a failure. This holds on any machine, including single-CPU
+    // CI runners: concurrency is about overlapping lifetimes, not
+    // parallel speedup.
     std::mutex m;
     std::condition_variable all;
     int inside = 0;
     bool reached = true;
-    for (int i = 0; i < 4; i++)
-        pool.submit([&](driver::WorkerId) {
-            std::unique_lock<std::mutex> lock(m);
-            inside++;
-            all.notify_all();
-            if (!all.wait_for(lock, std::chrono::seconds(10),
-                              [&] { return inside == 4; }))
-                reached = false;
-        });
-    pool.drain();
+    driver::parallelFor(4, 4, [&](std::size_t, driver::WorkerId) {
+        std::unique_lock<std::mutex> lock(m);
+        inside++;
+        all.notify_all();
+        if (!all.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return inside == 4; }))
+            reached = false;
+    });
     EXPECT_TRUE(reached);
     EXPECT_EQ(inside, 4);
+}
+
+TEST(ParallelFor, WorkerProfilesReachTheAggregate)
+{
+    // Scopes opened on worker threads live in those threads' private
+    // profilers; only the flush as each worker exits carries them
+    // into the aggregate that --profile writes.
+    const auto calls = [] {
+        for (const prof::ScopeTotals &t :
+             prof::aggregateProfile().totals())
+            if (t.name == "test.parallel_for.task") return t.calls;
+        return std::uint64_t{0};
+    };
+    const std::uint64_t before = calls();
+    prof::setProfilingEnabled(true);
+    driver::parallelFor(4, 2, [](std::size_t, driver::WorkerId) {
+        JUMANJI_PROF_SCOPE("test.parallel_for.task");
+    });
+    prof::setProfilingEnabled(false);
+    EXPECT_EQ(calls() - before, 4u);
 }
 
 TEST(ResultCacheBlob, MixResultSurvivesARoundTrip)
@@ -207,6 +267,29 @@ TEST(ResultCacheBlob, CorruptionReadsAsMissNeverAsError)
     EXPECT_FALSE(driver::deserializeMixResult(stale).has_value());
 }
 
+TEST(ResultCache, UnwritableEntryWarnsOnceAndStaysAMiss)
+{
+    const std::string dir = testing::TempDir() + "jumanji_cache_write_test";
+    std::filesystem::remove_all(dir);
+    // A directory stands where the store's temp file would go.
+    const std::string key = "0123456789abcdef";
+    std::filesystem::create_directories(dir + "/" + key + ".calib.tmp");
+
+    ResultCache cache(dir);
+    testing::internal::CaptureStderr();
+    cache.storeCalibration(key, LcCalibration{120.0, 900.0});
+    cache.storeCalibration(key, LcCalibration{120.0, 900.0});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(cache.loadCalibration(key).has_value());
+    EXPECT_EQ(occurrences(err, "warn: cannot write to result cache "
+                               "directory \"" + dir +
+                                   "\"; results are not cached\n"),
+              1u)
+        << err;
+
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ResultCacheKey, ConfigEditsChangeTheKey)
 {
     JobGraph graph = eightJobGraph();
@@ -244,17 +327,17 @@ TEST(ResultCacheKey, ConfigEditsChangeTheKey)
 
 TEST(Orchestrator, EightJobsAreByteIdenticalAcrossWorkerCounts)
 {
-    Orchestrator::Options serialOpts;
-    serialOpts.jobs = 1;
-    Orchestrator serial(serialOpts);
-    std::vector<MixResult> serialResults =
-        resultsOf(serial.run(eightJobGraph()));
-
-    Orchestrator::Options parallelOpts;
-    parallelOpts.jobs = 4;
-    Orchestrator parallel(parallelOpts);
-    std::vector<MixResult> parallelResults =
-        resultsOf(parallel.run(eightJobGraph()));
+    const auto runWith = [](std::uint32_t workers) {
+        Orchestrator::Options opts;
+        opts.jobs = workers;
+        Orchestrator orch(opts);
+        std::vector<JobOutcome> outcomes = orch.run(eightJobGraph());
+        for (const JobOutcome &out : outcomes)
+            EXPECT_FALSE(out.fromCache);
+        return resultsOf(outcomes);
+    };
+    std::vector<MixResult> serialResults = runWith(1);
+    std::vector<MixResult> parallelResults = runWith(4);
 
     // The full fingerprint folds every app counter, every registry
     // leaf, and the epoch timeline of every run: equality here is
@@ -279,15 +362,6 @@ TEST(Orchestrator, EightJobsAreByteIdenticalAcrossWorkerCounts)
             }
         }
     }
-
-    EXPECT_EQ(serial.stats().value("driver.jobs.simulated"), 8.0);
-    EXPECT_EQ(parallel.stats().value("driver.jobs.simulated"), 8.0);
-    EXPECT_EQ(parallel.stats().value("driver.workers"), 4.0);
-    double perWorker = 0.0;
-    for (int w = 0; w < 4; w++)
-        perWorker += parallel.stats().value(
-            "driver.worker" + statIndexName(w) + ".jobs");
-    EXPECT_EQ(perWorker, 8.0);
 }
 
 TEST(Orchestrator, CacheHitsOnSecondRunAndMissesAfterConfigEdit)
@@ -307,8 +381,6 @@ TEST(Orchestrator, CacheHitsOnSecondRunAndMissesAfterConfigEdit)
         for (const JobOutcome &out : outcomes)
             EXPECT_FALSE(out.fromCache);
         coldFp = fingerprintResults(resultsOf(outcomes));
-        EXPECT_EQ(cold.stats().value("driver.jobs.simulated"), 8.0);
-        EXPECT_EQ(cold.stats().value("driver.jobs.cached"), 0.0);
     }
     {
         Orchestrator warm(opts);
@@ -317,8 +389,6 @@ TEST(Orchestrator, CacheHitsOnSecondRunAndMissesAfterConfigEdit)
             EXPECT_TRUE(out.fromCache);
         EXPECT_EQ(fingerprintResults(resultsOf(outcomes)), coldFp)
             << "cached results must be byte-identical to simulated";
-        EXPECT_EQ(warm.stats().value("driver.jobs.simulated"), 0.0);
-        EXPECT_EQ(warm.stats().value("driver.jobs.cached"), 8.0);
     }
     {
         // Any config edit changes the key: everything re-simulates.
@@ -335,8 +405,6 @@ TEST(Orchestrator, CacheHitsOnSecondRunAndMissesAfterConfigEdit)
             EXPECT_TRUE(out.ok) << out.error;
             EXPECT_FALSE(out.fromCache);
         }
-        EXPECT_EQ(
-            invalidated.stats().value("driver.jobs.simulated"), 8.0);
     }
 
     // The summary file recorded all three phases, in order. The
@@ -367,27 +435,165 @@ TEST(Orchestrator, CalibrationsAreCachedAcrossInstances)
 {
     std::string dir = testing::TempDir() + "jumanji_calib_cache_test";
     std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
 
     Orchestrator::Options opts;
     opts.jobs = 2;
-    opts.cacheDir = dir;
+    opts.cacheDir = dir + "/cache";
+    opts.telemetry.eventsPath = dir + "/events.jsonl";
 
     std::vector<CalibrationJob> requests = {
         {"xapian", tinyConfig(42)}, {"silo", tinyConfig(42)}};
 
-    Orchestrator cold(opts);
-    std::vector<LcCalibration> first = cold.runCalibrations(requests);
-    EXPECT_EQ(cold.stats().value("driver.calibrations.computed"), 2.0);
-
-    Orchestrator warm(opts);
-    std::vector<LcCalibration> second = warm.runCalibrations(requests);
-    EXPECT_EQ(warm.stats().value("driver.calibrations.computed"), 0.0);
-    EXPECT_EQ(warm.stats().value("driver.calibrations.cached"), 2.0);
+    std::vector<LcCalibration> first;
+    std::vector<LcCalibration> second;
+    {
+        Orchestrator cold(opts);
+        first = cold.runCalibrations(requests);
+    }
+    {
+        Orchestrator warm(opts);
+        second = warm.runCalibrations(requests);
+    }
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); i++) {
         EXPECT_EQ(first[i].serviceCycles, second[i].serviceCycles);
         EXPECT_EQ(first[i].deadline, second[i].deadline);
     }
+
+    // Each pass logs one event per request, in request order, then
+    // its run event: the cold pass computes both, the warm one loads
+    // both from the cache.
+    const std::vector<JsonValue> events =
+        readEvents(opts.telemetry.eventsPath);
+    ASSERT_EQ(events.size(), 6u);
+    for (std::size_t pass = 0; pass < 2; pass++) {
+        const bool warm = pass == 1;
+        for (std::size_t i = 0; i < requests.size(); i++) {
+            const JsonValue &e = events[pass * 3 + i];
+            EXPECT_EQ(e.find("type")->asString("type"), "calibration");
+            EXPECT_EQ(e.find("lc")->asString("lc"), requests[i].lcName);
+            EXPECT_EQ(e.find("cached")->asBool("cached"), warm);
+        }
+        const JsonValue &run = events[pass * 3 + 2];
+        EXPECT_EQ(run.find("type")->asString("type"), "run");
+        EXPECT_EQ(run.find("kind")->asString("kind"), "calibrations");
+        EXPECT_EQ(run.find("simulated")->asU64("simulated"),
+                  warm ? 0u : 2u);
+        EXPECT_EQ(run.find("cached")->asU64("cached"), warm ? 2u : 0u);
+        EXPECT_EQ(run.find("failed")->asU64("failed"), 0u);
+    }
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Orchestrator, PartlyWarmCacheAnswersThePrefixAndSimulatesTheRest)
+{
+    std::string dir = testing::TempDir() + "jumanji_partial_cache_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    const JobGraph all = eightJobGraph();
+    JobGraph prefix;
+    for (driver::JobId id = 0; id < 4; id++) prefix.add(all.job(id));
+
+    Orchestrator::Options opts;
+    opts.jobs = 4;
+    opts.cacheDir = dir + "/cache";
+    {
+        Orchestrator warmup(opts);
+        resultsOf(warmup.run(prefix));
+    }
+
+    // Every probe runs before the first worker starts: the four hits
+    // never reach a worker, and the four misses share the workers.
+    opts.summaryPath = dir + "/summary.txt";
+    opts.telemetry.eventsPath = dir + "/events.jsonl";
+    std::vector<JobOutcome> outcomes;
+    {
+        Orchestrator partial(opts);
+        outcomes = partial.run(all);
+    }
+    ASSERT_EQ(outcomes.size(), 8u);
+    for (driver::JobId id = 0; id < 8; id++)
+        EXPECT_EQ(outcomes[id].fromCache, id < 4) << "job " << id;
+
+    Orchestrator cold(Orchestrator::Options{});
+    EXPECT_EQ(fingerprintResults(resultsOf(outcomes)),
+              fingerprintResults(resultsOf(cold.run(all))));
+
+    const std::vector<JsonValue> events =
+        readEvents(opts.telemetry.eventsPath);
+    ASSERT_EQ(events.size(), 9u);
+    for (driver::JobId id = 0; id < 8; id++) {
+        const JsonValue &e = events[id];
+        EXPECT_EQ(e.find("type")->asString("type"), "job");
+        EXPECT_EQ(e.find("id")->asU64("id"), id);
+        EXPECT_EQ(e.find("cached")->asBool("cached"), id < 4);
+        EXPECT_TRUE(e.find("ok")->asBool("ok"));
+    }
+    EXPECT_EQ(events[8].find("kind")->asString("kind"), "jobs");
+
+    const std::vector<std::string> summary = readLines(opts.summaryPath);
+    ASSERT_EQ(summary.size(), 1u);
+    const std::string prefixLine = "jobs=8 simulated=4 cached=4 failed=0 "
+                                   "workers=4 hitrate=0.50 wall=";
+    EXPECT_EQ(summary[0].substr(0, prefixLine.size()), prefixLine)
+        << summary[0];
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Orchestrator, UnwritableOutputPathsWarnOnceAndChangeNothing)
+{
+    // A regular file stands where a directory should be, so the
+    // cache directory, the summary file and the event log under it
+    // can none of them be created.
+    const std::string dir = testing::TempDir() + "jumanji_bad_paths_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string file = dir + "/afile";
+    std::ofstream(file) << "a regular file\n";
+
+    const JobGraph all = eightJobGraph();
+    JobGraph graph;
+    for (driver::JobId id = 0; id < 2; id++) graph.add(all.job(id));
+    const std::vector<CalibrationJob> requests = {
+        {"xapian", tinyConfig(42)}};
+
+    Orchestrator::Options opts;
+    opts.jobs = 2;
+    opts.cacheDir = file + "/cache";
+    opts.summaryPath = file + "/summary.txt";
+    opts.telemetry.eventsPath = file + "/ev.jsonl";
+
+    // Two orchestrators, each storing a calibration and two results.
+    testing::internal::CaptureStderr();
+    std::vector<std::uint64_t> fingerprints;
+    for (int pass = 0; pass < 2; pass++) {
+        Orchestrator orch(opts);
+        orch.runCalibrations(requests);
+        fingerprints.push_back(
+            fingerprintResults(resultsOf(orch.run(graph))));
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    Orchestrator plain(Orchestrator::Options{});
+    const std::uint64_t expected =
+        fingerprintResults(resultsOf(plain.run(graph)));
+    EXPECT_EQ(fingerprints[0], expected);
+    EXPECT_EQ(fingerprints[1], expected);
+
+    for (const std::string &warning :
+         {"warn: cannot create result cache directory \"" + opts.cacheDir +
+              "\"; results are not cached\n",
+          "warn: cannot open summary file \"" + opts.summaryPath +
+              "\"; no summary line is written\n",
+          "warn: cannot open event log \"" + opts.telemetry.eventsPath +
+              "\"; events stay off\n"})
+        EXPECT_EQ(occurrences(err, warning), 1u) << warning << "in:\n"
+                                                 << err;
+    EXPECT_FALSE(std::filesystem::exists(opts.cacheDir));
 
     std::filesystem::remove_all(dir);
 }
@@ -407,8 +613,12 @@ TEST(Orchestrator, FatalInOneJobFailsOnlyThatJob)
         graph = std::move(rebuilt);
     }
 
+    const std::string summaryPath =
+        testing::TempDir() + "jumanji_fatal_summary.txt";
+    std::filesystem::remove(summaryPath);
     Orchestrator::Options opts;
     opts.jobs = 4;
+    opts.summaryPath = summaryPath;
     Orchestrator orch(opts);
     std::vector<JobOutcome> outcomes = orch.run(graph);
     ASSERT_EQ(outcomes.size(), 8u);
@@ -421,8 +631,11 @@ TEST(Orchestrator, FatalInOneJobFailsOnlyThatJob)
             EXPECT_TRUE(outcomes[id].ok) << outcomes[id].error;
         }
     }
-    EXPECT_EQ(orch.stats().value("driver.jobs.failed"), 1.0);
-    EXPECT_EQ(orch.stats().value("driver.jobs.simulated"), 7.0);
+    const std::vector<std::string> summary = readLines(summaryPath);
+    ASSERT_EQ(summary.size(), 1u);
+    const std::string counts = "jobs=8 simulated=7 cached=0 failed=1 ";
+    EXPECT_EQ(summary[0].substr(0, counts.size()), counts) << summary[0];
+    std::filesystem::remove(summaryPath);
 }
 
 TEST(Telemetry, OptionsComeFromEnvAndGarbageFallsBackOff)
@@ -458,20 +671,6 @@ TEST(Telemetry, OptionsComeFromEnvAndGarbageFallsBackOff)
     EXPECT_EQ(driver::jobCountFromEnv(2), 2u);
 }
 
-/** Parses a JSONL event log into one JsonValue per line. */
-std::vector<JsonValue>
-readEvents(const std::string &path)
-{
-    std::ifstream is(path);
-    EXPECT_TRUE(is.good()) << path;
-    std::vector<JsonValue> events;
-    std::string line;
-    while (std::getline(is, line))
-        if (!line.empty())
-            events.push_back(JsonValue::parse(line, path));
-    return events;
-}
-
 TEST(Telemetry, EventLogSchemaIsStableAcrossWorkerCounts)
 {
     std::string dir = testing::TempDir() + "jumanji_events_test";
@@ -494,7 +693,7 @@ TEST(Telemetry, EventLogSchemaIsStableAcrossWorkerCounts)
             dir + (workers == 1 ? "/serial.jsonl" : "/parallel.jsonl");
         const std::vector<JsonValue> events = readEvents(path);
         // 8 job events plus the closing run event, and — because job
-        // events are written after the pool drains, in JobId order —
+        // events are written after the workers join, in JobId order —
         // the log order is deterministic for any worker count.
         ASSERT_EQ(events.size(), 9u) << path;
         for (driver::JobId id = 0; id < 8; id++) {

@@ -657,6 +657,35 @@ TEST(Spec, RunIsByteIdenticalToTheHandwrittenSweep)
                   handwrittenTable(spec, reference))
             << name << ": rendered table diverged from the formatter";
     }
+
+    // Shared calibrations are per variant: with two router delays,
+    // each variant's jobs must match a reference sweep of that
+    // variant's own config, calibrations included.
+    ExperimentSpec spec = tinyFig13Spec();
+    spec.designs = {LlcDesign::Jumanji};
+    spec.output.layout = "variant-table";
+    spec.output.staticRow = false;
+    std::vector<MixResult> reference;
+    spec.variants.clear();
+    for (Tick delay : {Tick{1}, Tick{3}}) {
+        const std::string label = std::to_string(delay);
+        spec.variants.push_back(
+            {label,
+             JsonValue::parse("{\"mesh\": {\"routerDelay\": " + label +
+                                  "}}",
+                              "variant"),
+             0});
+        SystemConfig cfg = base;
+        cfg.mesh.routerDelay = delay;
+        for (MixResult &result : referenceSweep(spec, cfg))
+            reference.push_back(std::move(result));
+    }
+    driver::Orchestrator::Options opts;
+    opts.jobs = 2;
+    driver::Orchestrator orch(opts);
+    EXPECT_EQ(fingerprintResults(driver::runSpec(spec, orch).results),
+              fingerprintResults(reference))
+        << "a variant's jobs ran with another variant's calibrations";
 }
 
 TEST(Spec, SeedFromEnvParsesTheFullRangeAndFallsBack)

@@ -483,9 +483,9 @@ checkHotPathContainers(LintContext &ctx, const SourceFile &sf)
 // --- concurrency-routing ----------------------------------------------
 
 /**
- * Simulation code must stay provably single-threaded; the worker
- * pool in src/driver/ is the only sanctioned home for threading
- * primitives. Everything else in src/ is scanned.
+ * Simulation code must stay provably single-threaded; the driver's
+ * parallelFor in src/driver/ is the only sanctioned home for
+ * threading primitives. Everything else in src/ is scanned.
  */
 void
 checkConcurrencyRouting(LintContext &ctx, const SourceFile &sf)
