@@ -78,7 +78,8 @@ scenario(const std::string &file)
  * Runs a spec through the process-wide orchestrator, configured from
  * the env knobs above (driver::orchestratorOptionsFromEnv), and
  * returns the plan + results in job order. One orchestrator serves
- * the whole binary, so the driver.* stats cover it.
+ * the whole binary: every spec it runs shares one result cache and
+ * one event log.
  */
 inline driver::SpecRun
 runSpec(const driver::ExperimentSpec &spec)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "src/core/jigsaw_placer.hh"
 #include "src/core/lat_crit_placer.hh"
@@ -58,13 +59,26 @@ latCritOf(const EpochInputs &in)
     return lc;
 }
 
-std::vector<VcInfo>
-batchOf(const EpochInputs &in)
+/**
+ * The batch VCs of @p in, or only those of VM @p vm. Pointers, not
+ * copies: the placement steps run every epoch.
+ */
+std::vector<const VcInfo *>
+batchOf(const EpochInputs &in, std::optional<VmId> vm = std::nullopt)
 {
-    std::vector<VcInfo> batch;
+    std::vector<const VcInfo *> batch;
     for (const auto &vc : in.vcs)
-        if (!vc.latencyCritical) batch.push_back(vc);
+        if (!vc.latencyCritical && (!vm || vc.vm == *vm))
+            batch.push_back(&vc);
     return batch;
+}
+
+std::vector<VcId>
+idsOf(const std::vector<const VcInfo *> &vcs)
+{
+    std::vector<VcId> ids;
+    for (const VcInfo *vc : vcs) ids.push_back(vc->vc);
+    return ids;
 }
 
 std::vector<VmId>
@@ -76,13 +90,6 @@ vmsOf(const EpochInputs &in)
             vms.push_back(vc.vm);
     std::sort(vms.begin(), vms.end());
     return vms;
-}
-
-/** Access intensity proxy: misses avoided by full allocation. */
-double
-intensityOf(const VcInfo &vc)
-{
-    return vc.curve.at(0);
 }
 
 /**
@@ -126,20 +133,185 @@ finalizePlan(PlacementPlan plan, const EpochInputs &in)
     return plan;
 }
 
-/** Stripes @p lines for @p vc uniformly across all banks. */
+// The placement steps. Each design below is a sequence of these, so
+// every step of Listing 3 (and of the S-NUCA baselines) is written
+// once.
+
+/**
+ * Splits each bank's whole @p pool evenly among @p vcs (earlier VCs
+ * take the remainder) and empties the pool: one unpartitioned share.
+ */
 void
-stripeAcrossBanks(VcId vc, std::uint64_t lines,
-                  std::vector<std::uint64_t> &bankBalance,
+shareEvenly(const std::vector<VcId> &vcs, std::vector<std::uint64_t> &pool,
+            AllocationMatrix &matrix)
+{
+    if (vcs.empty()) return;
+    auto n = static_cast<std::uint64_t>(vcs.size());
+    for (std::size_t b = 0; b < pool.size(); b++) {
+        std::uint64_t per = pool[b] / n;
+        std::uint64_t extra = pool[b] % n;
+        for (std::size_t i = 0; i < vcs.size(); i++)
+            matrix.add(static_cast<BankId>(b), vcs[i],
+                       per + (i < extra ? 1 : 0));
+        pool[b] = 0;
+    }
+}
+
+/**
+ * S-NUCA: takes @p lines uniformly from every bank (as far as each
+ * bank's balance allows) and shares each bank's stripe evenly among
+ * @p vcs.
+ */
+void
+stripeAcrossBanks(const std::vector<VcId> &vcs, std::uint64_t lines,
+                  std::vector<std::uint64_t> &balance,
                   AllocationMatrix &matrix)
 {
-    auto banks = static_cast<std::uint32_t>(bankBalance.size());
-    std::uint64_t per = lines / banks;
-    std::uint64_t extra = lines % banks;
-    for (std::uint32_t b = 0; b < banks; b++) {
-        std::uint64_t want = per + (b < extra ? 1 : 0);
-        std::uint64_t grab = std::min(want, bankBalance[b]);
-        matrix.add(static_cast<BankId>(b), vc, grab);
-        bankBalance[b] -= grab;
+    std::uint64_t per = lines / balance.size();
+    std::uint64_t extra = lines % balance.size();
+    std::vector<std::uint64_t> stripe(balance.size());
+    for (std::size_t b = 0; b < balance.size(); b++) {
+        stripe[b] = std::min(per + (b < extra ? 1 : 0), balance[b]);
+        balance[b] -= stripe[b];
+    }
+    shareEvenly(vcs, stripe, matrix);
+}
+
+/**
+ * VM @p vm's claim in a per-VM lookahead: its batch apps' curves
+ * combined as if optimally partitioned among them. The floor is 0;
+ * each caller sets its own.
+ */
+LookaheadClaim
+vmBatchClaim(const EpochInputs &in, VmId vm)
+{
+    std::vector<MissCurve> curves;
+    for (const auto &vc : in.vcs)
+        if (vc.vm == vm && !vc.latencyCritical) curves.push_back(vc.curve);
+    LookaheadClaim claim;
+    claim.id = vm;
+    claim.curve = curves.empty() ? MissCurve::flat(1, 0.0)
+                                 : MissCurve::combineOptimal(curves);
+    return claim;
+}
+
+/**
+ * Per-VC lookahead over @p budget lines, then Jigsaw placement of
+ * the grants into @p banks (empty: every bank). Each VC is floored at
+ * one way. Coarse (4-way) quanta keep allocations put when curves
+ * wobble, which keeps coherence-walk churn low.
+ */
+void
+lookaheadAndPlace(const std::vector<const VcInfo *> &vcs,
+                  std::uint64_t budget, const std::vector<BankId> &banks,
+                  const EpochInputs &in,
+                  std::vector<std::uint64_t> &balance,
+                  AllocationMatrix &matrix)
+{
+    const PlacementGeometry &geo = in.geo;
+    std::vector<LookaheadClaim> claims;
+    for (const VcInfo *vc : vcs) {
+        LookaheadClaim claim;
+        claim.id = vc->vc;
+        claim.curve = vc->curve;
+        claim.floorLines = geo.linesPerWay();
+        claims.push_back(std::move(claim));
+    }
+    LookaheadResult alloc =
+        lookahead(claims, budget, geo, 4 * geo.linesPerWay());
+
+    std::vector<PlacementRequest> requests;
+    for (std::size_t i = 0; i < vcs.size(); i++) {
+        PlacementRequest r;
+        r.vc = vcs[i]->vc;
+        r.coreTile = vcs[i]->coreTile;
+        r.lines = alloc.lines[i];
+        // Access intensity proxy: misses avoided by full allocation.
+        r.intensity = vcs[i]->curve.at(0);
+        requests.push_back(r);
+    }
+    jigsawPlacer(requests, balance, banks, *in.mesh, matrix);
+}
+
+/**
+ * JumanjiLookahead: divides @p budget (a whole number of banks) among
+ * the VMs' batch claims, VM i floored at @p floors[i], and returns
+ * each VM's share in banks.
+ */
+std::vector<std::uint32_t>
+bankQuotas(const EpochInputs &in, const std::vector<VmId> &vms,
+           const std::vector<std::uint64_t> &floors, std::uint64_t budget)
+{
+    std::vector<LookaheadClaim> claims;
+    for (std::size_t i = 0; i < vms.size(); i++) {
+        claims.push_back(vmBatchClaim(in, vms[i]));
+        claims.back().floorLines = floors[i];
+    }
+    LookaheadResult totals = jumanjiLookahead(claims, budget, in.geo);
+    std::vector<std::uint32_t> banks;
+    for (std::uint64_t lines : totals.lines)
+        banks.push_back(
+            static_cast<std::uint32_t>(lines / in.geo.linesPerBank));
+    return banks;
+}
+
+/**
+ * Listing 3 lines 8-9: VMs take turns claiming the free bank nearest
+ * to their first core, until VM i has claimed @p needed[i] banks or
+ * no bank is free.
+ */
+void
+claimNearestBanks(const EpochInputs &in, const std::vector<VmId> &vms,
+                  std::vector<std::uint32_t> needed,
+                  std::vector<VmId> &bankOwner)
+{
+    std::vector<std::vector<std::uint32_t>> nearest;
+    for (VmId vm : vms) {
+        auto first = std::find_if(
+            in.vcs.begin(), in.vcs.end(),
+            [vm](const VcInfo &vc) { return vc.vm == vm; });
+        nearest.push_back(in.mesh->tilesByDistance(first->coreTile));
+    }
+    bool assigned = true;
+    while (assigned) {
+        assigned = false;
+        for (std::size_t i = 0; i < vms.size(); i++) {
+            if (needed[i] == 0) continue;
+            for (std::uint32_t tile : nearest[i]) {
+                if (tile >= bankOwner.size()) continue;
+                if (bankOwner[tile] != kInvalidVm) continue;
+                bankOwner[tile] = vms[i];
+                needed[i]--;
+                assigned = true;
+                break;
+            }
+        }
+    }
+}
+
+/**
+ * Listing 3 lines 10-12: each VM's batch apps divide the free lines
+ * of the VM's banks by lookahead and are placed inside those banks.
+ * A VM that owns no bank places nothing, since an empty bank list
+ * would let the placer use every bank.
+ */
+void
+placeBatchInVmBanks(const EpochInputs &in, const std::vector<VmId> &vms,
+                    const std::vector<VmId> &bankOwner,
+                    std::vector<std::uint64_t> &balance,
+                    AllocationMatrix &matrix)
+{
+    for (VmId vm : vms) {
+        std::vector<BankId> vmBanks;
+        std::uint64_t capacity = 0;
+        for (std::size_t b = 0; b < bankOwner.size(); b++) {
+            if (bankOwner[b] != vm) continue;
+            vmBanks.push_back(static_cast<BankId>(b));
+            capacity += balance[b];
+        }
+        if (vmBanks.empty()) continue;
+        lookaheadAndPlace(batchOf(in, vm), capacity, vmBanks, in, balance,
+                          matrix);
     }
 }
 
@@ -153,55 +325,29 @@ StaticPolicy::reconfigure(const EpochInputs &in)
     const PlacementGeometry &geo = in.geo;
     AllocationMatrix matrix(geo.banks);
     std::vector<std::uint64_t> balance(geo.banks, geo.linesPerBank);
+    std::vector<std::vector<VcId>> sharedGroups{idsOf(batchOf(in))};
+    auto lcCount = static_cast<std::uint32_t>(
+        in.vcs.size() - sharedGroups.front().size());
 
     // Each LC app: lcWays_ ways in every bank — clamped so that,
     // when batch apps exist, they keep at least a quarter of the
     // bank (a real administrator would not CAT-out all ways).
-    std::uint32_t lcCount = 0;
-    bool haveBatch = false;
-    for (const auto &vc : in.vcs) {
-        if (vc.latencyCritical) lcCount++;
-        else haveBatch = true;
-    }
     std::uint32_t lcWaysEff = lcWays_;
-    if (haveBatch && lcCount > 0) {
+    if (!sharedGroups.front().empty() && lcCount > 0) {
         std::uint32_t budget =
             geo.waysPerBank - std::max(1u, geo.waysPerBank / 4);
         lcWaysEff = std::max(1u, std::min(lcWays_, budget / lcCount));
     }
     std::uint64_t lcLinesPerBank =
         static_cast<std::uint64_t>(lcWaysEff) * geo.linesPerWay();
-    for (const auto &vc : in.vcs) {
-        if (!vc.latencyCritical) continue;
-        for (std::uint32_t b = 0; b < geo.banks; b++) {
-            std::uint64_t grab = std::min(lcLinesPerBank, balance[b]);
-            matrix.add(static_cast<BankId>(b), vc.vc, grab);
-            balance[b] -= grab;
-        }
-    }
+    for (const auto &vc : in.vcs)
+        if (vc.latencyCritical)
+            stripeAcrossBanks({vc.vc}, lcLinesPerBank * geo.banks, balance,
+                              matrix);
 
-    // Batch apps share all remaining ways in every bank.
-    std::vector<std::vector<VcId>> sharedGroups(1);
-    std::vector<VcId> &sharedVcs = sharedGroups.front();
-    for (const auto &vc : in.vcs) {
-        if (vc.latencyCritical) continue;
-        sharedVcs.push_back(vc.vc);
-    }
-    if (!sharedVcs.empty()) {
-        // Give every batch VC an equal claim on the shared pool; the
-        // materializer merges them into one unified partition.
-        auto shareCount = static_cast<std::uint64_t>(sharedVcs.size());
-        for (std::uint32_t b = 0; b < geo.banks; b++) {
-            std::uint64_t pool = balance[b];
-            for (std::size_t i = 0; i < sharedVcs.size(); i++) {
-                std::uint64_t part = pool / shareCount;
-                if (i < pool % shareCount) part++;
-                matrix.add(static_cast<BankId>(b), sharedVcs[i], part);
-            }
-            balance[b] = 0;
-        }
-    }
-
+    // Batch apps share all remaining ways in every bank: equal
+    // claims that the materializer merges into one partition.
+    shareEvenly(sharedGroups.front(), balance, matrix);
     return finalizePlan(materializePlan(matrix, geo, &sharedGroups), in);
 }
 
@@ -216,91 +362,40 @@ AdaptivePolicy::snucaPlan(const EpochInputs &in, bool partitionVms)
 
     // LC apps: feedback-controlled size, striped across all banks
     // (way-partitioned S-NUCA, Fig. 2b).
-    for (const auto &vc : latCritOf(in))
-        stripeAcrossBanks(vc.vc, vc.targetLines, balance, matrix);
-
-    std::uint64_t batchBudget = 0;
-    for (std::uint32_t b = 0; b < geo.banks; b++) batchBudget += balance[b];
-
-    auto batch = batchOf(in);
+    for (const auto &vc : in.vcs)
+        if (vc.latencyCritical)
+            stripeAcrossBanks({vc.vc}, vc.targetLines, balance, matrix);
 
     if (!partitionVms) {
         // Batch data unpartitioned: one shared pool (Fig. 2b).
-        std::vector<std::vector<VcId>> sharedGroups(1);
-        for (const auto &vc : batch)
-            sharedGroups.front().push_back(vc.vc);
-        for (std::uint32_t b = 0; b < geo.banks; b++) {
-            std::uint64_t pool = balance[b];
-            auto n = static_cast<std::uint64_t>(
-                std::max<std::size_t>(1, batch.size()));
-            for (std::size_t i = 0; i < batch.size(); i++) {
-                std::uint64_t part = pool / n;
-                if (i < pool % n) part++;
-                matrix.add(static_cast<BankId>(b), batch[i].vc, part);
-            }
-            balance[b] = 0;
-        }
+        std::vector<std::vector<VcId>> sharedGroups{idsOf(batchOf(in))};
+        shareEvenly(sharedGroups.front(), balance, matrix);
         return finalizePlan(materializePlan(matrix, geo, &sharedGroups), in);
     }
 
     // VM-Part: divide batch capacity among VMs by lookahead over
     // each VM's combined batch curve, then stripe each VM's share
-    // across all banks (still S-NUCA; Fig. 2c).
+    // across all banks (still S-NUCA; Fig. 2c). A VM's batch VCs
+    // share one partition per bank: one way-mask group per VM.
+    std::uint64_t batchBudget = 0;
+    for (std::uint64_t free : balance) batchBudget += free;
     auto vms = vmsOf(in);
     std::vector<LookaheadClaim> claims;
     std::vector<std::vector<VcId>> vmBatchVcs;
     for (VmId vm : vms) {
-        std::vector<MissCurve> curves;
-        std::vector<VcId> members;
-        for (const auto &vc : batch) {
-            if (vc.vm != vm) continue;
-            curves.push_back(vc.curve);
-            members.push_back(vc.vc);
-        }
-        LookaheadClaim claim;
-        claim.id = vm;
-        claim.curve = curves.empty() ? MissCurve::flat(1, 0.0)
-                                     : MissCurve::combineOptimal(curves);
+        claims.push_back(vmBatchClaim(in, vm));
+        vmBatchVcs.push_back(idsOf(batchOf(in, vm)));
         // Each VM keeps at least one way per bank so every batch app
         // has a fillable partition (CAT cannot express zero ways).
-        if (!members.empty())
-            claim.floorLines = static_cast<std::uint64_t>(geo.banks) *
-                               geo.linesPerWay();
-        claims.push_back(std::move(claim));
-        vmBatchVcs.push_back(std::move(members));
+        if (!vmBatchVcs.back().empty())
+            claims.back().floorLines =
+                static_cast<std::uint64_t>(geo.banks) * geo.linesPerWay();
     }
-
     LookaheadResult shares = lookahead(claims, batchBudget, geo);
-
-    for (std::size_t i = 0; i < vms.size(); i++) {
-        // Batch apps within a VM share the VM's partition: model as
-        // equal claims merged by the caller's shared list per VM.
-        // Here each VM's batch VCs share one partition per bank.
-        const auto &members = vmBatchVcs[i];
-        if (members.empty()) continue;
-        std::uint64_t vmShare = shares.lines[i];
-        auto n = static_cast<std::uint64_t>(members.size());
-        // Stripe the VM share over banks, split evenly among members
-        // (the materializer keeps them in one VM partition via the
-        // shared list below only for Adaptive; for VM-Part each VM
-        // gets a private partition shared by its members).
-        std::uint64_t perBank = vmShare / geo.banks;
-        std::uint64_t extra = vmShare % geo.banks;
-        for (std::uint32_t b = 0; b < geo.banks; b++) {
-            std::uint64_t want = perBank + (b < extra ? 1 : 0);
-            std::uint64_t grab = std::min(want, balance[b]);
-            balance[b] -= grab;
-            for (std::size_t m = 0; m < members.size(); m++) {
-                std::uint64_t part = grab / n;
-                if (m < grab % n) part++;
-                matrix.add(static_cast<BankId>(b), members[m], part);
-            }
-        }
-    }
-
-    // Batch VCs within the same VM share the VM's partition: one
-    // shared way-mask group per VM (the paper's VM-Part divides
-    // banks into LC partitions + one partition per VM).
+    for (std::size_t i = 0; i < vms.size(); i++)
+        if (!vmBatchVcs[i].empty())
+            stripeAcrossBanks(vmBatchVcs[i], shares.lines[i], balance,
+                              matrix);
     return finalizePlan(materializePlan(matrix, geo, &vmBatchVcs), in);
 }
 
@@ -328,27 +423,9 @@ JigsawPolicy::reconfigure(const EpochInputs &in)
     // Pure data-movement allocation: lookahead over every VC's miss
     // curve, LC and batch alike. LC apps at low load have tiny
     // curves, so Jigsaw starves them — the paper's Fig. 4b.
-    std::vector<LookaheadClaim> claims;
-    for (const auto &vc : in.vcs) {
-        LookaheadClaim claim;
-        claim.id = vc.vc;
-        claim.curve = vc.curve;
-        claim.floorLines = geo.linesPerWay();
-        claims.push_back(std::move(claim));
-    }
-    LookaheadResult alloc = lookahead(claims, geo.totalLines(), geo,
-                                      4 * geo.linesPerWay());
-
-    std::vector<PlacementRequest> requests;
-    for (std::size_t i = 0; i < in.vcs.size(); i++) {
-        PlacementRequest r;
-        r.vc = in.vcs[i].vc;
-        r.coreTile = in.vcs[i].coreTile;
-        r.lines = alloc.lines[i];
-        r.intensity = intensityOf(in.vcs[i]);
-        requests.push_back(r);
-    }
-    jigsawPlacer(requests, balance, {}, *in.mesh, matrix);
+    std::vector<const VcInfo *> vcs;
+    for (const auto &vc : in.vcs) vcs.push_back(&vc);
+    lookaheadAndPlace(vcs, geo.totalLines(), {}, in, balance, matrix);
     return finalizePlan(materializePlan(matrix, geo, nullptr), in);
 }
 
@@ -364,47 +441,28 @@ PlacementPlan
 JumanjiPolicy::securePlan(const EpochInputs &in)
 {
     const PlacementGeometry &geo = in.geo;
-    const MeshTopology &mesh = *in.mesh;
     AllocationMatrix matrix(geo.banks);
     std::vector<std::uint64_t> balance(geo.banks, geo.linesPerBank);
 
-    // Step 1 (Listing 3 line 2): reserve latency-critical space in
-    // nearby banks, never co-locating two VMs' LC data.
+    // Listing 3 line 2: reserve latency-critical space in nearby
+    // banks, never co-locating two VMs' LC data.
     auto lc = latCritOf(in);
-    latCritPlacer(lc, balance, mesh, geo, /*isolateVms=*/true, matrix);
+    latCritPlacer(lc, balance, *in.mesh, geo, /*isolateVms=*/true, matrix);
 
-    // Step 2: JumanjiLookahead divides the remaining capacity among
-    // VMs so each VM's total is a whole number of banks.
+    // JumanjiLookahead divides the LLC among VMs in whole banks; a
+    // VM's claim is floored at its LC reservation.
     auto vms = vmsOf(in);
-    std::vector<LookaheadClaim> claims;
-    for (VmId vm : vms) {
-        std::vector<MissCurve> curves;
-        for (const auto &vc : in.vcs)
-            if (vc.vm == vm && !vc.latencyCritical)
-                curves.push_back(vc.curve);
-        LookaheadClaim claim;
-        claim.id = vm;
-        claim.curve = curves.empty() ? MissCurve::flat(1, 0.0)
-                                     : MissCurve::combineOptimal(curves);
+    std::vector<std::uint64_t> lcLines(vms.size(), 0);
+    for (std::size_t i = 0; i < vms.size(); i++)
         for (const auto &vc : lc)
-            if (vc.vm == vm) claim.floorLines += matrix.vcTotal(vc.vc);
-        claims.push_back(std::move(claim));
-    }
-    LookaheadResult vmTotals =
-        jumanjiLookahead(claims, geo.totalLines(), geo);
+            if (vc.vm == vms[i]) lcLines[i] += matrix.vcTotal(vc.vc);
+    std::vector<std::uint32_t> needed =
+        bankQuotas(in, vms, lcLines, geo.totalLines());
 
-    // Step 3: assign whole banks to VMs. Banks already holding a
-    // VM's LC data belong to that VM; the rest are taken round-robin
-    // by nearest-first (Listing 3 lines 8-9).
+    // Banks already holding a VM's LC data belong to that VM.
     std::vector<VmId> bankOwner(geo.banks, kInvalidVm);
-    std::vector<std::uint32_t> banksNeeded(vms.size(), 0);
     std::map<VcId, VmId> vmOf;
     for (const auto &vc : in.vcs) vmOf[vc.vc] = vc.vm;
-
-    for (std::size_t i = 0; i < vms.size(); i++) {
-        banksNeeded[i] = static_cast<std::uint32_t>(
-            vmTotals.lines[i] / geo.linesPerBank);
-    }
     for (std::uint32_t b = 0; b < geo.banks; b++) {
         auto inBank = matrix.vmsInBank(static_cast<BankId>(b), vmOf);
         if (inBank.empty()) continue;
@@ -412,19 +470,7 @@ JumanjiPolicy::securePlan(const EpochInputs &in)
             warn("JumanjiPolicy: LC placement co-located two VMs");
         bankOwner[b] = inBank.front();
         for (std::size_t i = 0; i < vms.size(); i++) {
-            if (vms[i] == inBank.front() && banksNeeded[i] > 0)
-                banksNeeded[i]--;
-        }
-    }
-
-    // Representative tile per VM: its first core's tile.
-    std::vector<std::uint32_t> vmTile(vms.size(), 0);
-    for (std::size_t i = 0; i < vms.size(); i++) {
-        for (const auto &vc : in.vcs) {
-            if (vc.vm == vms[i]) {
-                vmTile[i] = vc.coreTile;
-                break;
-            }
+            if (vms[i] == inBank.front() && needed[i] > 0) needed[i]--;
         }
     }
 
@@ -432,76 +478,19 @@ JumanjiPolicy::securePlan(const EpochInputs &in)
     // epoch, so quota wobbles move at most a bank or two.
     if (lastOwner_.size() == geo.banks) {
         for (std::size_t i = 0; i < vms.size(); i++) {
-            for (std::uint32_t b = 0; b < geo.banks && banksNeeded[i] > 0;
+            for (std::uint32_t b = 0; b < geo.banks && needed[i] > 0;
                  b++) {
                 if (bankOwner[b] != kInvalidVm) continue;
                 if (lastOwner_[b] != vms[i]) continue;
                 bankOwner[b] = vms[i];
-                banksNeeded[i]--;
+                needed[i]--;
             }
         }
     }
 
-    bool assigned = true;
-    while (assigned) {
-        assigned = false;
-        for (std::size_t i = 0; i < vms.size(); i++) {
-            if (banksNeeded[i] == 0) continue;
-            for (std::uint32_t tile : mesh.tilesByDistance(vmTile[i])) {
-                if (tile >= geo.banks) continue;
-                if (bankOwner[tile] != kInvalidVm) continue;
-                bankOwner[tile] = vms[i];
-                banksNeeded[i]--;
-                assigned = true;
-                break;
-            }
-        }
-    }
+    claimNearestBanks(in, vms, needed, bankOwner);
     lastOwner_ = bankOwner;
-
-    // Step 4 (Listing 3 lines 10-12): Jigsaw placement of each VM's
-    // batch apps within the VM's banks.
-    for (std::size_t i = 0; i < vms.size(); i++) {
-        std::vector<BankId> vmBanks;
-        for (std::uint32_t b = 0; b < geo.banks; b++)
-            if (bankOwner[b] == vms[i])
-                vmBanks.push_back(static_cast<BankId>(b));
-        if (vmBanks.empty()) continue;
-
-        std::uint64_t vmCapacity = 0;
-        for (BankId b : vmBanks) vmCapacity += balance[
-            static_cast<std::size_t>(b)];
-
-        // Per-app allocation within the VM: plain lookahead.
-        std::vector<LookaheadClaim> appClaims;
-        std::vector<const VcInfo *> members;
-        for (const auto &vc : in.vcs) {
-            if (vc.vm != vms[i] || vc.latencyCritical) continue;
-            LookaheadClaim claim;
-            claim.id = vc.vc;
-            claim.curve = vc.curve;
-            claim.floorLines = geo.linesPerWay();
-            appClaims.push_back(std::move(claim));
-            members.push_back(&vc);
-        }
-        if (members.empty()) continue;
-        // Coarse (4-way) quanta: batch allocations stay put when
-        // curves wobble, keeping coherence-walk churn low.
-        LookaheadResult appAlloc = lookahead(appClaims, vmCapacity, geo,
-                                             4 * geo.linesPerWay());
-
-        std::vector<PlacementRequest> requests;
-        for (std::size_t m = 0; m < members.size(); m++) {
-            PlacementRequest r;
-            r.vc = members[m]->vc;
-            r.coreTile = members[m]->coreTile;
-            r.lines = appAlloc.lines[m];
-            r.intensity = intensityOf(*members[m]);
-            requests.push_back(r);
-        }
-        jigsawPlacer(requests, balance, vmBanks, mesh, matrix);
-    }
-
+    placeBatchInVmBanks(in, vms, bankOwner, balance, matrix);
     return finalizePlan(materializePlan(matrix, geo, nullptr), in);
 }
 
@@ -509,41 +498,17 @@ PlacementPlan
 JumanjiPolicy::insecurePlan(const EpochInputs &in)
 {
     const PlacementGeometry &geo = in.geo;
-    const MeshTopology &mesh = *in.mesh;
     AllocationMatrix matrix(geo.banks);
     std::vector<std::uint64_t> balance(geo.banks, geo.linesPerBank);
 
-    // LC reservations exactly as Jumanji, but no VM isolation.
-    auto lc = latCritOf(in);
-    latCritPlacer(lc, balance, mesh, geo, /*isolateVms=*/false, matrix);
-
+    // LC reservations exactly as Jumanji, but no VM isolation. Batch:
+    // per-app lookahead over the whole remaining LLC, placed with no
+    // bank-ownership constraint.
+    latCritPlacer(latCritOf(in), balance, *in.mesh, geo,
+                  /*isolateVms=*/false, matrix);
     std::uint64_t batchBudget = 0;
-    for (auto b : balance) batchBudget += b;
-
-    // Batch: per-app lookahead over the whole remaining LLC, placed
-    // greedily with no bank-ownership constraint.
-    auto batch = batchOf(in);
-    std::vector<LookaheadClaim> claims;
-    for (const auto &vc : batch) {
-        LookaheadClaim claim;
-        claim.id = vc.vc;
-        claim.curve = vc.curve;
-        claim.floorLines = geo.linesPerWay();
-        claims.push_back(std::move(claim));
-    }
-    LookaheadResult alloc =
-        lookahead(claims, batchBudget, geo, 4 * geo.linesPerWay());
-
-    std::vector<PlacementRequest> requests;
-    for (std::size_t i = 0; i < batch.size(); i++) {
-        PlacementRequest r;
-        r.vc = batch[i].vc;
-        r.coreTile = batch[i].coreTile;
-        r.lines = alloc.lines[i];
-        r.intensity = intensityOf(batch[i]);
-        requests.push_back(r);
-    }
-    jigsawPlacer(requests, balance, {}, mesh, matrix);
+    for (std::uint64_t free : balance) batchBudget += free;
+    lookaheadAndPlace(batchOf(in), batchBudget, {}, in, balance, matrix);
     return finalizePlan(materializePlan(matrix, geo, nullptr), in);
 }
 
@@ -553,128 +518,38 @@ PlacementPlan
 JumanjiIdealBatchPolicy::reconfigure(const EpochInputs &in)
 {
     const PlacementGeometry &geo = in.geo;
-    const MeshTopology &mesh = *in.mesh;
 
     // LC and batch data live in *separate copies* of the LLC, so
     // their allocations are materialized independently and merged;
     // the System routes LC VCs to one MemPath and batch to another.
-    AllocationMatrix lcMatrix(geo.banks);
-    AllocationMatrix matrix(geo.banks);
-
     // LC apps: Jumanji's nearby reservation, in the LC copy of the
     // LLC (full balance; batch does not compete).
+    AllocationMatrix lcMatrix(geo.banks);
     std::vector<std::uint64_t> lcBalance(geo.banks, geo.linesPerBank);
     auto lc = latCritOf(in);
-    latCritPlacer(lc, lcBalance, mesh, geo, /*isolateVms=*/true,
+    latCritPlacer(lc, lcBalance, *in.mesh, geo, /*isolateVms=*/true,
                   lcMatrix);
-
     std::uint64_t lcTotal = 0;
     for (const auto &vc : lc) lcTotal += lcMatrix.vcTotal(vc.vc);
 
-    // Batch apps: capacity budget is what LC left over, but placed in
-    // a *fresh* LLC where every bank is empty — unconstrained by LC
-    // placement. VM isolation still applies (Sec. VIII-C).
+    // Batch apps: Jumanji's per-VM steps, VM isolation included
+    // (Sec. VIII-C), with the capacity LC left over. The budget is
+    // rounded down to whole banks (an idealized design need not
+    // squeeze partial banks) and placed in a *fresh* LLC copy where
+    // every bank is empty, so no VM claim carries an LC floor and no
+    // bank is pre-assigned or sticky.
     std::uint64_t batchBudget =
         geo.totalLines() > lcTotal ? geo.totalLines() - lcTotal : 0;
-    // Bank-granular per-VM division, as Jumanji.
-    auto vms = [&] {
-        std::vector<VmId> v;
-        for (const auto &vc : in.vcs)
-            if (std::find(v.begin(), v.end(), vc.vm) == v.end())
-                v.push_back(vc.vm);
-        std::sort(v.begin(), v.end());
-        return v;
-    }();
-
-    std::vector<LookaheadClaim> claims;
-    for (VmId vm : vms) {
-        std::vector<MissCurve> curves;
-        for (const auto &vc : in.vcs)
-            if (vc.vm == vm && !vc.latencyCritical)
-                curves.push_back(vc.curve);
-        LookaheadClaim claim;
-        claim.id = vm;
-        claim.curve = curves.empty() ? MissCurve::flat(1, 0.0)
-                                     : MissCurve::combineOptimal(curves);
-        claims.push_back(std::move(claim));
-    }
-    // Round the batch budget down to a bank multiple for the
-    // bank-granular divide; the remainder is surrendered (idealized
-    // designs need not squeeze partial banks).
-    std::uint64_t bankBudget =
-        batchBudget / geo.linesPerBank * geo.linesPerBank;
-    LookaheadResult vmTotals = jumanjiLookahead(claims, bankBudget, geo);
-
-    // Assign banks in the batch LLC round-robin nearest-first.
-    std::vector<std::uint64_t> batchBalance(geo.banks, geo.linesPerBank);
+    auto vms = vmsOf(in);
     std::vector<VmId> bankOwner(geo.banks, kInvalidVm);
-    std::vector<std::uint32_t> banksNeeded(vms.size(), 0);
-    for (std::size_t i = 0; i < vms.size(); i++)
-        banksNeeded[i] = static_cast<std::uint32_t>(
-            vmTotals.lines[i] / geo.linesPerBank);
-
-    std::vector<std::uint32_t> vmTile(vms.size(), 0);
-    for (std::size_t i = 0; i < vms.size(); i++) {
-        for (const auto &vc : in.vcs) {
-            if (vc.vm == vms[i]) {
-                vmTile[i] = vc.coreTile;
-                break;
-            }
-        }
-    }
-    bool assigned = true;
-    while (assigned) {
-        assigned = false;
-        for (std::size_t i = 0; i < vms.size(); i++) {
-            if (banksNeeded[i] == 0) continue;
-            for (std::uint32_t tile : mesh.tilesByDistance(vmTile[i])) {
-                if (tile >= geo.banks) continue;
-                if (bankOwner[tile] != kInvalidVm) continue;
-                bankOwner[tile] = vms[i];
-                banksNeeded[i]--;
-                assigned = true;
-                break;
-            }
-        }
-    }
-
-    for (std::size_t i = 0; i < vms.size(); i++) {
-        std::vector<BankId> vmBanks;
-        for (std::uint32_t b = 0; b < geo.banks; b++)
-            if (bankOwner[b] == vms[i])
-                vmBanks.push_back(static_cast<BankId>(b));
-        if (vmBanks.empty()) continue;
-
-        std::uint64_t vmCapacity = 0;
-        for (BankId b : vmBanks)
-            vmCapacity += batchBalance[static_cast<std::size_t>(b)];
-
-        std::vector<LookaheadClaim> appClaims;
-        std::vector<const VcInfo *> members;
-        for (const auto &vc : in.vcs) {
-            if (vc.vm != vms[i] || vc.latencyCritical) continue;
-            LookaheadClaim claim;
-            claim.id = vc.vc;
-            claim.curve = vc.curve;
-            claim.floorLines = geo.linesPerWay();
-            appClaims.push_back(std::move(claim));
-            members.push_back(&vc);
-        }
-        if (members.empty()) continue;
-        LookaheadResult appAlloc = lookahead(appClaims, vmCapacity, geo,
-                                             4 * geo.linesPerWay());
-
-        std::vector<PlacementRequest> requests;
-        for (std::size_t m = 0; m < members.size(); m++) {
-            PlacementRequest r;
-            r.vc = members[m]->vc;
-            r.coreTile = members[m]->coreTile;
-            r.lines = appAlloc.lines[m];
-            r.intensity = members[m]->curve.at(0);
-            requests.push_back(r);
-        }
-        jigsawPlacer(requests, batchBalance, vmBanks, mesh, matrix);
-    }
+    claimNearestBanks(
+        in, vms,
+        bankQuotas(in, vms, std::vector<std::uint64_t>(vms.size(), 0),
+                   batchBudget / geo.linesPerBank * geo.linesPerBank),
+        bankOwner);
+    AllocationMatrix matrix(geo.banks);
+    std::vector<std::uint64_t> batchBalance(geo.banks, geo.linesPerBank);
+    placeBatchInVmBanks(in, vms, bankOwner, batchBalance, matrix);
 
     // Merge: LC descriptors/masks from the LC copy, batch from the
     // batch copy. Bank ids coincide; the System routes by VC.

@@ -16,6 +16,18 @@
  *  - JumanjiIdealBatch: infeasible upper bound — batch placed in a
  *    private copy of the LLC (Fig. 16); realized at the System layer
  *    with a second MemPath, this policy computes its allocations.
+ *
+ * policies.cc builds all seven from file-local steps, each written
+ * once: stripeAcrossBanks and shareEvenly (the S-NUCA stripes and
+ * pools), vmBatchClaim (a VM's combined batch curve),
+ * lookaheadAndPlace (per-VC lookahead, then Jigsaw placement),
+ * bankQuotas (JumanjiLookahead in whole banks), claimNearestBanks
+ * (Listing 3 lines 8-9) and placeBatchInVmBanks (lines 10-12).
+ * Jumanji and Ideal Batch run the same steps and differ in three
+ * places: Jumanji floors each VM's claim at its LC reservation,
+ * pre-assigns the banks holding LC data and runs the sticky pass;
+ * Ideal Batch rounds its budget down to whole banks and places
+ * batch into a fresh balance.
  */
 
 #ifndef JUMANJI_CORE_POLICIES_HH
@@ -67,9 +79,6 @@ class LlcPolicy
     /** Computes the epoch's placement. */
     virtual PlacementPlan reconfigure(const EpochInputs &in) = 0;
 
-    /** True if this design requires feedback-controlled LC sizing. */
-    virtual bool usesFeedbackControl() const { return true; }
-
     /** True if batch must run on a second, private LLC (Ideal). */
     virtual bool wantsIdealBatchLlc() const { return false; }
 
@@ -83,7 +92,6 @@ class StaticPolicy : public LlcPolicy
     explicit StaticPolicy(std::uint32_t lcWays = 4) : lcWays_(lcWays) {}
     const char *name() const override { return "Static"; }
     PlacementPlan reconfigure(const EpochInputs &in) override;
-    bool usesFeedbackControl() const override { return false; }
 
   private:
     std::uint32_t lcWays_;
@@ -115,7 +123,6 @@ class JigsawPolicy : public LlcPolicy
   public:
     const char *name() const override { return "Jigsaw"; }
     PlacementPlan reconfigure(const EpochInputs &in) override;
-    bool usesFeedbackControl() const override { return false; }
 };
 
 /** Jumanji (Listing 3) and its Insecure variant. */
@@ -150,10 +157,10 @@ class JumanjiPolicy : public LlcPolicy
 };
 
 /**
- * Ideal Batch: LC apps placed exactly as Jumanji; batch apps get an
- * unconstrained Jumanji-style placement over a *full* LLC's worth of
- * free banks (the System routes batch to a second MemPath).
- * Total allocated capacity still sums to one LLC.
+ * Ideal Batch: LC apps placed exactly as Jumanji; batch apps run
+ * Jumanji's per-VM steps in a fresh copy of the LLC, unconstrained by
+ * where LC data sits (the System routes batch to a second MemPath).
+ * Total allocated capacity still sums to at most one LLC.
  */
 class JumanjiIdealBatchPolicy : public LlcPolicy
 {

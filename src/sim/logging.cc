@@ -31,12 +31,6 @@ warnAlways(const std::string &msg)
 }
 
 void
-inform(const std::string &msg)
-{
-    if (!quiet) std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
 setQuiet(bool q)
 {
     quiet = q;

@@ -2,7 +2,7 @@
  * @file
  * Error/status reporting in the gem5 style: panic() for internal
  * invariant violations, fatal() for user/configuration errors,
- * warn()/inform() for status.
+ * warn() for warnings.
  */
 
 #ifndef JUMANJI_SIM_LOGGING_HH
@@ -45,10 +45,7 @@ void warn(const std::string &msg);
  */
 void warnAlways(const std::string &msg);
 
-/** Prints a status message to stderr. */
-void inform(const std::string &msg);
-
-/** Globally silences warn()/inform() (used by tests). */
+/** Globally silences warn() (used by tests). */
 void setQuiet(bool quiet);
 
 } // namespace jumanji

@@ -140,19 +140,6 @@ StatRegistry::addDistribution(const std::string &name,
     insert(name, std::move(n));
 }
 
-void
-StatRegistry::addDistribution(const std::string &name,
-                              const std::string &desc,
-                              const Histogram *hist)
-{
-    JUMANJI_ASSERT(hist != nullptr, "distribution must bind a histogram");
-    Node n;
-    n.kind = Kind::Distribution;
-    n.desc = desc;
-    n.hist = hist;
-    insert(name, std::move(n));
-}
-
 bool
 StatRegistry::has(const std::string &name) const
 {
@@ -162,30 +149,16 @@ StatRegistry::has(const std::string &name) const
 int
 StatRegistry::partCount(const Node &node)
 {
-    if (node.kind != Kind::Distribution) return 1;
-    if (node.samples != nullptr) return 7;
-    return 3 + static_cast<int>(node.hist->numBins());
+    return node.kind == Kind::Distribution ? 7 : 1;
 }
 
 std::string
-StatRegistry::partName(const std::string &name, const Node &node,
-                       int part)
+StatRegistry::partName(const std::string &name, int part)
 {
     if (part < 0) return name;
-    if (node.samples != nullptr) {
-        static const char *kSuffixes[7] = {".count", ".mean", ".min",
-                                           ".max",   ".p50",  ".p95",
-                                           ".p99"};
-        return name + kSuffixes[part];
-    }
-    switch (part) {
-    case 0: return name + ".total";
-    case 1: return name + ".underflow";
-    case 2: return name + ".overflow";
-    default:
-        return name + ".b" +
-               statIndexName(static_cast<std::uint64_t>(part - 3));
-    }
+    static const char *kSuffixes[7] = {".count", ".mean", ".min", ".max",
+                                       ".p50",   ".p95",  ".p99"};
+    return name + kSuffixes[part];
 }
 
 double
@@ -197,25 +170,16 @@ StatRegistry::leafValue(const Node &node, int part)
     case Kind::Formula: return node.read();
     case Kind::Distribution: break;
     }
-    if (node.samples != nullptr) {
-        const SampleStat &s = *node.samples;
-        switch (part) {
-        case 0: return static_cast<double>(s.count());
-        case 1: return s.mean();
-        case 2: return s.min();
-        case 3: return s.max();
-        case 4: return s.percentile(50.0);
-        case 5: return s.percentile(95.0);
-        case 6: return s.percentile(99.0);
-        default: panic("StatRegistry: bad sample-stat leaf part");
-        }
-    }
-    const Histogram &h = *node.hist;
+    const SampleStat &s = *node.samples;
     switch (part) {
-    case 0: return static_cast<double>(h.total());
-    case 1: return static_cast<double>(h.underflow());
-    case 2: return static_cast<double>(h.overflow());
-    default: return static_cast<double>(h.counts()[part - 2]);
+    case 0: return static_cast<double>(s.count());
+    case 1: return s.mean();
+    case 2: return s.min();
+    case 3: return s.max();
+    case 4: return s.percentile(50.0);
+    case 5: return s.percentile(95.0);
+    case 6: return s.percentile(99.0);
+    default: panic("StatRegistry: bad sample-stat leaf part");
     }
 }
 
@@ -229,8 +193,7 @@ StatRegistry::appendLeaves(const std::string &name, const Node &node,
         return;
     }
     for (int part = 0; part < parts; part++)
-        out.push_back({partName(name, node, part),
-                       leafValue(node, part)});
+        out.push_back({partName(name, part), leafValue(node, part)});
 }
 
 void
@@ -246,8 +209,7 @@ StatRegistry::ensureLeafCache() const
         }
         int parts = partCount(node);
         for (int part = 0; part < parts; part++)
-            leafCache_.push_back(
-                {partName(name, node, part), &name, &node, part});
+            leafCache_.push_back({partName(name, part), &name, &node, part});
     }
     // One sort at build time gives every later snapshot, dump, and
     // fingerprint its total order by full leaf name. The node map is

@@ -15,9 +15,9 @@
  * Registration follows the gem5/ZSim discipline: nodes do not own the
  * underlying values, they *bind* to them — a Counter holds a pointer
  * to the component's live std::uint64_t, a Gauge/Formula holds a
- * callback, a Distribution binds a SampleStat or Histogram. Reading
- * the registry therefore never perturbs simulation state, and
- * components keep their existing hot-path accounting untouched.
+ * callback, a Distribution binds a SampleStat. Reading the registry
+ * therefore never perturbs simulation state, and components keep
+ * their existing hot-path accounting untouched.
  *
  * Names: lowercase dotted paths. Registering the same name twice is
  * a programming error and panics. The registry is ordered by name,
@@ -59,7 +59,7 @@ class StatRegistry
     {
         Counter,      ///< monotonically increasing event count
         Gauge,        ///< instantaneous sampled value
-        Distribution, ///< SampleStat or Histogram summary
+        Distribution, ///< SampleStat summary
         Formula,      ///< value derived from other stats
     };
 
@@ -82,13 +82,6 @@ class StatRegistry
     void addDistribution(const std::string &name,
                          const std::string &desc,
                          const SampleStat *samples);
-
-    /**
-     * Binds a Histogram; expands to .total/.underflow/.overflow and
-     * one .bNN leaf per in-range bin.
-     */
-    void addDistribution(const std::string &name,
-                         const std::string &desc, const Histogram *hist);
 
     bool has(const std::string &name) const;
     std::size_t size() const { return nodes_.size(); }
@@ -135,7 +128,6 @@ class StatRegistry
         const std::uint64_t *counter = nullptr;
         std::function<double()> read;
         const SampleStat *samples = nullptr;
-        const Histogram *hist = nullptr;
     };
 
     /**
@@ -156,8 +148,7 @@ class StatRegistry
     void appendLeaves(const std::string &name, const Node &node,
                       std::vector<StatValue> &out) const;
     static int partCount(const Node &node);
-    static std::string partName(const std::string &name,
-                                const Node &node, int part);
+    static std::string partName(const std::string &name, int part);
     static double leafValue(const Node &node, int part);
     void ensureLeafCache() const;
 

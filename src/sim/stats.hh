@@ -1,7 +1,8 @@
 /**
  * @file
- * Lightweight statistics: counters, scalar gauges, streaming
- * histograms with percentile queries, and a registry for reporting.
+ * Lightweight statistics: a sample reservoir with percentile
+ * queries and the per-component access counters. The registry that
+ * reports them is StatRegistry (statreg.hh).
  */
 
 #ifndef JUMANJI_SIM_STATS_HH
@@ -9,8 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace jumanji {
@@ -102,64 +101,6 @@ class SampleStat
 };
 
 /**
- * A fixed-bucket histogram for dense distributions (access times).
- *
- * Layout: counts()[0] is the underflow bucket (v < lo), counts()[1]
- * through counts()[buckets] are the equal-width in-range bins
- * [lo, lo+w) ... [hi-w, hi), and counts()[buckets+1] is the overflow
- * bucket (v >= hi). Underflow gets its own bucket so out-of-range
- * lows are never conflated with the first in-range bin.
- */
-class Histogram
-{
-  public:
-    /** Buckets [lo, hi) split into @p buckets equal bins. */
-    Histogram(double lo, double hi, std::size_t buckets)
-        : lo_(lo), hi_(hi), counts_(buckets + 2, 0)
-    {
-    }
-
-    void
-    add(double v)
-    {
-        total_++;
-        if (v < lo_) { counts_.front()++; return; }
-        if (v >= hi_) { counts_.back()++; return; }
-        auto idx = static_cast<std::size_t>(
-            (v - lo_) / (hi_ - lo_) * static_cast<double>(numBins()));
-        counts_[idx + 1]++;
-    }
-
-    std::uint64_t total() const { return total_; }
-    const std::vector<std::uint64_t> &counts() const { return counts_; }
-
-    /** In-range bins, excluding the underflow/overflow buckets. */
-    std::size_t numBins() const { return counts_.size() - 2; }
-
-    std::uint64_t underflow() const { return counts_.front(); }
-    std::uint64_t overflow() const { return counts_.back(); }
-
-    /**
-     * Lower bound of bucket @p i in counts() order: -infinity for
-     * the underflow bucket, hi for the overflow bucket.
-     */
-    double
-    bucketLow(std::size_t i) const
-    {
-        if (i == 0) return -std::numeric_limits<double>::infinity();
-        if (i >= counts_.size() - 1) return hi_;
-        return lo_ + (hi_ - lo_) * static_cast<double>(i - 1) /
-               static_cast<double>(numBins());
-    }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
-/**
  * Per-component counters for data-movement accounting.
  *
  * Every memory access bumps some subset of these; the energy model
@@ -190,10 +131,6 @@ struct AccessCounters
         return *this;
     }
 };
-
-/** Formats a table row with fixed column widths for bench output. */
-std::string formatRow(const std::vector<std::string> &cells,
-                      std::size_t width = 14);
 
 } // namespace jumanji
 

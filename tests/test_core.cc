@@ -14,7 +14,9 @@
 #include "src/core/lookahead.hh"
 #include "src/core/placement_types.hh"
 #include "src/core/policies.hh"
+#include "src/sim/fingerprint.hh"
 #include "src/sim/logging.hh"
+#include "src/sim/rng.hh"
 
 namespace jumanji {
 namespace {
@@ -661,6 +663,164 @@ TEST(Policies, IdealBatchWantsSecondLlc)
 {
     EXPECT_TRUE(JumanjiIdealBatchPolicy().wantsIdealBatchLlc());
     EXPECT_FALSE(JumanjiPolicy(true).wantsIdealBatchLlc());
+}
+
+/** A machine and VM layout that the plan-digest tests drive. */
+struct PlanShape
+{
+    std::uint32_t cols, rows, ways;
+    std::uint64_t linesPerBank;
+    std::uint32_t vms, lcPerVm, batchPerVm;
+    /** Each LC target is drawn below this share of the LLC. */
+    double lcTargetFrac;
+};
+
+const PlanShape kPlanShapes[] = {
+    {2, 2, 8, 1024, 2, 1, 1, 0.25},    // 2x2 mesh
+    {5, 4, 16, 2048, 4, 1, 4, 0.125},  // the paper's 4 VMs x 5 apps
+    {4, 4, 16, 1024, 3, 2, 2, 0.1},    // two LC apps per VM
+    {4, 3, 8, 2048, 3, 0, 4, 0.0},     // no LC apps
+    {5, 4, 16, 1024, 10, 1, 1, 0.25},  // 10 VMs: LC overcommits the LLC
+};
+
+PlacementGeometry
+shapeGeo(const PlanShape &shape)
+{
+    return testGeo(shape.cols * shape.rows, shape.ways,
+                   shape.linesPerBank);
+}
+
+MeshParams
+shapeMesh(const PlanShape &shape)
+{
+    MeshParams p;
+    p.cols = shape.cols;
+    p.rows = shape.rows;
+    return p;
+}
+
+/**
+ * One epoch of inputs: app k sits on tile k (mod tiles), VMs list
+ * their LC apps first, and every curve and LC target is drawn anew.
+ * VM ids descend along the list, so the VMs whose LC data is placed
+ * last (and may find no bank left) are the first ones planned.
+ */
+EpochInputs
+randomEpoch(Rng &rng, const PlanShape &shape, const PlacementGeometry &geo,
+            const MeshTopology &mesh)
+{
+    EpochInputs in;
+    in.geo = geo;
+    in.mesh = &mesh;
+    std::uint32_t perVm = shape.lcPerVm + shape.batchPerVm;
+    for (std::uint32_t k = 0; k < shape.vms * perVm; k++) {
+        VcInfo vc;
+        vc.vc = static_cast<VcId>(k);
+        vc.app = static_cast<AppId>(k);
+        vc.vm = static_cast<VmId>(shape.vms - 1 - k / perVm);
+        vc.coreTile = k % mesh.numTiles();
+        vc.latencyCritical = k % perVm < shape.lcPerVm;
+        std::vector<double> pts(17);
+        double v = 1000.0 + static_cast<double>(rng.below(100000));
+        for (auto &p : pts) {
+            p = v;
+            v *= 0.5 + 0.5 * rng.uniform();
+        }
+        vc.curve = MissCurve(std::move(pts)).convexHull();
+        if (vc.latencyCritical)
+            vc.targetLines = rng.below(static_cast<std::uint64_t>(
+                shape.lcTargetFrac * static_cast<double>(geo.totalLines())));
+        vc.name = "app" + std::to_string(k);
+        in.vcs.push_back(std::move(vc));
+    }
+    return in;
+}
+
+/** Folds a plan's matrix, descriptors and way masks. */
+void
+foldPlan(Fingerprint &fp, const PlacementPlan &plan)
+{
+    for (std::uint32_t b = 0; b < plan.matrix.numBanks(); b++) {
+        fp.addU64(b);
+        for (const auto &[vc, lines] :
+             plan.matrix.bank(static_cast<BankId>(b))) {
+            fp.addI64(vc);
+            fp.addU64(lines);
+        }
+    }
+    for (const auto &[vc, desc] : plan.descriptors) {
+        fp.addI64(vc);
+        for (std::uint32_t s = 0; s < PlacementDescriptor::kSlots; s++)
+            fp.addI64(desc.slot(s));
+    }
+    for (const auto &[vc, masks] : plan.wayMasks) {
+        fp.addI64(vc);
+        for (WayMask m : masks) fp.addU64(m.bits());
+    }
+}
+
+std::uint64_t
+planDigest(const PlacementPlan &plan)
+{
+    Fingerprint fp;
+    foldPlan(fp, plan);
+    return fp.value();
+}
+
+TEST(Policies, PlansMatchPinnedDigests)
+{
+    // One digest per design over every shape's 40 epochs. One policy
+    // instance serves each (design, shape), so state carried across
+    // epochs (Jumanji's sticky banks) is pinned too. A change that
+    // moves placements on purpose re-pins and says so.
+    const std::pair<LlcDesign, std::uint64_t> kPins[] = {
+        {LlcDesign::Static, 0xe1fb2ec614aeaa25ull},
+        {LlcDesign::Adaptive, 0xf957e10f3bb867d1ull},
+        {LlcDesign::VMPart, 0x5df89f8fbcaba96aull},
+        {LlcDesign::Jigsaw, 0x8b10d5a99298d92cull},
+        {LlcDesign::Jumanji, 0xa7d3de3e98cea68bull},
+        {LlcDesign::JumanjiInsecure, 0xf2025277aa111e7dull},
+        {LlcDesign::JumanjiIdealBatch, 0x4276b0834379121full},
+    };
+    setQuiet(true); // over-committed shapes warn on every epoch
+    for (const auto &[design, pin] : kPins) {
+        Fingerprint fp;
+        std::uint64_t seed = 1;
+        for (const PlanShape &shape : kPlanShapes) {
+            PlacementGeometry geo = shapeGeo(shape);
+            MeshTopology mesh(shapeMesh(shape));
+            Rng rng(seed++);
+            auto policy = LlcPolicy::create(design);
+            for (int epoch = 0; epoch < 40; epoch++)
+                foldPlan(fp, policy->reconfigure(
+                                 randomEpoch(rng, shape, geo, mesh)));
+        }
+        EXPECT_EQ(fp.value(), pin)
+            << llcDesignName(design) << " digest 0x" << std::hex
+            << fp.value();
+    }
+    setQuiet(false);
+}
+
+TEST(Policies, IdealBatchEqualsJumanjiWithoutLcApps)
+{
+    // With no LC data there is nothing for Ideal Batch's private LLC
+    // copy to avoid: it must run exactly Jumanji's placement steps.
+    PlanShape shape = kPlanShapes[3]; // the shape without LC apps
+    ASSERT_EQ(shape.lcPerVm, 0u);
+    PlacementGeometry geo = shapeGeo(shape);
+    MeshTopology mesh(shapeMesh(shape));
+    Rng rng(7);
+    setQuiet(true);
+    for (int trial = 0; trial < 100; trial++) {
+        shape.vms = 1 + static_cast<std::uint32_t>(rng.below(4));
+        shape.batchPerVm = 1 + static_cast<std::uint32_t>(rng.below(3));
+        EpochInputs in = randomEpoch(rng, shape, geo, mesh);
+        EXPECT_EQ(planDigest(JumanjiPolicy(true).reconfigure(in)),
+                  planDigest(JumanjiIdealBatchPolicy().reconfigure(in)))
+            << "trial " << trial;
+    }
+    setQuiet(false);
 }
 
 } // namespace

@@ -63,7 +63,9 @@ TEST_P(CurveProperty, HullIsConvexMonotoneLowerBound)
         ASSERT_EQ(hull.points().size(), curve.points().size());
         for (std::size_t k = 0; k < hull.points().size(); k++) {
             EXPECT_LE(hull.at(k), curve.at(k) + 1e-6);
-            if (k > 0) EXPECT_LE(hull.at(k), hull.at(k - 1) + 1e-9);
+            if (k > 0) {
+                EXPECT_LE(hull.at(k), hull.at(k - 1) + 1e-9);
+            }
         }
         for (std::size_t k = 1; k + 1 < hull.points().size(); k++) {
             double dLeft = hull.at(k - 1) - hull.at(k);
@@ -129,7 +131,9 @@ TEST_P(LookaheadProperty, ConservesBudgetAndHonorsFloors)
             total += r.lines[i];
         }
         EXPECT_LE(total, budget + geo.linesPerWay());
-        if (budget >= geo.linesPerWay()) EXPECT_GT(total, 0u);
+        if (budget >= geo.linesPerWay()) {
+            EXPECT_GT(total, 0u);
+        }
     }
 }
 

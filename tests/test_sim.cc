@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <queue>
 #include <utility>
@@ -331,48 +330,6 @@ TEST(SampleStat, MeanMinMax)
     EXPECT_DOUBLE_EQ(stat.mean(), 5.0);
     EXPECT_DOUBLE_EQ(stat.min(), 2.0);
     EXPECT_DOUBLE_EQ(stat.max(), 9.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 100.0, 10);
-    h.add(5.0);
-    h.add(95.0);
-    h.add(1000.0); // overflow
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_EQ(h.numBins(), 10u);
-    EXPECT_EQ(h.counts().size(), 12u); // underflow + 10 bins + overflow
-    EXPECT_EQ(h.counts()[1], 1u);      // 5.0 -> first in-range bin
-    EXPECT_EQ(h.counts()[10], 1u);     // 95.0 -> last in-range bin
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.counts().back(), 1u);
-    EXPECT_EQ(h.underflow(), 0u);
-}
-
-TEST(Histogram, UnderflowHasItsOwnBucket)
-{
-    // Out-of-range lows must not be conflated with the first
-    // in-range bin [lo, lo+w).
-    Histogram h(10.0, 20.0, 5);
-    h.add(3.0);  // underflow
-    h.add(-1.0); // underflow
-    h.add(10.0); // first in-range bin
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_EQ(h.underflow(), 2u);
-    EXPECT_EQ(h.counts().front(), 2u);
-    EXPECT_EQ(h.counts()[1], 1u);
-    EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(Histogram, BucketLowCoversUnderflowAndOverflow)
-{
-    Histogram h(10.0, 20.0, 5);
-    EXPECT_EQ(h.bucketLow(0),
-              -std::numeric_limits<double>::infinity());
-    EXPECT_DOUBLE_EQ(h.bucketLow(1), 10.0); // first in-range bin
-    EXPECT_DOUBLE_EQ(h.bucketLow(2), 12.0);
-    EXPECT_DOUBLE_EQ(h.bucketLow(5), 18.0); // last in-range bin
-    EXPECT_DOUBLE_EQ(h.bucketLow(6), 20.0); // overflow bucket
 }
 
 TEST(SampleStat, PercentileLinearInterpolationPinned)

@@ -131,21 +131,6 @@ TEST(StatRegistry, SelectorSnapshotFiltersByPrefix)
     EXPECT_DOUBLE_EQ(exact[0].value, 3.0);
 }
 
-TEST(StatRegistry, HistogramExpandsWithUnderflowOverflow)
-{
-    Histogram h(0.0, 10.0, 2);
-    h.add(-1.0);
-    h.add(3.0);
-    h.add(99.0);
-    StatRegistry reg;
-    reg.addDistribution("noc.hopHist", "hops", &h);
-    EXPECT_DOUBLE_EQ(reg.value("noc.hopHist.total"), 3.0);
-    EXPECT_DOUBLE_EQ(reg.value("noc.hopHist.underflow"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.value("noc.hopHist.overflow"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.value("noc.hopHist.b00"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.value("noc.hopHist.b01"), 0.0);
-}
-
 TEST(StatRegistry, JsonDumpGolden)
 {
     std::uint64_t hits = 10, misses = 2;

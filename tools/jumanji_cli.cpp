@@ -338,8 +338,8 @@ runScenarioBenchJson(const std::string &path,
 }
 
 /**
- * Flushes the main thread's scopes into the process aggregate (the
- * pool already flushed each worker at drain) and writes the profile
+ * Flushes the main thread's scopes into the process aggregate (each
+ * parallelFor worker flushed its own on exit) and writes the profile
  * report. No-op without --profile.
  */
 void
