@@ -259,17 +259,6 @@ StatRegistry::snapshot(const std::vector<std::string> &selectors) const
     return out;
 }
 
-void
-StatRegistry::snapshotValues(const std::vector<std::string> &selectors,
-                             std::vector<double> &out) const
-{
-    ensureLeafCache();
-    for (const LeafRef &leaf : leafCache_) {
-        if (!matchesAnySelector(*leaf.nodeName, selectors)) continue;
-        out.push_back(leafValue(*leaf.node, leaf.part));
-    }
-}
-
 std::vector<std::string>
 StatRegistry::leaves(const std::vector<std::string> &selectors) const
 {
@@ -279,6 +268,17 @@ StatRegistry::leaves(const std::vector<std::string> &selectors) const
         if (matchesAnySelector(*leaf.nodeName, selectors))
             names.push_back(leaf.name);
     return names;
+}
+
+std::vector<StatRegistry::Leaf>
+StatRegistry::resolve(const std::vector<std::string> &selectors) const
+{
+    ensureLeafCache();
+    std::vector<Leaf> out;
+    for (const LeafRef &leaf : leafCache_)
+        if (matchesAnySelector(*leaf.nodeName, selectors))
+            out.push_back(Leaf(leaf.node, leaf.part));
+    return out;
 }
 
 double
@@ -342,16 +342,18 @@ EpochRecorder::record(Tick now)
 {
     if (!resolved_) {
         series_.columns = reg_->leaves(selectors_);
+        leaves_ = reg_->resolve(selectors_);
         resolved_ = true;
     }
-    std::vector<double> row;
-    row.reserve(series_.columns.size());
-    reg_->snapshotValues(selectors_, row);
     // Registration after the first record() would desynchronize rows
-    // from the column header; the registry is ordered, so a same-size
-    // value sweep has the same leaves.
-    JUMANJI_INVARIANT(row.size() == series_.columns.size(),
+    // from the column header; registrations only add, so a same-size
+    // selection has the same leaves.
+    JUMANJI_INVARIANT(reg_->resolve(selectors_).size() == leaves_.size(),
                       "stats registered after the first epoch record");
+    std::vector<double> row;
+    row.reserve(leaves_.size());
+    for (const StatRegistry::Leaf &leaf : leaves_)
+        row.push_back(leaf.value());
     series_.ticks.push_back(now);
     series_.rows.push_back(std::move(row));
 }

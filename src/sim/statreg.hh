@@ -53,6 +53,8 @@ struct StatValue
  */
 class StatRegistry
 {
+    struct Node;
+
   public:
     /** Node flavours (the JSON dump tags leaves by kind). */
     enum class Kind
@@ -111,14 +113,31 @@ class StatRegistry
     leaves(const std::vector<std::string> &selectors) const;
 
     /**
-     * Appends the values of the selected leaves to @p out, in the
-     * same order snapshot(selectors) would produce them, without
-     * materializing leaf names. The per-epoch recorder uses this:
-     * columns are resolved once with leaves(), then every record()
-     * reads values only.
+     * One snapshot leaf bound to its node and summary part, so that
+     * reading it needs no name or selector matching. Valid for the
+     * registry's lifetime, across later registrations too: it points
+     * at a map node, not into the leaf cache.
      */
-    void snapshotValues(const std::vector<std::string> &selectors,
-                        std::vector<double> &out) const;
+    class Leaf
+    {
+      public:
+        double value() const { return leafValue(*node_, part_); }
+
+      private:
+        friend class StatRegistry;
+        Leaf(const Node *node, int part) : node_(node), part_(part) {}
+
+        const Node *node_;
+        int part_;
+    };
+
+    /**
+     * The leaves snapshot(selectors) would contain, in the same
+     * order. The epoch recorder resolves its columns once and then
+     * reads only these each epoch.
+     */
+    std::vector<Leaf>
+    resolve(const std::vector<std::string> &selectors) const;
 
   private:
     struct Node
@@ -189,7 +208,8 @@ struct TimelineSeries
  * The epoch recorder: snapshots a configurable stat subset each
  * placement epoch. Columns are resolved from the selectors on the
  * first record() (i.e. after all components have registered) and
- * stay fixed for the life of the recorder.
+ * stay fixed for the life of the recorder; each record() reads only
+ * the resolved leaves.
  */
 class EpochRecorder
 {
@@ -211,6 +231,8 @@ class EpochRecorder
     const StatRegistry *reg_;
     std::vector<std::string> selectors_;
     bool resolved_ = false;
+    /** The columns' leaves, resolved by the first record(). */
+    std::vector<StatRegistry::Leaf> leaves_;
     TimelineSeries series_;
 };
 

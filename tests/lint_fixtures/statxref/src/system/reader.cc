@@ -1,5 +1,6 @@
 // Fixture: one resolvable and one dangling stat lookup, plus one
-// resolvable and one impossible timeline selector.
+// resolvable and one impossible timeline selector, and one impossible
+// selector handed to StatRegistry::resolve.
 double
 readBack(const StatRegistry &reg)
 {
@@ -14,4 +15,10 @@ startTimeline(StatRegistry &reg)
 {
     EpochRecorder rec(&reg, {"llc.", "bogus.prefix."});
     rec.record(0);
+}
+
+std::size_t
+countLeaves(const StatRegistry &reg)
+{
+    return reg.resolve({"gone.prefix."}).size();
 }

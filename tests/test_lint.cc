@@ -330,15 +330,17 @@ TEST(LintFixtures, LayeringBackEdgeCycleAndUnusedInclude)
 
 TEST(LintFixtures, StatXrefFlagsDanglingCppReferences)
 {
-    // A dangling lookup and an impossible selector. Scenario-side
-    // references are resolved at runtime by driver::checkSpec
-    // (tests/test_spec.cc), not here.
+    // A dangling lookup and two impossible selectors (a recorder's
+    // and a resolve() call's). Scenario-side references are resolved
+    // at runtime by driver::checkSpec (tests/test_spec.cc), not here.
     auto fs = lintFixture("statxref");
     EXPECT_TRUE(hasFinding(fs, "stat-xref", "src/system/reader.cc",
                            "llc.misses"));
     EXPECT_TRUE(hasFinding(fs, "stat-xref", "src/system/reader.cc",
                            "bogus.prefix."));
-    EXPECT_EQ(fs.size(), 2u);
+    EXPECT_TRUE(hasFinding(fs, "stat-xref", "src/system/reader.cc",
+                           "gone.prefix."));
+    EXPECT_EQ(fs.size(), 3u);
 }
 
 // ----------------------------------------------- Fixture: suppressions

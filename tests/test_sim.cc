@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -345,6 +349,154 @@ TEST(SampleStat, PercentileLinearInterpolationPinned)
     // p95: rank 3.8 -> 40 * 0.2 + 50 * 0.8 = 48.
     EXPECT_DOUBLE_EQ(stat.percentile(95.0), 48.0);
     EXPECT_DOUBLE_EQ(stat.percentile(100.0), 50.0);
+}
+
+TEST(SampleStat, PercentileOutsideZeroToHundredPanics)
+{
+    SampleStat stat;
+    for (int i = 1; i <= 10; i++) stat.add(i);
+    try {
+        stat.percentile(150.0);
+        ADD_FAILURE() << "p = 150 did not panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("p = 150"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(stat.percentile(-50.0), PanicError);
+    EXPECT_THROW(stat.percentile(std::numeric_limits<double>::quiet_NaN()),
+                 PanicError);
+    EXPECT_THROW(SampleStat().percentile(100.5), PanicError);
+    // Both ends of the range stay valid.
+    EXPECT_EQ(stat.percentile(0.0), 1.0);
+    EXPECT_EQ(stat.percentile(100.0), 10.0);
+}
+
+/**
+ * Reference model for SampleStat: the first percentile query after an
+ * add() sorts every sample, and min() and max() scan them all.
+ */
+class FullSortReservoir
+{
+  public:
+    void
+    add(double v)
+    {
+        samples_.push_back(v);
+        sorted_ = false;
+    }
+
+    void
+    clear()
+    {
+        samples_.clear();
+        sorted_ = true;
+    }
+
+    std::size_t count() const { return samples_.size(); }
+
+    double
+    mean() const
+    {
+        if (samples_.empty()) return 0.0;
+        double sum = 0.0;
+        for (double s : samples_) sum += s;
+        return sum / static_cast<double>(samples_.size());
+    }
+
+    double
+    max() const
+    {
+        if (samples_.empty()) return 0.0;
+        return *std::max_element(samples_.begin(), samples_.end());
+    }
+
+    double
+    min() const
+    {
+        if (samples_.empty()) return 0.0;
+        return *std::min_element(samples_.begin(), samples_.end());
+    }
+
+    double
+    percentile(double p)
+    {
+        if (samples_.empty()) return 0.0;
+        if (!sorted_) {
+            std::sort(samples_.begin(), samples_.end());
+            sorted_ = true;
+        }
+        double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
+        auto lo = static_cast<std::size_t>(rank);
+        std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+        double frac = rank - static_cast<double>(lo);
+        return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+    }
+
+    const std::vector<double> &raw() const { return samples_; }
+
+  private:
+    std::vector<double> samples_;
+    bool sorted_ = true;
+};
+
+TEST(SampleStat, MatchesFullSortReservoirBitForBit)
+{
+    // A seeded script of adds, clears and queries, run in lock-step
+    // against the full-sort reference. Every result and all of raw()
+    // must agree bit for bit: mean() sums in storage order, so a
+    // different storage order shows up in its bits.
+    SampleStat stat;
+    FullSortReservoir ref;
+    Rng rng(20201017);
+    const double kPool[] = {1.0, 2.0, 3.0, 7.0, 40.0, 41.0, 100.0, 1e6};
+    const double kFixedP[] = {0.0, 50.0, 95.0, 99.0, 100.0};
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+    std::size_t merges = 0, suffixMinMax = 0, rawChecks = 0;
+    std::size_t prefix = 0;
+    for (std::size_t op = 0; op < 200000; op++) {
+        std::uint64_t kind = rng.below(100);
+        if (kind < 50) {
+            double v = rng.bernoulli(0.6)
+                           ? kPool[rng.below(std::size(kPool))]
+                           : rng.uniform() * 5000.0;
+            stat.add(v);
+            ref.add(v);
+        } else if (kind < 51 && rng.bernoulli(0.2)) {
+            stat.clear();
+            ref.clear();
+            prefix = 0;
+        } else if (kind < 55) {
+            ASSERT_EQ(stat.count(), ref.count()) << "op " << op;
+        } else if (kind < 60) {
+            ASSERT_EQ(bits(stat.mean()), bits(ref.mean())) << "op " << op;
+        } else if (kind < 70) {
+            if (prefix > 0 && ref.count() > prefix) suffixMinMax++;
+            ASSERT_EQ(bits(stat.min()), bits(ref.min())) << "op " << op;
+            ASSERT_EQ(bits(stat.max()), bits(ref.max())) << "op " << op;
+        } else if (kind < 98) {
+            double p = rng.bernoulli(0.5)
+                           ? kFixedP[rng.below(std::size(kFixedP))]
+                           : rng.uniform() * 100.0;
+            if (prefix > 0 && ref.count() > prefix) merges++;
+            ASSERT_EQ(bits(stat.percentile(p)), bits(ref.percentile(p)))
+                << "op " << op << " p " << p;
+            prefix = ref.count();
+        } else {
+            rawChecks++;
+            const std::vector<double> &got = stat.raw();
+            const std::vector<double> &want = ref.raw();
+            ASSERT_EQ(got.size(), want.size()) << "op " << op;
+            for (std::size_t i = 0; i < got.size(); i++)
+                ASSERT_EQ(bits(got[i]), bits(want[i]))
+                    << "op " << op << " raw[" << i << "]";
+        }
+    }
+    // The script reached the paths a full sort would hide: merges into
+    // a non-empty sorted prefix, and min/max over an unsorted suffix.
+    EXPECT_GT(merges, 10000u);
+    EXPECT_GT(suffixMinMax, 5000u);
+    EXPECT_GT(rawChecks, 1000u);
 }
 
 TEST(Logging, FatalThrows)

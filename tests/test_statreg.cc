@@ -8,8 +8,10 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "src/sim/check.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/statreg.hh"
 
@@ -175,31 +177,76 @@ TEST(EpochRecorder, RecordsSelectedColumnsPerEpoch)
 {
     std::uint64_t hits = 0;
     double util = 0.0;
+    SampleStat lat;
     StatRegistry reg;
     reg.addCounter("llc.hits", "", &hits);
+    reg.addDistribution("llc.lat", "", &lat);
     reg.addGauge("sys.util", "", [&] { return util; });
     reg.addCounter("noise.ignored", "", &hits);
 
-    EpochRecorder rec(&reg, {"llc.", "sys."});
-    hits = 10;
-    util = 0.25;
-    rec.record(1000);
-    hits = 30;
-    util = 0.75;
-    rec.record(2000);
+    // "llc." and "llc.lat" overlap; each leaf is still one column.
+    const std::vector<std::string> selectors = {"llc.", "sys.", "llc.lat"};
+    EpochRecorder rec(&reg, selectors);
+    // Small-integer samples keep mean() exact in any storage order, so
+    // a snapshot right after a record must repeat the row exactly.
+    const std::vector<std::vector<double>> batches = {
+        {5, 1, 3}, {2, 9, 1, 4}, {}, {7, 7, 0, 12, 3}};
+    std::vector<std::vector<StatValue>> after;
+    for (std::size_t e = 0; e < batches.size(); e++) {
+        hits = 10 + 20 * e;
+        util = 0.25 * static_cast<double>(e);
+        for (double v : batches[e]) lat.add(v);
+        rec.record(1000 * (e + 1));
+        after.push_back(reg.snapshot(selectors));
+    }
 
-    EXPECT_EQ(rec.epochs(), 2u);
+    EXPECT_EQ(rec.epochs(), batches.size());
     const TimelineSeries &ts = rec.series();
-    ASSERT_EQ(ts.columns.size(), 2u);
+    ASSERT_EQ(ts.columns.size(), 9u);
     EXPECT_EQ(ts.columns[0], "llc.hits");
-    EXPECT_EQ(ts.columns[1], "sys.util");
-    ASSERT_EQ(ts.rows.size(), 2u);
+    EXPECT_EQ(ts.columns[1], "llc.lat.count");
+    EXPECT_EQ(ts.columns[8], "sys.util");
+    EXPECT_EQ(ts.columnIndex("sys.util"), 8u);
+    ASSERT_EQ(ts.rows.size(), batches.size());
     EXPECT_EQ(ts.ticks[0], 1000u);
     EXPECT_DOUBLE_EQ(ts.rows[0][0], 10.0);
-    EXPECT_DOUBLE_EQ(ts.rows[0][1], 0.25);
+    EXPECT_DOUBLE_EQ(ts.rows[0][8], 0.0);
     EXPECT_DOUBLE_EQ(ts.rows[1][0], 30.0);
-    EXPECT_DOUBLE_EQ(ts.rows[1][1], 0.75);
-    EXPECT_EQ(ts.columnIndex("sys.util"), 1u);
+    EXPECT_DOUBLE_EQ(ts.rows[1][8], 0.25);
+    EXPECT_DOUBLE_EQ(ts.rows[3][1], 12.0);
+    EXPECT_DOUBLE_EQ(ts.rows[3][ts.columnIndex("llc.lat.max")], 12.0);
+    EXPECT_DOUBLE_EQ(ts.rows[3][ts.columnIndex("llc.lat.min")], 0.0);
+    for (std::size_t e = 0; e < batches.size(); e++) {
+        ASSERT_EQ(after[e].size(), ts.columns.size());
+        for (std::size_t c = 0; c < ts.columns.size(); c++) {
+            EXPECT_EQ(after[e][c].name, ts.columns[c]);
+            EXPECT_EQ(after[e][c].value, ts.rows[e][c])
+                << "epoch " << e << " column " << ts.columns[c];
+        }
+    }
+}
+
+TEST(EpochRecorder, LateRegistrationOfASelectedStatIsCaught)
+{
+    std::uint64_t v = 1;
+    StatRegistry reg;
+    reg.addCounter("llc.hits", "", &v);
+    EpochRecorder rec(&reg, {"llc."});
+    rec.record(1000);
+    // An unselected stat rebuilds the registry's leaf cache but leaves
+    // the columns, and the resolved leaves, intact.
+    reg.addCounter("noc.hops", "", &v);
+    v = 5;
+    rec.record(2000);
+    EXPECT_DOUBLE_EQ(rec.series().rows[1][0], 5.0);
+    // A selected one would need a column the header lacks.
+    reg.addCounter("llc.misses", "", &v);
+    if (checksActiveInCore()) {
+        EXPECT_THROW(rec.record(3000), PanicError);
+    } else {
+        rec.record(3000);
+        EXPECT_EQ(rec.series().rows.back().size(), 1u);
+    }
 }
 
 TEST(TimelineSeries, FoldCoversNamesTicksAndValues)

@@ -269,8 +269,7 @@ isLookupCall(const std::string &name)
 bool
 isSelectorCall(const std::string &name)
 {
-    return name == "snapshot" || name == "snapshotValues" ||
-           name == "leaves";
+    return name == "snapshot" || name == "leaves" || name == "resolve";
 }
 
 void
@@ -315,7 +314,7 @@ extractFromFile(const SourceFile &sf, Extracted &out)
             continue;
         }
         // EpochRecorder rec(&reg, {"llc.", ...}) and
-        // reg.snapshot({...}) / snapshotValues / leaves.
+        // reg.snapshot({...}) / leaves / resolve.
         std::size_t iOpen = 0;
         if (t.text == "EpochRecorder" && i + 2 < ts.size() &&
             ts[i + 1].kind == Tok::Ident && tokIs(ts, i + 2, "("))
