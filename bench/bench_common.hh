@@ -17,7 +17,6 @@
  *   JUMANJI_JOBS=<n>       driver worker threads (default 1; output
  *                          is byte-identical for any value)
  *   JUMANJI_CACHE_DIR=<d>  on-disk result cache (default: off)
- *   JUMANJI_SUMMARY=<f>    append one driver summary line per batch
  *   JUMANJI_EVENTS=<f>     append one JSONL telemetry event per
  *                          calibration/job/run (default: off)
  *   JUMANJI_HEARTBEAT_MS=<n>  stderr progress heartbeat period for

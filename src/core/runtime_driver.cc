@@ -262,7 +262,6 @@ RuntimeDriver::installPlan(const PlacementPlan &plan,
     }
     invalidations_ += invalidations;
 
-#if !defined(JUMANJI_DISABLE_TRACING)
     if (tracer_ != nullptr) {
         tracer_->instant(
             tracePid_ + Tracer::kRuntimePid, 0, "repartition", now,
@@ -292,7 +291,6 @@ RuntimeDriver::installPlan(const PlacementPlan &plan,
                                      static_cast<double>(lines));
         }
     }
-#endif
 }
 
 void

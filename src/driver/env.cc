@@ -122,8 +122,6 @@ orchestratorOptionsFromEnv()
     opts.jobs = jobCountFromEnv(1);
     if (const char *cacheDir = std::getenv("JUMANJI_CACHE_DIR"))
         opts.cacheDir = cacheDir;
-    if (const char *summary = std::getenv("JUMANJI_SUMMARY"))
-        opts.summaryPath = summary;
     opts.telemetry = telemetryOptionsFromEnv();
     return opts;
 }

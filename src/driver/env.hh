@@ -2,13 +2,13 @@
  * @file
  * The environment knobs of the tools and benches (JUMANJI_MIXES,
  * JUMANJI_JOBS, JUMANJI_SEED, JUMANJI_KV_LOAD_SCALE,
- * JUMANJI_HEARTBEAT_MS, JUMANJI_CACHE_DIR, JUMANJI_SUMMARY), read in
- * one place with one policy: an unset
- * variable yields the fallback; a set value that does not parse or is
- * out of range warns once per variable on stderr (warnAlways: quiet
- * mode does not hide it) and yields the fallback — a typo'd knob
- * never silently runs as the default. warnOnce is that warning, also
- * used by the driver's output paths that cannot be written.
+ * JUMANJI_HEARTBEAT_MS, JUMANJI_CACHE_DIR), read in one place with
+ * one policy: an unset variable yields the fallback; a set value that
+ * does not parse or is out of range warns once per variable on stderr
+ * (warnAlways: quiet mode does not hide it) and yields the fallback —
+ * a typo'd knob never silently runs as the default. warnOnce is that
+ * warning, also used by the driver's output paths that cannot be
+ * written.
  */
 
 #ifndef JUMANJI_DRIVER_ENV_HH
@@ -64,10 +64,9 @@ std::uint32_t heartbeatMsFromEnv(std::uint32_t fallback = 0);
 
 /**
  * The orchestrator the environment asks for: JUMANJI_JOBS workers
- * (default 1), the JUMANJI_CACHE_DIR result cache (unset = off), the
- * JUMANJI_SUMMARY line file (unset = none), and the telemetry knobs
- * (telemetryOptionsFromEnv). The benches run on it as is;
- * jumanji_cli starts from it and lets its flags override.
+ * (default 1), the JUMANJI_CACHE_DIR result cache (unset = off), and
+ * the telemetry knobs (telemetryOptionsFromEnv). The benches run on
+ * it as is; jumanji_cli starts from it and lets its flags override.
  */
 Orchestrator::Options orchestratorOptionsFromEnv();
 

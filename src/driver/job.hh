@@ -48,9 +48,6 @@ struct SweepJob
      */
     bool selfCalibrate = true;
     LcCalibrationMap calibrations;
-
-    /** Opt-out for jobs whose results must not be cached. */
-    bool cacheable = true;
 };
 
 /** What came back from one job, in submission order. */

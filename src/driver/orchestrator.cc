@@ -1,16 +1,12 @@
 #include "src/driver/orchestrator.hh"
 
-#include <cstdio>
 #include <exception>
-#include <fstream>
 #include <optional>
 #include <utility>
 
-#include "src/driver/env.hh"
 #include "src/driver/pool.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/profiler.hh"
-#include "src/sim/statreg.hh"
 
 namespace jumanji {
 namespace driver {
@@ -28,7 +24,7 @@ accessesOf(const MixResult &result)
     return total > 0.0 ? static_cast<std::uint64_t>(total) : 0;
 }
 
-/** The counts of the summary line and the run event. */
+/** The counts of the run event. */
 struct Tally
 {
     std::uint64_t simulated = 0;
@@ -117,9 +113,8 @@ Orchestrator::run(const JobGraph &graph)
     const std::vector<JobTiming> timings = runTasks(
         n, !tracing && cache_.enabled(),
         [&](std::size_t id, JobTiming &timing) {
-            const SweepJob &job = graph.job(id);
-            if (!job.cacheable) return false;
-            std::optional<MixResult> hit = cache_.loadResult(jobKey(job));
+            std::optional<MixResult> hit =
+                cache_.loadResult(jobKey(graph.job(id)));
             if (!hit) return false;
             JobOutcome &out = outcomes[id];
             out.ok = true;
@@ -150,7 +145,7 @@ Orchestrator::run(const JobGraph &graph)
                 out.ok = false;
                 out.error = e.what();
             }
-            if (out.ok && !tracing && job.cacheable)
+            if (out.ok && !tracing)
                 cache_.storeResult(jobKey(job), out.result);
             timing.ok = out.ok;
             if (out.ok) timing.accesses = accessesOf(out.result);
@@ -158,24 +153,10 @@ Orchestrator::run(const JobGraph &graph)
 
     const double mergeStart = telemetryNowSec();
     JUMANJI_PROF_SCOPE("driver.merge");
-    if (tracing) {
-        // Submission-order merge: the combined trace is independent
-        // of which worker ran what or in what order jobs finished.
-        for (const Tracer &t : jobTracers)
-            options_.tracer->mergeFrom(t);
-        // The schedule lane *is* worker-dependent — that is its
-        // point: one lane per worker, one span per job, with the
-        // JobId as the (logical) timestamp.
-        std::uint32_t pid = options_.tracer->beginProcess(
-            "driver workers");
-        for (WorkerId w = 0; w < options_.jobs; w++)
-            options_.tracer->threadName(pid, w,
-                                        "worker " + statIndexName(w));
-        for (JobId id = 0; id < n; id++)
-            options_.tracer->complete(
-                pid, timings[id].worker, "job", id, 1,
-                {{"job", static_cast<double>(id)}});
-    }
+    // Submission-order merge (jobTracers is empty unless tracing): the
+    // combined trace is independent of which worker ran what or in
+    // what order jobs finished.
+    for (const Tracer &t : jobTracers) options_.tracer->mergeFrom(t);
 
     // Events are emitted here, after the workers have joined, in
     // JobId order: the log's line order is deterministic even though
@@ -188,8 +169,6 @@ Orchestrator::run(const JobGraph &graph)
     telemetry_.runEvent("jobs", n, tally.simulated, tally.cached,
                         tally.failed, options_.jobs, runEnd - runStart,
                         runEnd - mergeStart);
-    writeSummary(n, tally.simulated, tally.cached, tally.failed,
-                 runEnd - runStart);
     return outcomes;
 }
 
@@ -238,33 +217,6 @@ Orchestrator::runCalibrations(const std::vector<CalibrationJob> &requests)
             fatal("calibration of " + requests[i].lcName +
                   " failed: " + errors[i]);
     return results;
-}
-
-void
-Orchestrator::writeSummary(std::uint64_t total, std::uint64_t simulated,
-                           std::uint64_t cached, std::uint64_t failed,
-                           double wallSec) const
-{
-    if (options_.summaryPath.empty()) return;
-    std::ofstream out(options_.summaryPath, std::ios::app);
-    if (!out) {
-        warnOnce("summary:" + options_.summaryPath,
-                 "cannot open summary file \"" + options_.summaryPath +
-                     "\"; no summary line is written");
-        return;
-    }
-    // The two trailing fields are wall-clock telemetry; they are
-    // appended last so grep checks over the deterministic count
-    // fields keep matching.
-    char tail[64];
-    std::snprintf(tail, sizeof(tail), " hitrate=%.2f wall=%.3f",
-                  total > 0 ? static_cast<double>(cached) /
-                                  static_cast<double>(total)
-                            : 0.0,
-                  wallSec);
-    out << "jobs=" << total << " simulated=" << simulated
-        << " cached=" << cached << " failed=" << failed
-        << " workers=" << options_.jobs << tail << "\n";
 }
 
 } // namespace driver

@@ -8,7 +8,7 @@
  * every task on the calling thread (a hit is a file read and never
  * occupies a worker), runs the misses through parallelFor in
  * ascending index order, and returns one JobTiming per task; the
- * summary line and the event log's counts come from those timings.
+ * event log's counts come from those timings.
  *
  * The determinism contract, in one sentence: parallelism may change
  * *when* a result is computed, never *what* it is or *where* it lands
@@ -18,10 +18,10 @@
  *   2. outcomes, merged traces, and cache stores are indexed by JobId
  *      (= submission order), never by completion order or worker id;
  *   3. anything scheduling-dependent (which worker ran what, how long
- *      a task waited) lives in the event log and the "driver workers"
- *      trace lane, which are never folded into result fingerprints.
- * Hence `--jobs 4` and `--jobs 1` produce byte-identical tables and
- * --selfcheck digests.
+ *      a task waited) lives only in the event log, which is never
+ *      folded into result fingerprints.
+ * Hence `--jobs 4` and `--jobs 1` produce byte-identical tables,
+ * --selfcheck digests and merged traces.
  *
  * Tracing disables the result cache (a cached result carries no
  * trace events), keeping traced runs complete.
@@ -65,20 +65,10 @@ class Orchestrator
         std::string cacheDir;
         /**
          * Merged trace sink. Non-null gives every job a private
-         * tracer (merged back in submission order) plus a "driver
-         * workers" lane block showing the actual schedule — and
-         * disables the result cache for the run.
+         * tracer, merged back in submission order, and disables the
+         * result cache for the run.
          */
         Tracer *tracer = nullptr;
-        /**
-         * When non-empty, run() appends one line per invocation:
-         * "jobs=<total> simulated=<n> cached=<n> failed=<n>
-         * workers=<n> hitrate=<cached/total> wall=<seconds>". CI's
-         * warm-cache check greps the count fields; the two trailing
-         * telemetry fields are wall-clock and excluded from any
-         * determinism comparison.
-         */
-        std::string summaryPath;
         /**
          * Event log + heartbeat knobs (src/driver/telemetry.hh).
          * Both off by default; neither affects results.
@@ -132,10 +122,6 @@ class Orchestrator
     std::vector<JobTiming> runTasks(std::size_t n, bool probing,
                                     const Probe &probe,
                                     const Simulate &simulate);
-
-    void writeSummary(std::uint64_t total, std::uint64_t simulated,
-                      std::uint64_t cached, std::uint64_t failed,
-                      double wallSec) const;
 };
 
 } // namespace driver

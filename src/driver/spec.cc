@@ -27,12 +27,22 @@ appendf(std::string &out, const char *fmt, ...)
 void
 appendf(std::string &out, const char *fmt, ...)
 {
-    char buf[256];
     va_list ap;
     va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    va_list measure;
+    va_copy(measure, ap);
+    // Sized from the formatted length: labels have no length limit.
+    const int n = std::vsnprintf(nullptr, 0, fmt, measure);
+    va_end(measure);
+    if (n > 0) {
+        const std::size_t at = out.size();
+        out.resize(at + static_cast<std::size_t>(n));
+        // The NUL that vsnprintf ends with lands on the string's own
+        // terminator, which may be overwritten with '\0'.
+        std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1,
+                       fmt, ap);
+    }
     va_end(ap);
-    out += buf;
 }
 
 const std::vector<std::string> &

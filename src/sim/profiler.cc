@@ -148,22 +148,6 @@ Profiler::setClock(ClockFn clock)
 }
 
 void
-Profiler::writeText(std::ostream &os) const
-{
-    os << "scope                                     calls"
-       << "  inclusive(s)  exclusive(s)\n";
-    for (const ScopeTotals &t : totals()) {
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "%-40s %6llu  %12s  %12s\n", t.name.c_str(),
-                      static_cast<unsigned long long>(t.calls),
-                      secondsString(t.inclusiveNs).c_str(),
-                      secondsString(t.exclusiveNs).c_str());
-        os << line;
-    }
-}
-
-void
 Profiler::writeJson(std::ostream &os) const
 {
     os << "{\n  \"schema\": \"jumanji-profile-v1\",\n  \"scopes\": [";

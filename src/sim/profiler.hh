@@ -19,8 +19,7 @@
  * Instrumentation sites use JUMANJI_PROF_SCOPE("name"). Like
  * JUMANJI_TRACE, the macro holds itself to the <2% bar on the
  * fig13-small bench: disabled at runtime it costs one predictable
- * branch per scope, and under JUMANJI_DISABLE_PROFILING it expands
- * to nothing at all.
+ * branch per scope.
  *
  * Threading model: simulation code is single-threaded per driver
  * worker, so every thread owns a private Profiler
@@ -106,12 +105,11 @@ class Profiler
     void setClock(ClockFn clock);
 
     /**
-     * Reports, sorted by scope name. writeJson emits
+     * The report, sorted by scope name:
      * {"schema": "jumanji-profile-v1", "scopes": [...]} with
      * inclusive_ns/exclusive_ns as exact integers plus _s doubles
      * for human consumption.
      */
-    void writeText(std::ostream &os) const;
     void writeJson(std::ostream &os) const;
 
     /** The calling thread's private profiler. */
@@ -192,10 +190,6 @@ class ProfScope
 #define JUMANJI_PROF_CONCAT2(a, b) a##b
 #define JUMANJI_PROF_CONCAT(a, b) JUMANJI_PROF_CONCAT2(a, b)
 
-#if defined(JUMANJI_DISABLE_PROFILING)
-/** Compiled out: no statics, no branch, no clock. */
-#define JUMANJI_PROF_SCOPE(name) static_cast<void>(0)
-#else
 /**
  * Opens the dotted-named scope until the end of the enclosing block.
  * The id is interned once per thread per site; after that an entry
@@ -208,6 +202,5 @@ class ProfScope
     ::jumanji::prof::ProfScope JUMANJI_PROF_CONCAT(jumanjiProfScope_,  \
                                                    __LINE__)(          \
         JUMANJI_PROF_CONCAT(jumanjiProfId_, __LINE__))
-#endif
 
 #endif // JUMANJI_SIM_PROFILER_HH

@@ -65,20 +65,6 @@ Tracer::beginRun(const std::string &label)
     return base;
 }
 
-std::uint32_t
-Tracer::beginProcess(const std::string &name)
-{
-    std::uint32_t pid = nextPid_;
-    nextPid_ += 1;
-    Event e;
-    e.ph = 'M';
-    e.pid = pid;
-    e.name = "process_name";
-    e.strArg = name;
-    push(std::move(e));
-    return pid;
-}
-
 void
 Tracer::mergeFrom(const Tracer &other)
 {

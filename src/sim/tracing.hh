@@ -19,7 +19,6 @@
  * Cost discipline: components hold a `Tracer *` that is null unless
  * the user asked for a trace, and every emission site goes through
  * JUMANJI_TRACE, so the hot path pays exactly one predictable branch.
- * Defining JUMANJI_DISABLE_TRACING compiles the sites out entirely.
  */
 
 #ifndef JUMANJI_SIM_TRACING_HH
@@ -104,13 +103,6 @@ class Tracer
                          Tick ts, double value);
 
     /**
-     * Allocates a single-process lane block named @p name (the
-     * driver's per-worker lanes live in one such process, unlike the
-     * three-process blocks beginRun hands to Systems).
-     */
-    std::uint32_t beginProcess(const std::string &name);
-
-    /**
      * Appends every event of @p other, remapping its pids into this
      * tracer's pid space (and re-interning counter track names, whose
      * storage dies with @p other). The driver gives each job a
@@ -150,19 +142,14 @@ class Tracer
 };
 
 /**
- * Emission macro: expands to one null check around the call, or to
- * nothing when tracing is compiled out.
+ * Emission macro: expands to one null check around the call.
  *
  *   JUMANJI_TRACE(tracer_, instant(pid_, bank, "vmFlush", now));
  */
-#if defined(JUMANJI_DISABLE_TRACING)
-#define JUMANJI_TRACE(tracer, call) ((void)0)
-#else
 #define JUMANJI_TRACE(tracer, call)                                    \
     do {                                                               \
         if ((tracer) != nullptr) (tracer)->call;                       \
     } while (0)
-#endif
 
 } // namespace jumanji
 

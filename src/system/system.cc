@@ -81,7 +81,6 @@ class System::Sampler : public Agent
         // the epoch gauges above were refreshed.
         sys_->recorder_->record(now);
 
-#if !defined(JUMANJI_DISABLE_TRACING)
         if (Tracer *tracer = sys_->config_.tracer) {
             std::uint32_t banksPid =
                 sys_->tracePid_ + Tracer::kBanksPid;
@@ -92,7 +91,6 @@ class System::Sampler : public Agent
                         path.bank(b).constArray().validLines()));
             }
         }
-#endif
         return now + period_;
     }
 
@@ -553,7 +551,6 @@ System::kvPhaseRatio(const std::string &phase, double p) const
 void
 System::setupTracing()
 {
-#if !defined(JUMANJI_DISABLE_TRACING)
     Tracer *tracer = config_.tracer;
     if (tracer == nullptr) return;
 
@@ -578,7 +575,6 @@ System::setupTracing()
     for (std::uint32_t b = 0; b < path_->numBanks(); b++)
         tracer->threadName(tracePid_ + Tracer::kBanksPid, b,
                            "bank" + statIndexName(b));
-#endif
 }
 
 void

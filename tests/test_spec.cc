@@ -688,6 +688,31 @@ TEST(Spec, RunIsByteIdenticalToTheHandwrittenSweep)
         << "a variant's jobs ran with another variant's calibrations";
 }
 
+TEST(Spec, RenderedRowKeepsEveryByteOfALongLabel)
+{
+    // Scenario JSON puts no limit on a label's length; a 300-byte
+    // one must reach the table whole, followed by its value.
+    const std::string label(300, 'v');
+    ExperimentSpec spec;
+    spec.designs = {LlcDesign::Jumanji};
+    spec.groups = {{"xapian", {"xapian"}}};
+    spec.variants[0].label = label;
+    spec.output.layout = "variant-table";
+    spec.output.columns = {{"tailMean", "tail(mean)"}};
+
+    // A hand-built result: one mix, one design, one registry leaf.
+    DesignResult jumanji;
+    jumanji.design = LlcDesign::Jumanji;
+    jumanji.run.statDump = {{"sys.tail.meanRatio", 1.25}};
+    SpecRun run;
+    run.plan.mixCount = 1;
+    run.results.push_back(MixResult{{}, {jumanji}});
+
+    const std::string table = driver::renderSpecTable(spec, run);
+    EXPECT_EQ(table.substr(table.find('\n') + 1),
+              label + "        1.250\n");
+}
+
 TEST(Spec, SeedFromEnvParsesTheFullRangeAndFallsBack)
 {
     // In-process env edits: this is the only test touching the

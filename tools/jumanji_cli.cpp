@@ -42,9 +42,7 @@
  *     --seed <n>           base seed, >= 1 (default 1)
  *     --paper-scale        use the full Table II capacity/time scale
  *     --jobs <n>           worker threads (default $JUMANJI_JOBS or 1);
- *                          output is byte-identical for any job count.
- *                          $JUMANJI_SUMMARY appends one driver
- *                          summary line per orchestrator run
+ *                          output is byte-identical for any job count
  *     --cache-dir <dir>    on-disk result cache keyed by
  *                          Fingerprint(code version, config, mix)
  *                          (default $JUMANJI_CACHE_DIR; unset = off)
@@ -61,19 +59,16 @@
  *     --timeline-csv <file> write the per-epoch recorder series of
  *                          every run as one long-format CSV
  *     --trace-out <file>   write a Chrome trace-event JSON covering
- *                          all runs (chrome://tracing / Perfetto)
+ *                          all runs (chrome://tracing / Perfetto),
+ *                          byte-identical for any job count
  *     --bench-json <file>  wall-clock perf harness: time the
  *                          experiment the other flags or --scenario
  *                          describe, with the result cache disabled,
  *                          and write a self-describing snapshot
- *                          (schema jumanji-bench-v2: codeVersion,
+ *                          (schema jumanji-bench-v3: codeVersion,
  *                          jobs, mixes, seed, wall_seconds,
- *                          simulated_accesses, accesses_per_sec, and
- *                          a per-phase breakdown) as JSON;
- *                          calibration is folded into simulate_s
- *                          because the phase split lives inside
- *                          driver::runSpec, where wall-clock reads
- *                          are banned. The canonical baseline is
+ *                          simulated_accesses, accesses_per_sec) as
+ *                          JSON. The canonical baseline is
  *                          `--scenario
  *                          examples/scenarios/fig13_small.json` at
  *                          JUMANJI_MIXES=1 (the bench-smoke target);
@@ -277,10 +272,7 @@ writeTimelineCsv(std::ostream &os, const std::vector<MixResult> &results)
  * (llc.hits + llc.misses), so the throughput figure is comparable
  * across code versions exactly when semantics are unchanged; a
  * semantic change shifts the access count and shows up as more than
- * a throughput delta. The calibrate/simulate split is not observable
- * from out here (it lives inside driver::runSpec, where wall-clock
- * reads are banned by the clock-routing lint rule), so the whole run
- * is reported as simulate_s.
+ * a throughput delta.
  *
  * The wall-clock read lives here and not in src/ deliberately: the
  * simulator itself must stay free of wall-clock dependence, while the
@@ -309,25 +301,23 @@ runScenarioBenchJson(const std::string &path,
 
     std::ofstream os(path);
     if (!os) fatal("cannot open " + path);
-    // Self-describing snapshot (schema jumanji-bench-v2): jobs,
+    // Self-describing snapshot (schema jumanji-bench-v3): jobs,
     // mixes, seed, and codeVersion pin what was measured, so
     // tools/perf_history can refuse to compare unlike work instead
     // of reporting a bogus throughput delta.
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "{\"schema\": \"jumanji-bench-v2\",\n"
+                  "{\"schema\": \"jumanji-bench-v3\",\n"
                   " \"codeVersion\": \"%s\",\n"
                   " \"jobs\": %u,\n"
                   " \"mixes\": %u,\n"
                   " \"seed\": %llu,\n"
                   " \"wall_seconds\": %.3f,\n"
                   " \"simulated_accesses\": %.0f,\n"
-                  " \"accesses_per_sec\": %.0f,\n"
-                  " \"phases\": {\"calibrate_s\": 0.000, "
-                  "\"simulate_s\": %.3f, \"report_s\": 0.000}}\n",
+                  " \"accesses_per_sec\": %.0f}\n",
                   driver::kCodeVersion, opts.jobs, run.plan.mixCount,
                   static_cast<unsigned long long>(run.plan.base.seed),
-                  wall, accesses, rate, wall);
+                  wall, accesses, rate);
     os << buf;
 
     std::printf("bench: scenario %s: %.0f accesses in %.3f s = "
@@ -383,7 +373,7 @@ main(int argc, char **argv)
     std::uint32_t vms = 4, batchPerVm = 4, mixes = 3;
     std::uint64_t seed = 1;
     // The environment sets the orchestrator's defaults (jobs, cache,
-    // summary file, telemetry); the flags below override them.
+    // telemetry); the flags below override them.
     driver::Orchestrator::Options orchOpts =
         driver::orchestratorOptionsFromEnv();
     bool paperScale = false;
@@ -547,7 +537,7 @@ main(int argc, char **argv)
 
         // Each traced job gets a private tracer that the orchestrator
         // merges back in submission order, so the combined trace is
-        // the same whatever the worker count (plus a schedule lane).
+        // the same whatever the worker count.
         std::unique_ptr<Tracer> tracer;
         if (!traceOutPath.empty()) tracer = std::make_unique<Tracer>();
         auto writeTrace = [&]() {

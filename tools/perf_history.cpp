@@ -10,7 +10,8 @@
  *   perf_history append <snapshot.json> <trajectory.jsonl>
  *
  * compare flattens both documents to dotted numeric leaves
- * ("phases.simulate_s") and classifies each shared key:
+ * ("wall_seconds"; "a.b" in a nested object) and classifies each
+ * shared key:
  *
  *  - semantic counters (simulated_accesses, jobs, mixes, seed) must
  *    match exactly — a drift means the measured work changed, which
