@@ -82,6 +82,15 @@ class LlcPolicy
     /** True if batch must run on a second, private LLC (Ideal). */
     virtual bool wantsIdealBatchLlc() const { return false; }
 
+    /**
+     * True if reconfigure() reads only the roster (each VC's id, VM
+     * and LC flag) and the geometry, never a curve, a controller
+     * target or a core tile, and keeps no state across calls. Such a
+     * plan stays fixed until an app registers, so the runtime plans
+     * it once and re-installs it every later epoch.
+     */
+    virtual bool plansFromRosterOnly() const { return false; }
+
     static std::unique_ptr<LlcPolicy> create(LlcDesign design);
 };
 
@@ -92,6 +101,7 @@ class StaticPolicy : public LlcPolicy
     explicit StaticPolicy(std::uint32_t lcWays = 4) : lcWays_(lcWays) {}
     const char *name() const override { return "Static"; }
     PlacementPlan reconfigure(const EpochInputs &in) override;
+    bool plansFromRosterOnly() const override { return true; }
 
   private:
     std::uint32_t lcWays_;

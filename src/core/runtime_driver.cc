@@ -33,6 +33,7 @@ RuntimeDriver::registerApp(const RuntimeAppInfo &info,
     for (const auto &app : apps_)
         JUMANJI_ASSERT(app.vc != info.vc, "VC registered twice");
     apps_.push_back(info);
+    rosterPlanned_ = false;
     path_->registerVc(info.vc);
     if (idealBatchPath_ != nullptr) idealBatchPath_->registerVc(info.vc);
 
@@ -157,13 +158,20 @@ RuntimeDriver::setDeadline(VcId vc, double deadline)
     (*slot)->setDeadline(deadline);
 }
 
+MemPath &
+RuntimeDriver::pathOf(const RuntimeAppInfo &app) const
+{
+    if (idealBatchPath_ != nullptr && !app.latencyCritical)
+        return *idealBatchPath_;
+    return *path_;
+}
+
 EpochInputs
-RuntimeDriver::gatherInputs()
+RuntimeDriver::rosterInputs() const
 {
     EpochInputs in;
     in.geo = geo_;
     in.mesh = &path_->mesh();
-
     for (const auto &app : apps_) {
         VcInfo vc;
         vc.vc = app.vc;
@@ -172,13 +180,22 @@ RuntimeDriver::gatherInputs()
         vc.coreTile = app.coreTile;
         vc.latencyCritical = app.latencyCritical;
         vc.name = app.name;
+        in.vcs.push_back(std::move(vc));
+    }
+    return in;
+}
+
+EpochInputs
+RuntimeDriver::gatherInputs()
+{
+    EpochInputs in = rosterInputs();
+    for (std::size_t i = 0; i < apps_.size(); i++) {
+        const RuntimeAppInfo &app = apps_[i];
+        VcInfo &vc = in.vcs[i];
 
         // UMON curve, convex-hulled: the DRRIP approximation
         // (Sec. IV-A). Batch VCs on the ideal path use its UMONs.
-        MemPath *source = path_;
-        if (idealBatchPath_ != nullptr && !app.latencyCritical)
-            source = idealBatchPath_;
-        Umon &umon = source->umon(app.vc);
+        Umon &umon = pathOf(app).umon(app.vc);
         vc.curve = hullCurves_ ? umon.missCurve().convexHull()
                                : umon.missCurve();
 
@@ -220,14 +237,12 @@ RuntimeDriver::gatherInputs()
                 installedLcTarget_[app.vc] = vc.targetLines;
             }
         }
-        in.vcs.push_back(std::move(vc));
     }
     return in;
 }
 
 void
-RuntimeDriver::installPlan(const PlacementPlan &plan,
-                           [[maybe_unused]] Tick now)
+RuntimeDriver::installPlan(const PlacementPlan &plan, Tick now)
 {
     std::uint64_t invalidations = 0;
     lastAlloc_.clear();
@@ -237,59 +252,104 @@ RuntimeDriver::installPlan(const PlacementPlan &plan,
             warn("RuntimeDriver: no placement for app " + app.name);
             continue;
         }
-
-        MemPath *target = path_;
-        if (idealBatchPath_ != nullptr && !app.latencyCritical)
-            target = idealBatchPath_;
+        MemPath &target = pathOf(app);
 
         // Way masks first: the placement walk migrates lines into
         // their new banks, and those fills must land inside the
         // VC's *new* partition, not the stale one.
         auto maskIt = plan.wayMasks.find(app.vc);
         if (maskIt != plan.wayMasks.end())
-            target->installWayMasks(app.vc, maskIt->second);
+            target.installWayMasks(app.vc, maskIt->second);
 
         // Stabilize against the installed descriptor so that small
         // allocation changes move few hash slices (fewer coherence
         // invalidations).
         PlacementDescriptor desc = descIt->second;
-        if (target->vtb().has(app.vc))
-            desc = desc.stabilizedAgainst(
-                target->vtb().descriptor(app.vc));
+        if (target.vtb().has(app.vc))
+            desc = desc.stabilizedAgainst(target.vtb().descriptor(app.vc));
 
-        invalidations += target->installPlacement(app.vc, desc);
+        invalidations += target.installPlacement(app.vc, desc);
         lastAlloc_[app.vc] = plan.matrix.vcTotal(app.vc);
     }
     invalidations_ += invalidations;
+    traceRepartition(now, invalidations);
+}
 
-    if (tracer_ != nullptr) {
-        tracer_->instant(
-            tracePid_ + Tracer::kRuntimePid, 0, "repartition", now,
-            {{"epoch", static_cast<double>(reconfigs_)},
-             {"invalidations", static_cast<double>(invalidations)}});
-        if (invalidations > 0) {
-            tracer_->instant(tracePid_ + Tracer::kRuntimePid, 0,
-                             "coherenceWalk", now,
-                             {{"lines",
-                               static_cast<double>(invalidations)}});
+void
+RuntimeDriver::reinstallPlan(Tick now)
+{
+#if JUMANJI_CHECKS_ACTIVE
+    // Re-plan from the roster alone (no curves, no targets): the full
+    // path would install exactly what is installed now, which also
+    // holds the policy to its plansFromRosterOnly() claim.
+    PlacementPlan plan = policy_->reconfigure(rosterInputs());
+    for (const auto &app : apps_) {
+        auto descIt = plan.descriptors.find(app.vc);
+        JUMANJI_INVARIANT((descIt != plan.descriptors.end()) ==
+                              (lastAlloc_.lookup(app.vc) != nullptr),
+                          "a roster-only plan changed which VCs it places");
+        if (descIt == plan.descriptors.end()) continue;
+        MemPath &target = pathOf(app);
+        const PlacementDescriptor &installed =
+            target.vtb().descriptor(app.vc);
+        JUMANJI_INVARIANT(descIt->second.stabilizedAgainst(installed) ==
+                              installed,
+                          "a roster-only plan changed a descriptor");
+        JUMANJI_INVARIANT(*lastAlloc_.lookup(app.vc) ==
+                              plan.matrix.vcTotal(app.vc),
+                          "a roster-only plan changed an allocation");
+        auto maskIt = plan.wayMasks.find(app.vc);
+        if (maskIt == plan.wayMasks.end()) continue;
+        for (std::uint32_t b = 0; b < target.numBanks(); b++)
+            JUMANJI_INVARIANT(
+                target.bank(static_cast<BankId>(b))
+                        .array()
+                        .wayMaskFor(app.vc) == maskIt->second[b],
+                "a roster-only plan changed a way mask");
+    }
+#endif
+    // The VCs the last plan installed (installPlan's lastAlloc_),
+    // in its order. Installing the installed descriptor again counts
+    // the install and bumps the VTB generation as the full path
+    // does, and its coherence walk moves nothing.
+    for (const auto &app : apps_) {
+        if (lastAlloc_.lookup(app.vc) == nullptr) continue;
+        MemPath &target = pathOf(app);
+        // A copy: the install overwrites the entry it is read from.
+        const PlacementDescriptor desc = target.vtb().descriptor(app.vc);
+        target.installPlacement(app.vc, desc);
+    }
+    traceRepartition(now, 0);
+}
+
+void
+RuntimeDriver::traceRepartition(Tick now, std::uint64_t invalidations)
+{
+    if (tracer_ == nullptr) return;
+    tracer_->instant(
+        tracePid_ + Tracer::kRuntimePid, 0, "repartition", now,
+        {{"epoch", static_cast<double>(reconfigs_)},
+         {"invalidations", static_cast<double>(invalidations)}});
+    if (invalidations > 0) {
+        tracer_->instant(tracePid_ + Tracer::kRuntimePid, 0,
+                         "coherenceWalk", now,
+                         {{"lines", static_cast<double>(invalidations)}});
+    }
+    for (const auto &[vc, lines] : lastAlloc_) {
+        const char *track = nullptr;
+        if (const char *const *cached = allocTrackNames_.lookup(vc)) {
+            track = *cached;
+        } else {
+            // Intern once per VC; the tracer owns pointer-stable
+            // storage, so later epochs skip the interning lookup.
+            track = tracer_->internName(
+                ("allocLines.vc" +
+                 statIndexName(static_cast<std::uint64_t>(vc)))
+                    .c_str());
+            allocTrackNames_[vc] = track;
         }
-        for (const auto &[vc, lines] : lastAlloc_) {
-            const char *track = nullptr;
-            if (const char *const *cached = allocTrackNames_.lookup(vc)) {
-                track = *cached;
-            } else {
-                // Intern once per VC; the tracer owns pointer-stable
-                // storage, so later epochs skip the interning lookup.
-                track = tracer_->internName(
-                    ("allocLines.vc" +
-                     statIndexName(static_cast<std::uint64_t>(vc)))
-                        .c_str());
-                allocTrackNames_[vc] = track;
-            }
-            tracer_->counterInterned(tracePid_ + Tracer::kRuntimePid,
-                                     track, now,
-                                     static_cast<double>(lines));
-        }
+        tracer_->counterInterned(tracePid_ + Tracer::kRuntimePid, track,
+                                 now, static_cast<double>(lines));
     }
 }
 
@@ -298,34 +358,35 @@ RuntimeDriver::reconfigureNow(Tick now)
 {
     JUMANJI_PROF_SCOPE("sim.epoch.repartition");
     checkSetPhase("reconfigure");
-    EpochInputs in = gatherInputs();
-    PlacementPlan plan = policy_->reconfigure(in);
+    if (rosterPlanned_) {
+        reinstallPlan(now);
+    } else {
+        EpochInputs in = gatherInputs();
+        PlacementPlan plan = policy_->reconfigure(in);
 #if JUMANJI_CHECKS_ACTIVE
-    // Every registered app with allocated lines must come out of the
-    // policy with a descriptor and a full set of way masks; a missing
-    // entry would silently leave the app on its stale placement.
-    for (const auto &app : apps_) {
-        if (plan.matrix.vcTotal(app.vc) == 0) continue;
-        JUMANJI_INVARIANT(plan.descriptors.count(app.vc) == 1,
-                          "allocated VC missing a descriptor");
-        auto maskIt = plan.wayMasks.find(app.vc);
-        JUMANJI_INVARIANT(maskIt != plan.wayMasks.end() &&
-                              maskIt->second.size() == geo_.banks,
-                          "allocated VC missing per-bank way masks");
-    }
+        // Every registered app with allocated lines must come out of
+        // the policy with a descriptor and a full set of way masks; a
+        // missing entry would silently leave the app on its stale
+        // placement.
+        for (const auto &app : apps_) {
+            if (plan.matrix.vcTotal(app.vc) == 0) continue;
+            JUMANJI_INVARIANT(plan.descriptors.count(app.vc) == 1,
+                              "allocated VC missing a descriptor");
+            auto maskIt = plan.wayMasks.find(app.vc);
+            JUMANJI_INVARIANT(maskIt != plan.wayMasks.end() &&
+                                  maskIt->second.size() == geo_.banks,
+                              "allocated VC missing per-bank way masks");
+        }
 #endif
-    installPlan(plan, now);
+        installPlan(plan, now);
+        rosterPlanned_ = policy_->plansFromRosterOnly();
+    }
     reconfigs_++;
     checkSetPhase("simulate");
 
     // Age UMON counters so curves track the recent epochs while
     // keeping enough history to stay stable (see DESIGN.md).
-    for (const auto &app : apps_) {
-        MemPath *source = path_;
-        if (idealBatchPath_ != nullptr && !app.latencyCritical)
-            source = idealBatchPath_;
-        source->umon(app.vc).decay(0.5);
-    }
+    for (const auto &app : apps_) pathOf(app).umon(app.vc).decay(0.5);
 }
 
 Tick

@@ -4,6 +4,8 @@
  * every reconfiguration epoch (100 ms in the paper; scaled here),
  * gathers UMON miss curves and feedback-controller targets, runs the
  * active placement policy, and installs descriptors and way masks.
+ * A policy that plans from the roster alone (Static) is planned once
+ * per roster; later epochs re-install its descriptors.
  *
  * It also hosts the RequestCompleted path (Listing 1): LC apps call
  * back on every completed request, and the per-app feedback
@@ -143,8 +145,19 @@ class RuntimeDriver : public Agent
     void setTracer(Tracer *tracer, std::uint32_t basePid);
 
   private:
+    /** Epoch inputs holding only the roster: no curves or targets. */
+    EpochInputs rosterInputs() const;
     EpochInputs gatherInputs();
     void installPlan(const PlacementPlan &plan, Tick now);
+    /**
+     * The roster-only fast path: re-installs every VC's installed
+     * descriptor, leaving the way masks and lastAlloc_ as they are.
+     */
+    void reinstallPlan(Tick now);
+    /** The repartition, coherence-walk and allocLines records. */
+    void traceRepartition(Tick now, std::uint64_t invalidations);
+    /** The LLC holding @p app's data (Ideal Batch routes batch apart). */
+    MemPath &pathOf(const RuntimeAppInfo &app) const;
 
     std::unique_ptr<LlcPolicy> policy_;
     MemPath *path_;
@@ -162,6 +175,11 @@ class RuntimeDriver : public Agent
     std::uint64_t invalidations_ = 0;
     std::uint64_t reconfigs_ = 0;
     std::uint64_t fixedLcTarget_ = 0;
+    /**
+     * A plansFromRosterOnly() policy has planned the current roster;
+     * registerApp clears it.
+     */
+    bool rosterPlanned_ = false;
     bool hullCurves_ = true;
     bool rateNormalize_ = true;
     /** Last LC target actually installed, per VC (deadband). */

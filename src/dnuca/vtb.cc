@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/sim/flat_map.hh"
@@ -21,9 +22,19 @@ PlacementDescriptor::fillProportional(
 
     // Largest-remainder apportionment of 128 slots.
     double total = 0.0;
-    for (const auto &[bank, share] : shares) total += std::max(0.0, share);
+    std::size_t positive = 0;
+    for (const auto &[bank, share] : shares) {
+        total += std::max(0.0, share);
+        if (share > 0.0) positive++;
+    }
     if (total <= 0.0)
         panic("PlacementDescriptor::fillProportional: zero total share");
+    // Each positive share holds at least one slot, so more of them
+    // than slots cannot be apportioned (the trim below would spin).
+    if (positive > kSlots)
+        panic("PlacementDescriptor::fillProportional: " +
+              std::to_string(positive) + " positive shares exceed the " +
+              std::to_string(kSlots) + " slots");
 
     struct Alloc
     {

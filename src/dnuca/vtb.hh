@@ -70,7 +70,8 @@ class PlacementDescriptor
      * ~1). Banks receive round(share * 128) slots, adjusted so every
      * positive-share bank gets >= 1 slot and all 128 slots are used.
      * Slot->bank assignment is deterministic (interleaved) so that
-     * small share changes move few slots.
+     * small share changes move few slots. Panics on more than 128
+     * positive shares.
      */
     void fillProportional(const std::vector<std::pair<BankId, double>>
                               &shares);

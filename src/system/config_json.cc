@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "src/dnuca/vtb.hh"
 #include "src/sim/json.hh"
 #include "src/sim/logging.hh"
 #include "src/system/config.hh"
@@ -287,6 +288,11 @@ validateConfig(const SystemConfig &cfg)
               "x" + std::to_string(cfg.mesh.rows) + " = " +
               std::to_string(tiles) +
               " tiles (banks must equal mesh tiles)");
+    if (cfg.llc.banks > PlacementDescriptor::kSlots)
+        fatal("llc.banks: " + std::to_string(cfg.llc.banks) +
+              " banks (must be <= " +
+              std::to_string(PlacementDescriptor::kSlots) +
+              ", the placement descriptor's slot count)");
     if (cfg.controller.lowFrac >= cfg.controller.highFrac)
         fatal("controller.lowFrac: must be < controller.highFrac (" +
               fmtDouble(cfg.controller.lowFrac) + " >= " +

@@ -8,15 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/core/feedback_controller.hh"
 #include "src/core/jigsaw_placer.hh"
 #include "src/core/lat_crit_placer.hh"
 #include "src/core/lookahead.hh"
 #include "src/core/placement_types.hh"
 #include "src/core/policies.hh"
+#include "src/core/runtime_driver.hh"
+#include "src/cpu/mem_path.hh"
 #include "src/sim/fingerprint.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/rng.hh"
+#include "src/sim/statreg.hh"
+#include "src/sim/tracing.hh"
 
 namespace jumanji {
 namespace {
@@ -821,6 +827,186 @@ TEST(Policies, IdealBatchEqualsJumanjiWithoutLcApps)
             << "trial " << trial;
     }
     setQuiet(false);
+}
+
+TEST(Policies, OnlyStaticPlansFromTheRoster)
+{
+    for (LlcDesign design :
+         {LlcDesign::Static, LlcDesign::Adaptive, LlcDesign::VMPart,
+          LlcDesign::Jigsaw, LlcDesign::Jumanji,
+          LlcDesign::JumanjiInsecure, LlcDesign::JumanjiIdealBatch})
+        EXPECT_EQ(LlcPolicy::create(design)->plansFromRosterOnly(),
+                  design == LlcDesign::Static)
+            << llcDesignName(design);
+
+    // Fresh curves and LC targets every epoch leave Static's plan as
+    // it was: it depends on the roster and the geometry alone.
+    setQuiet(true);
+    Rng rng(11);
+    for (const PlanShape &shape : kPlanShapes) {
+        PlacementGeometry geo = shapeGeo(shape);
+        MeshTopology mesh(shapeMesh(shape));
+        StaticPolicy policy;
+        std::uint64_t first =
+            planDigest(policy.reconfigure(randomEpoch(rng, shape, geo, mesh)));
+        for (int epoch = 1; epoch < 10; epoch++)
+            EXPECT_EQ(planDigest(policy.reconfigure(
+                          randomEpoch(rng, shape, geo, mesh))),
+                      first);
+    }
+    setQuiet(false);
+}
+
+// ------------------------------------------------------ RuntimeDriver
+
+/** Static, planned from scratch every epoch: the reference path. */
+class ReplanningStaticPolicy : public StaticPolicy
+{
+  public:
+    bool plansFromRosterOnly() const override { return false; }
+};
+
+constexpr Tick kRigEpoch = 1000;
+
+LlcParams
+rigLlc()
+{
+    LlcParams llc;
+    llc.banks = 4;
+    llc.setsPerBank = 32;
+    llc.ways = 8;
+    llc.repl = ReplKind::LRU;
+    return llc;
+}
+
+UmonParams
+rigUmon()
+{
+    UmonParams p;
+    p.sets = 8;
+    p.ways = 8;
+    p.modelledLines = 4 * 32 * 8;
+    return p;
+}
+
+/** One LLC with its runtime, stats and trace. */
+struct RuntimeRig
+{
+    MemPath path;
+    RuntimeDriver runtime;
+    StatRegistry reg;
+    Tracer tracer;
+
+    explicit RuntimeRig(std::unique_ptr<LlcPolicy> policy)
+        : path(rigLlc(), quadMesh(), MemoryParams{}, rigUmon(), 1),
+          runtime(std::move(policy), &path, nullptr,
+                  testGeo(4, 8, 32 * 8), kRigEpoch)
+    {
+    }
+
+    std::string
+    trace() const
+    {
+        std::ostringstream os;
+        tracer.writeTo(os);
+        return os.str();
+    }
+};
+
+TEST(RuntimeDriver, RosterOnlyFastPathMatchesReplanningEveryEpoch)
+{
+    // The same calls drive two runtimes: Static's fast path, which
+    // plans once and then re-installs, and a Static that re-plans,
+    // re-materializes and re-stabilizes every epoch. Accesses, LC
+    // completions (moving the controller targets Static ignores), a
+    // thread migration and a late app must leave both identical.
+    RuntimeRig fast(std::make_unique<StaticPolicy>());
+    RuntimeRig slow(std::make_unique<ReplanningStaticPolicy>());
+    RuntimeRig *rigs[] = {&fast, &slow};
+
+    std::vector<RuntimeAppInfo> apps;
+    auto addApp = [&](VcId vc, VmId vm, std::uint32_t tile, bool lc) {
+        RuntimeAppInfo info;
+        info.vc = vc;
+        info.app = static_cast<AppId>(vc);
+        info.vm = vm;
+        info.coreTile = tile;
+        info.latencyCritical = lc;
+        info.name = "app" + std::to_string(vc);
+        for (RuntimeRig *rig : rigs)
+            rig->runtime.registerApp(info, ControllerParams{}, 1000.0);
+        apps.push_back(info);
+    };
+    addApp(0, 0, 0, true);
+    addApp(1, 0, 1, false);
+    addApp(2, 1, 2, true);
+    addApp(3, 1, 3, false);
+    addApp(4, 1, 3, false);
+    for (RuntimeRig *rig : rigs) {
+        rig->path.registerStats(rig->reg, "");
+        rig->runtime.registerStats(rig->reg, "runtime.");
+        rig->runtime.setTracer(&rig->tracer, rig->tracer.beginRun("rig"));
+    }
+
+    auto expectSame = [&](int epoch) {
+        for (const RuntimeAppInfo &app : apps) {
+            ASSERT_TRUE(fast.path.vtb().descriptor(app.vc) ==
+                        slow.path.vtb().descriptor(app.vc))
+                << "epoch " << epoch << " vc " << app.vc;
+            for (BankId b = 0; b < 4; b++)
+                ASSERT_TRUE(fast.path.bank(b).array().wayMaskFor(app.vc) ==
+                            slow.path.bank(b).array().wayMaskFor(app.vc))
+                    << "epoch " << epoch << " vc " << app.vc << " bank "
+                    << b;
+        }
+        std::vector<StatValue> a = fast.reg.snapshot();
+        std::vector<StatValue> b = slow.reg.snapshot();
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); i++) {
+            ASSERT_EQ(a[i].name, b[i].name);
+            ASSERT_EQ(a[i].value, b[i].value)
+                << "epoch " << epoch << " " << a[i].name;
+        }
+        ASSERT_TRUE(fast.trace() == slow.trace()) << "epoch " << epoch;
+    };
+
+    Rng rng(5);
+    Tick now = 0;
+    for (int epoch = 0; epoch < 60; epoch++) {
+        if (epoch == 20) {
+            for (RuntimeRig *rig : rigs) rig->runtime.migrateApp(1, 2);
+            apps[1].coreTile = 2;
+        }
+        if (epoch == 35) addApp(5, 0, 1, false); // forces a re-plan
+        for (RuntimeRig *rig : rigs) rig->runtime.reconfigureNow(now);
+        ASSERT_NO_FATAL_FAILURE(expectSame(epoch));
+
+        for (int i = 0; i < 300; i++) {
+            const RuntimeAppInfo &app = apps[rng.below(apps.size())];
+            AccessOwner owner;
+            owner.app = app.app;
+            owner.vc = app.vc;
+            owner.vm = app.vm;
+            LineAddr line = (static_cast<LineAddr>(app.vc) << 16) +
+                            rng.below(600);
+            for (RuntimeRig *rig : rigs)
+                rig->path.access(now, app.coreTile, owner, line);
+            now += 3;
+        }
+        for (VcId lc : {0, 2})
+            for (int r = 0; r < 25; r++) {
+                double latency = 500.0 + static_cast<double>(rng.below(1500));
+                for (RuntimeRig *rig : rigs)
+                    rig->runtime.requestCompleted(lc, latency, now);
+            }
+        now += kRigEpoch;
+    }
+
+    // One install per VC per epoch, as on the full path.
+    EXPECT_EQ(fast.reg.value("dnuca.vtb.installs"), 35 * 5 + 25 * 6);
+    EXPECT_EQ(fast.reg.value("runtime.reconfigurations"), 60);
+    EXPECT_GT(fast.reg.value("runtime.vc00.allocLines"), 0);
+    EXPECT_GT(fast.reg.value("llc.misses"), 0);
 }
 
 } // namespace

@@ -237,6 +237,31 @@ TEST(Descriptor, TinyShareStillReachable)
     EXPECT_GE(desc.slotsOn(1), 1u);
 }
 
+TEST(Descriptor, ProportionalFillPanicsOnMoreSharesThanSlots)
+{
+    // 128 equal shares fill one slot each.
+    constexpr auto kSlots = static_cast<BankId>(PlacementDescriptor::kSlots);
+    std::vector<std::pair<BankId, double>> shares;
+    for (BankId b = 0; b < kSlots; b++) shares.emplace_back(b, 1.0);
+    PlacementDescriptor desc;
+    desc.fillProportional(shares);
+    for (BankId b = 0; b < kSlots; b++) EXPECT_EQ(desc.slotsOn(b), 1u);
+
+    // A 129th positive share cannot hold a slot; the apportionment's
+    // trim loop used to spin forever here. A zero share is no claim.
+    shares.emplace_back(kSlots, 0.0);
+    EXPECT_NO_THROW(desc.fillProportional(shares));
+    shares.back().second = 1.0;
+    try {
+        desc.fillProportional(shares);
+        ADD_FAILURE() << "expected PanicError";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(),
+                     "panic: PlacementDescriptor::fillProportional: 129 "
+                     "positive shares exceed the 128 slots");
+    }
+}
+
 TEST(Descriptor, BankForUsesHash)
 {
     PlacementDescriptor desc;

@@ -154,6 +154,22 @@ TEST(ConfigJson, GeometryMismatchNamesBothSides)
               }),
               "fatal: mesh.rows: 65536x65537 = 4295032832 tiles (must be "
               "<= 4294967295)");
+    // A descriptor has 128 slots; a VC striped over more banks could
+    // not be placed (the apportionment used to spin forever).
+    EXPECT_EQ(fatalMessage([] {
+                  SystemConfig::fromJson(JsonValue::parse(
+                      "{\"mesh\": {\"cols\": 12, \"rows\": 11}, "
+                      "\"llc\": {\"banks\": 132}}",
+                      "test"));
+              }),
+              "fatal: llc.banks: 132 banks (must be <= 128, the placement "
+              "descriptor's slot count)");
+    // 8 x 16 = 128 banks is the largest mesh that passes.
+    SystemConfig cfg = SystemConfig::fromJson(JsonValue::parse(
+        "{\"mesh\": {\"cols\": 8, \"rows\": 16}, "
+        "\"llc\": {\"banks\": 128}}",
+        "test"));
+    EXPECT_EQ(cfg.llc.banks, 128u);
 }
 
 TEST(ConfigJson, ControllerThresholdOrderingIsValidated)
