@@ -1,6 +1,7 @@
 #include "src/cache/cache_array.hh"
 
 #include <bit>
+#include <string>
 
 #include "src/sim/check.hh"
 #include "src/sim/logging.hh"
@@ -29,7 +30,7 @@ CacheArray::CacheArray(std::uint32_t sets, std::uint32_t ways,
       ways_(ways),
       tags_(static_cast<std::size_t>(sets) * ways, 0),
       validBits_(sets, 0),
-      owners_(static_cast<std::size_t>(sets) * ways),
+      lineOwners_(static_cast<std::size_t>(sets) * ways, 0),
       repl_(ReplPolicy::create(repl, sets, ways, seed)),
       fullMask_(WayMask::all(ways))
 {
@@ -57,6 +58,24 @@ CacheArray::findWay(std::uint32_t set, LineAddr line) const
     for (std::uint32_t w = 0; w < ways_; w++)
         if (tagRow[w] == line && ((valid >> w) & 1) != 0) return w;
     return ways_;
+}
+
+std::uint16_t
+CacheArray::internOwner(const AccessOwner &owner)
+{
+    std::uint16_t id;
+    if (const std::uint16_t *known = ownerIndex_.lookup(owner)) {
+        id = *known;
+    } else {
+        if (ownerTable_.size() == kMaxOwners)
+            panic("CacheArray: more than " + std::to_string(kMaxOwners) +
+                  " distinct line owners, the limit of a 2-byte owner id");
+        id = static_cast<std::uint16_t>(ownerTable_.size());
+        ownerTable_.push_back(owner);
+        ownerIndex_[owner] = id;
+    }
+    lastOwnerOfVc_[owner.vc] = id;
+    return id;
 }
 
 void
@@ -104,7 +123,7 @@ CacheArray::checkOccupancyInvariant() const
              bits &= bits - 1) {
             auto w = static_cast<std::uint32_t>(std::countr_zero(bits));
             const AccessOwner &o =
-                owners_[static_cast<std::size_t>(s) * ways_ + w];
+                ownerOf(static_cast<std::size_t>(s) * ways_ + w);
             valid++;
             byApp[o.app]++;
             byVc[o.vc]++;
@@ -158,6 +177,9 @@ CacheArray::access(LineAddr line, const AccessOwner &owner)
         // No fill rights: treat as an uncached access (still a miss).
         return result;
     }
+    // Resolved before any line changes: a new owner may grow the
+    // table, and one past its limit panics with the array intact.
+    const std::uint16_t ownerId = ownerIdFor(owner);
 
     // Prefer the lowest invalid allowed way (one bit-scan).
     std::uint32_t victim;
@@ -172,16 +194,15 @@ CacheArray::access(LineAddr line, const AccessOwner &owner)
     JUMANJI_ASSERT(mask.contains(victim),
                    "replacement chose a victim outside the way mask");
 
-    AccessOwner &vOwner = owners_[base + victim];
     if (validBits_[set] & (1ull << victim)) {
         result.evicted = true;
-        result.evictedOwner = vOwner;
+        result.evictedOwner = ownerOf(base + victim);
         result.evictedLine = tagRow[victim];
-        accountDrop(vOwner);
+        accountDrop(result.evictedOwner);
     }
     tags_[base + victim] = line;
     validBits_[set] |= 1ull << victim;
-    vOwner = owner;
+    lineOwners_[base + victim] = ownerId;
     accountFill(owner);
     repl_->onFill(set, victim);
     return result;
@@ -195,6 +216,7 @@ CacheArray::insert(LineAddr line, const AccessOwner &owner)
     if (findWay(set, line) < ways_) return true;
     const WayMask &mask = *maskFor(owner.vc);
     if (mask.empty()) return false;
+    const std::uint16_t ownerId = ownerIdFor(owner);
 
     std::uint32_t victim;
     std::uint64_t invalidAllowed = mask.bits() & ~validBits_[set] &
@@ -207,11 +229,11 @@ CacheArray::insert(LineAddr line, const AccessOwner &owner)
     JUMANJI_ASSERT(victim < ways_ && mask.contains(victim),
                    "migration fill outside the way mask");
 
-    AccessOwner &vOwner = owners_[base + victim];
-    if (validBits_[set] & (1ull << victim)) accountDrop(vOwner);
+    if (validBits_[set] & (1ull << victim))
+        accountDrop(ownerOf(base + victim));
     tags_[base + victim] = line;
     validBits_[set] |= 1ull << victim;
-    vOwner = owner;
+    lineOwners_[base + victim] = ownerId;
     accountFill(owner);
     repl_->onFill(set, victim);
     return true;

@@ -12,6 +12,7 @@
 #define JUMANJI_CACHE_CACHE_ARRAY_HH
 
 #include <bit>
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -31,6 +32,9 @@ struct AccessOwner
     VmId vm = kInvalidVm;
     /** LC traffic gets reserved memory bandwidth (Heracles-style). */
     bool latencyCritical = false;
+
+    /** Field-wise, so a CacheArray can index its distinct owners. */
+    auto operator<=>(const AccessOwner &) const = default;
 };
 
 /** Result of one array access. */
@@ -130,7 +134,7 @@ class CacheArray
                  bits &= bits - 1) {
                 auto w = static_cast<std::uint32_t>(
                     std::countr_zero(bits));
-                const AccessOwner &o = owners_[base + w];
+                const AccessOwner &o = ownerOf(base + w);
                 if (pred(tags_[base + w], o)) {
                     accountDrop(o);
                     validBits_[s] &= ~(1ull << w);
@@ -164,11 +168,40 @@ class CacheArray
     /** Test hook: the replacement policy instance. */
     ReplPolicy &replacement() { return *repl_; }
 
-  private:
+    /** The set @p line maps to (a hash of the line, not its low bits). */
     std::uint32_t setIndex(LineAddr line) const;
 
+    /**
+     * Distinct owners one array can name: a line's owner is a 2-byte
+     * index into the array's owner table. A fill by one more panics.
+     */
+    static constexpr std::size_t kMaxOwners = std::size_t{1} << 16;
+
+  private:
     /** The valid way of @p set holding @p line, or numWays(). */
     std::uint32_t findWay(std::uint32_t set, LineAddr line) const;
+
+    /** Owner of the line in slot @p index (set * ways + way). */
+    const AccessOwner &ownerOf(std::size_t index) const
+    {
+        return ownerTable_[lineOwners_[index]];
+    }
+
+    /**
+     * Owner-table index of @p owner, appending it on first sight. The
+     * per-VC cache answers almost every fill; it compares the whole
+     * owner, so a VC seen under another app, VM or LC flag is not
+     * mistaken for its earlier owner.
+     */
+    std::uint16_t ownerIdFor(const AccessOwner &owner)
+    {
+        const std::uint16_t *id = lastOwnerOfVc_.lookup(owner.vc);
+        if (id != nullptr && ownerTable_[*id] == owner) return *id;
+        return internOwner(owner);
+    }
+
+    /** ownerIdFor's slow path: index lookup or append, then cache. */
+    std::uint16_t internOwner(const AccessOwner &owner);
 
     void accountFill(const AccessOwner &owner);
     void accountDrop(const AccessOwner &owner);
@@ -188,10 +221,17 @@ class CacheArray
     // (8 B/way instead of a ~32 B Line struct) and validity is one
     // bitmask word per set, which also turns the invalid-victim
     // search into a single bit-scan. Owners are only touched on
-    // fill/evict, never on the hit path.
+    // fill/evict, never on the hit path, and a run has few distinct
+    // ones, so each line keeps a 2-byte index into ownerTable_.
     std::vector<LineAddr> tags_;
     std::vector<std::uint64_t> validBits_;
-    std::vector<AccessOwner> owners_;
+    std::vector<std::uint16_t> lineOwners_;
+    /** Distinct owners that have filled a line here, append-only. */
+    std::vector<AccessOwner> ownerTable_;
+    /** Owner -> its ownerTable_ index, for internOwner. */
+    FlatMap<AccessOwner, std::uint16_t> ownerIndex_;
+    /** Per-VC cache: the index of the VC's last filling owner. */
+    SmallIdMap<VcId, std::uint16_t> lastOwnerOfVc_;
     std::unique_ptr<ReplPolicy> repl_;
     // Dense id-indexed maps throughout: these sit on the per-access
     // path (mask resolution, occupancy accounting, the vulnerability

@@ -23,7 +23,9 @@ Umon::Umon(const UmonParams &params)
                   static_cast<double>(std::max<std::uint64_t>(1, tags));
     if (sampleRate_ < 1.0) sampleRate_ = 1.0;
     rateInt_ = static_cast<std::uint64_t>(sampleRate_);
-    for (auto &stack : stacks_) stack.reserve(params.ways);
+    // Stacks grow as sampled lines arrive, and recordSampled caps each
+    // at params.ways. Capacity never changes their order or the
+    // counts, and a VC's stacks rarely fill, so none is reserved.
 }
 
 void

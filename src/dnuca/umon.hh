@@ -39,6 +39,9 @@ mix(std::uint64_t x)
     return x;
 }
 
+/** Salt of the sampling hash, so it is independent of the set hash. */
+constexpr std::uint64_t kSampleSalt = 0x5bf03635ull;
+
 } // namespace umon_detail
 
 /** UMON geometry. */
@@ -107,7 +110,7 @@ class Umon
         // Hash-sample lines at 1/sampleRate. Using the line address
         // (not the access) keeps a line's accesses consistently
         // monitored.
-        std::uint64_t h = umon_detail::mix(line ^ 0x5bf03635ull);
+        std::uint64_t h = umon_detail::mix(line ^ umon_detail::kSampleSalt);
         return (h % rateInt_) == 0;
     }
 
@@ -119,7 +122,10 @@ class Umon
     /** sampleRate_ truncated once, for the per-access modulo. */
     std::uint64_t rateInt_;
 
-    /** Per-set LRU stacks of line tags, most recent first. */
+    /**
+     * Per-set LRU stacks of line tags, most recent first. Each holds
+     * only the distinct lines sampled into its set, at most ways.
+     */
     std::vector<std::vector<LineAddr>> stacks_;
 
     /** Hits by recency position (0 = MRU). */

@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "src/cache/cache_array.hh"
 #include "src/cache/cache_bank.hh"
 #include "src/cache/replacement.hh"
@@ -473,6 +481,365 @@ TEST_P(PartitionIsolation, VictimNeverCrossesMask)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionIsolation,
                          ::testing::Values(1, 7, 21, 63));
+
+// ---------------------------------- differential: array vs. naive
+
+/**
+ * Naive reference for CacheArray's bookkeeping: one {tag, valid,
+ * owner} record per way, its own way masks and std::map occupancy
+ * tallies, and its own replacement policy, driven by the same
+ * onHit/onFill/onInvalidate/victimWay calls the array makes. Only the
+ * set hash is shared. A fill takes the lowest invalid way its mask
+ * allows, else the policy's victim.
+ */
+class NaiveArray
+{
+  public:
+    NaiveArray(const CacheArray &shape, ReplKind kind, std::uint64_t seed)
+        : shape_(shape),
+          ways_(shape.numWays()),
+          lines_(shape.numLines()),
+          repl_(ReplPolicy::create(kind, shape.numSets(), shape.numWays(),
+                                   seed))
+    {
+    }
+
+    ArrayAccessResult
+    access(LineAddr line, const AccessOwner &owner)
+    {
+        ArrayAccessResult r;
+        const std::uint32_t set = shape_.setIndex(line);
+        if (const std::uint32_t w = find(set, line); w < ways_) {
+            repl_->onHit(set, w);
+            r.hit = true;
+            return r;
+        }
+        fill(set, line, owner, &r);
+        return r;
+    }
+
+    bool
+    insert(LineAddr line, const AccessOwner &owner)
+    {
+        const std::uint32_t set = shape_.setIndex(line);
+        return find(set, line) < ways_ || fill(set, line, owner, nullptr);
+    }
+
+    void setWayMask(VcId vc, const WayMask &mask) { masks_[vc] = mask; }
+    void clearWayMasks() { masks_.clear(); }
+
+    template <typename Pred>
+    std::uint64_t
+    invalidateIf(Pred pred)
+    {
+        std::uint64_t dropped = 0;
+        for (std::uint32_t s = 0; s < shape_.numSets(); s++) {
+            for (std::uint32_t w = 0; w < ways_; w++) {
+                Way &l = way(s, w);
+                if (!l.valid || !pred(l.tag, l.owner)) continue;
+                tally(l.owner, -1);
+                l.valid = false;
+                repl_->onInvalidate(s, w);
+                dropped++;
+            }
+        }
+        return dropped;
+    }
+
+    std::uint64_t validLines() const { return valid_; }
+    std::uint64_t occupancyOfApp(AppId app) const { return get(byApp_, app); }
+    std::uint64_t occupancyOfVc(VcId vc) const { return get(byVc_, vc); }
+
+    /** Distinct apps with a valid line, counted in every VM but @p vm. */
+    std::uint32_t
+    appsFromOtherVms(VmId vm) const
+    {
+        std::uint32_t apps = 0;
+        for (const auto &[v, byApp] : byVmApp_)
+            for (const auto &[app, lines] : byApp)
+                if (v != vm && lines > 0) apps++;
+        return apps;
+    }
+
+  private:
+    struct Way
+    {
+        LineAddr tag = 0;
+        bool valid = false;
+        AccessOwner owner;
+    };
+
+    Way &way(std::uint32_t set, std::uint32_t w)
+    {
+        return lines_[static_cast<std::size_t>(set) * ways_ + w];
+    }
+
+    /** The valid way of @p set holding @p line, or ways_. */
+    std::uint32_t
+    find(std::uint32_t set, LineAddr line)
+    {
+        for (std::uint32_t w = 0; w < ways_; w++)
+            if (way(set, w).valid && way(set, w).tag == line) return w;
+        return ways_;
+    }
+
+    template <typename K>
+    static std::uint64_t
+    get(const std::map<K, std::uint64_t> &m, K key)
+    {
+        auto it = m.find(key);
+        return it == m.end() ? 0 : it->second;
+    }
+
+    bool
+    fill(std::uint32_t set, LineAddr line, const AccessOwner &owner,
+         ArrayAccessResult *r)
+    {
+        auto it = masks_.find(owner.vc);
+        const WayMask mask =
+            it == masks_.end() ? WayMask::all(ways_) : it->second;
+        if (mask.empty()) return false;
+        std::uint32_t victim = ways_;
+        for (std::uint32_t w = 0; w < ways_ && victim == ways_; w++)
+            if (mask.contains(w) && !way(set, w).valid) victim = w;
+        if (victim == ways_) victim = repl_->victimWay(set, mask);
+        Way &l = way(set, victim);
+        if (l.valid) {
+            if (r != nullptr) {
+                r->evicted = true;
+                r->evictedOwner = l.owner;
+                r->evictedLine = l.tag;
+            }
+            tally(l.owner, -1);
+        }
+        l = Way{line, true, owner};
+        tally(owner, +1);
+        repl_->onFill(set, victim);
+        return true;
+    }
+
+    void
+    tally(const AccessOwner &owner, int delta)
+    {
+        valid_ += static_cast<std::uint64_t>(delta);
+        byApp_[owner.app] += static_cast<std::uint64_t>(delta);
+        byVc_[owner.vc] += static_cast<std::uint64_t>(delta);
+        byVmApp_[owner.vm][owner.app] += static_cast<std::uint64_t>(delta);
+    }
+
+    const CacheArray &shape_;
+    std::uint32_t ways_;
+    std::vector<Way> lines_;
+    std::unique_ptr<ReplPolicy> repl_;
+    std::map<VcId, WayMask> masks_;
+    std::uint64_t valid_ = 0;
+    std::map<AppId, std::uint64_t> byApp_;
+    std::map<VcId, std::uint64_t> byVc_;
+    std::map<VmId, std::map<AppId, std::uint64_t>> byVmApp_;
+};
+
+std::string
+describe(const AccessOwner &o)
+{
+    std::ostringstream os;
+    os << "{app " << o.app << ", vc " << o.vc << ", vm " << o.vm
+       << ", lc " << o.latencyCritical << "}";
+    return os.str();
+}
+
+/** The first field in which two access results differ, or "". */
+std::string
+resultDiff(const ArrayAccessResult &got, const ArrayAccessResult &want)
+{
+    std::ostringstream os;
+    if (got.hit != want.hit) os << "hit " << got.hit << " vs " << want.hit;
+    else if (got.evicted != want.evicted)
+        os << "evicted " << got.evicted << " vs " << want.evicted;
+    else if (got.evicted && got.evictedLine != want.evictedLine)
+        os << "evictedLine " << got.evictedLine << " vs "
+           << want.evictedLine;
+    else if (got.evicted && got.evictedOwner != want.evictedOwner)
+        os << "evictedOwner " << describe(got.evictedOwner) << " vs "
+           << describe(want.evictedOwner);
+    return os.str();
+}
+
+/** The first occupancy query on which the two arrays differ, or "". */
+std::string
+stateDiff(const CacheArray &got, const NaiveArray &want,
+          const std::vector<AccessOwner> &owners)
+{
+    std::ostringstream os;
+    if (got.validLines() != want.validLines())
+        os << "validLines " << got.validLines() << " vs "
+           << want.validLines();
+    for (const AccessOwner &o : owners) {
+        if (!os.str().empty()) break;
+        if (got.occupancyOfApp(o.app) != want.occupancyOfApp(o.app))
+            os << "occupancyOfApp(" << o.app
+               << ") " << got.occupancyOfApp(o.app) << " vs "
+               << want.occupancyOfApp(o.app);
+        else if (got.occupancyOfVc(o.vc) != want.occupancyOfVc(o.vc))
+            os << "occupancyOfVc(" << o.vc << ") "
+               << got.occupancyOfVc(o.vc) << " vs "
+               << want.occupancyOfVc(o.vc);
+        else if (got.appsFromOtherVms(o.vm) != want.appsFromOtherVms(o.vm))
+            os << "appsFromOtherVms(" << o.vm << ") "
+               << got.appsFromOtherVms(o.vm) << " vs "
+               << want.appsFromOtherVms(o.vm);
+    }
+    return os.str();
+}
+
+class ArrayDifferential : public ::testing::TestWithParam<ReplKind>
+{
+};
+
+/**
+ * Lock-step: the array and the naive model take the same random
+ * stream of fills, migrations, mask changes and invalidations, and
+ * after every step agree on the access result and on every occupancy
+ * query. Owners share VCs across apps, VMs and LC flags, so an owner
+ * recorded by VC alone reports the wrong evictee.
+ */
+TEST_P(ArrayDifferential, MatchesNaiveModelStepByStep)
+{
+    const ReplKind kind = GetParam();
+    // 128 sets make DRRIP's leader stride 4, so follower sets exist.
+    CacheArray array(128, 4, kind, 17);
+    NaiveArray ref(array, kind, 17);
+    auto lc = [](AccessOwner o) {
+        o.latencyCritical = true;
+        return o;
+    };
+    const std::vector<AccessOwner> owners = {
+        lc(owner(0, 0, 0)), owner(0, 0, 0), owner(1, 1, 0),
+        lc(owner(2, 2, 1)), owner(3, 2, 1), owner(4, 3, 2),
+        owner(5, 4, 2),     owner(6, 4, 1),
+    };
+    const VcId kVcs = 5;
+    const LineAddr kUniverse = 2 * array.numLines();
+
+    Rng rng(static_cast<std::uint64_t>(kind) + 101);
+    std::uint64_t evictions = 0, peakValid = 0;
+    // Invalidations are rare enough (1 step in 180) that the array
+    // refills between them and most fills must evict.
+    for (int step = 0; step < 40000; step++) {
+        const std::uint64_t op = rng.below(20000);
+        const LineAddr line = rng.below(kUniverse);
+        const AccessOwner &o = owners[rng.below(owners.size())];
+        const auto vc = static_cast<VcId>(rng.below(kVcs));
+        std::string what;
+        if (op < 15000) {
+            what = "access";
+            ArrayAccessResult got = array.access(line, o);
+            ArrayAccessResult want = ref.access(line, o);
+            ASSERT_EQ(resultDiff(got, want), "")
+                << "step " << step << ": access(" << line << ", "
+                << describe(o) << ")";
+            evictions += want.evicted ? 1 : 0;
+        } else if (op < 17000) {
+            what = "insert";
+            ASSERT_EQ(array.insert(line, o), ref.insert(line, o))
+                << "step " << step;
+        } else if (op < 19700) {
+            // One mask in six is empty: that VC can no longer fill.
+            what = "setWayMask";
+            WayMask mask(rng.below(6) == 0 ? 0 : rng.below(16));
+            array.setWayMask(vc, mask);
+            ref.setWayMask(vc, mask);
+        } else if (op < 19890) {
+            what = "clearWayMasks";
+            array.clearWayMasks();
+            ref.clearWayMasks();
+        } else if (op < 19970) {
+            // A line-hash stripe, optionally only the LC lines, or a
+            // VM flush that spares one app.
+            what = "invalidateIf";
+            const std::uint64_t k = 2 + rng.below(6), r = rng.below(k);
+            const bool lcOnly = rng.below(2) == 0;
+            const auto vm = static_cast<VmId>(rng.below(3));
+            auto stripe = [=](LineAddr l, const AccessOwner &ow) {
+                return l % k == r && (!lcOnly || ow.latencyCritical);
+            };
+            auto flush = [=](LineAddr, const AccessOwner &ow) {
+                return ow.vm == vm && ow.app != o.app;
+            };
+            if (rng.below(2) == 0) {
+                ASSERT_EQ(array.invalidateIf(stripe),
+                          ref.invalidateIf(stripe))
+                    << "step " << step;
+            } else {
+                ASSERT_EQ(array.invalidateIf(flush), ref.invalidateIf(flush))
+                    << "step " << step;
+            }
+        } else if (op < 19995) {
+            what = "invalidateVc";
+            ASSERT_EQ(array.invalidateVc(vc),
+                      ref.invalidateIf([vc](LineAddr, const AccessOwner &ow) {
+                          return ow.vc == vc;
+                      }))
+                << "step " << step;
+        } else {
+            what = "invalidateAll";
+            ASSERT_EQ(array.invalidateAll(),
+                      ref.invalidateIf(
+                          [](LineAddr, const AccessOwner &) { return true; }))
+                << "step " << step;
+        }
+        ASSERT_EQ(stateDiff(array, ref, owners), "")
+            << "after step " << step << " (" << what << ")";
+        peakValid = std::max(peakValid, ref.validLines());
+    }
+    // The stream filled most of the array and made the policy choose.
+    EXPECT_GT(peakValid, array.numLines() * 3 / 4);
+    EXPECT_GT(evictions, 5000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ArrayDifferential,
+                         ::testing::Values(ReplKind::LRU, ReplKind::SRRIP,
+                                           ReplKind::BRRIP, ReplKind::DRRIP),
+                         [](const auto &info) {
+                             return std::string(replKindName(info.param));
+                         });
+
+TEST(CacheArray, OwnerIdsStopAtTheTwoByteLimit)
+{
+    // Every access brings a new owner, so the owner table gains one
+    // entry per access; evictions must keep naming the line's filler.
+    CacheArray array(64, 16, ReplKind::LRU, 1);
+    ASSERT_EQ(CacheArray::kMaxOwners, std::size_t{65536});
+    auto nth = [](std::size_t i) {
+        const auto id = static_cast<std::int32_t>(i);
+        return owner(id, id, id % 3);
+    };
+    for (std::size_t i = 0; i < CacheArray::kMaxOwners; i++) {
+        ArrayAccessResult r = array.access(i, nth(i));
+        ASSERT_FALSE(r.hit) << "access " << i;
+        if (r.evicted) {
+            ASSERT_EQ(describe(r.evictedOwner),
+                      describe(nth(r.evictedLine)))
+                << "access " << i;
+        }
+    }
+    ASSERT_EQ(array.validLines(), array.numLines());
+
+    const LineAddr next = CacheArray::kMaxOwners;
+    try {
+        array.access(next, nth(next));
+        FAIL() << "owner " << next << " was accepted";
+    } catch (const PanicError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("65536"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("2-byte owner id"), std::string::npos) << msg;
+    }
+    // The refused fill left the array as it was; known owners still fill.
+    EXPECT_FALSE(array.contains(next));
+    EXPECT_EQ(array.validLines(), array.numLines());
+    EXPECT_FALSE(array.access(next, nth(5)).hit);
+    EXPECT_TRUE(array.contains(next));
+    EXPECT_EQ(array.occupancyOfApp(5), 1u);
+}
 
 } // namespace
 } // namespace jumanji

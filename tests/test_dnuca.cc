@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <vector>
+
 #include "src/dnuca/miss_curve.hh"
 #include "src/dnuca/umon.hh"
 #include "src/dnuca/vtb.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/rng.hh"
+#include "src/sim/statreg.hh"
 
 namespace jumanji {
 namespace {
@@ -208,6 +214,159 @@ TEST(Umon, SamplingScalesBack)
         umon.access(rng.below(100000));
     double estimated = umon.missCurve().at(0);
     EXPECT_NEAR(estimated, n, 0.25 * n);
+}
+
+/**
+ * Naive UMON: one std::list true-LRU stack per set, chosen by the same
+ * umon_detail::mix sampling and set hash, with hits counted by recency
+ * position and each miss-curve point summed on its own.
+ */
+class NaiveUmon
+{
+  public:
+    explicit NaiveUmon(const UmonParams &p)
+        : p_(p), stacks_(p.sets), hits_(p.ways, 0)
+    {
+        const double tags = static_cast<double>(p.sets) * p.ways;
+        rate_ = std::max(1.0, static_cast<double>(p.modelledLines) / tags);
+    }
+
+    void
+    access(LineAddr line)
+    {
+        accesses_++;
+        const auto every = static_cast<std::uint64_t>(rate_);
+        if (umon_detail::mix(line ^ umon_detail::kSampleSalt) % every != 0)
+            return;
+        sampled_++;
+        std::list<LineAddr> &stack = stacks_[umon_detail::mix(line) % p_.sets];
+        std::size_t pos = 0;
+        for (auto it = stack.begin(); it != stack.end(); ++it, ++pos) {
+            if (*it == line) {
+                hits_[pos]++;
+                stack.erase(it);
+                stack.push_front(line);
+                return;
+            }
+        }
+        misses_++;
+        stack.push_front(line);
+        if (stack.size() > p_.ways) stack.pop_back();
+    }
+
+    /** misses(k) = misses + hits at positions >= k, times the rate. */
+    std::vector<double>
+    curve() const
+    {
+        std::vector<double> pts;
+        for (std::size_t k = 0; k <= p_.ways; k++) {
+            std::uint64_t misses = misses_;
+            for (std::size_t pos = k; pos < p_.ways; pos++)
+                misses += hits_[pos];
+            pts.push_back(static_cast<double>(misses) * rate_);
+        }
+        return MissCurve(pts).points();
+    }
+
+    void
+    decay(double factor)
+    {
+        auto scale = [factor](std::uint64_t &c) {
+            c = static_cast<std::uint64_t>(static_cast<double>(c) * factor);
+        };
+        for (std::uint64_t &h : hits_) scale(h);
+        scale(misses_);
+        scale(sampled_);
+        scale(accesses_);
+    }
+
+    void
+    clear()
+    {
+        std::fill(hits_.begin(), hits_.end(), 0);
+        misses_ = sampled_ = accesses_ = 0;
+    }
+
+    std::uint64_t accesses() const { return accesses_; }
+    std::uint64_t sampled() const { return sampled_; }
+    std::uint64_t misses() const { return misses_; }
+
+    /** Lines held over all sets (at most sets * ways). */
+    std::size_t
+    held() const
+    {
+        std::size_t n = 0;
+        for (const auto &stack : stacks_) n += stack.size();
+        return n;
+    }
+
+  private:
+    UmonParams p_;
+    double rate_;
+    std::vector<std::list<LineAddr>> stacks_;
+    std::vector<std::uint64_t> hits_;
+    std::uint64_t misses_ = 0, sampled_ = 0, accesses_ = 0;
+};
+
+TEST(Umon, MatchesNaiveListModelBitForBit)
+{
+    // An integral sampling rate (4) and a fractional one (5.25: the
+    // sampler keeps 1 line in 5, the curve scales back by 5.25).
+    for (std::uint64_t modelled : {32u * 16u * 4u, 32u * 16u * 21u / 4u}) {
+        UmonParams p;
+        p.sets = 32;
+        p.ways = 16;
+        p.modelledLines = modelled;
+        Umon umon(p);
+        NaiveUmon ref(p);
+        StatRegistry reg;
+        umon.registerStats(reg, "umon.");
+        auto expectSame = [&](int epoch, const char *when) {
+            SCOPED_TRACE(testing::Message() << "modelled " << modelled
+                                            << ", epoch " << epoch << ", "
+                                            << when);
+            ASSERT_EQ(umon.missCurve().points(), ref.curve());
+            ASSERT_EQ(umon.accesses(), ref.accesses());
+            ASSERT_EQ(reg.value("umon.accesses"),
+                      static_cast<double>(ref.accesses()));
+            ASSERT_EQ(reg.value("umon.sampledAccesses"),
+                      static_cast<double>(ref.sampled()));
+            ASSERT_EQ(reg.value("umon.sampledMisses"),
+                      static_cast<double>(ref.misses()));
+        };
+
+        // Working sets of a quarter, all, and four times the modelled
+        // capacity, half scanned and half drawn at random, moving to
+        // fresh lines every other epoch so stacks keep turning over.
+        const std::vector<LineAddr> sizes = {modelled / 4, modelled,
+                                             modelled * 4};
+        Rng rng(modelled);
+        std::uint64_t fed = 0;
+        for (int epoch = 0; epoch < 30; epoch++) {
+            const LineAddr ws = sizes[static_cast<std::size_t>(epoch) % 3];
+            const LineAddr base = static_cast<LineAddr>(epoch / 2) << 32;
+            for (LineAddr i = 0; i < 4000; i++) {
+                LineAddr line = base + (i % 2 == 0 ? (i / 2) % ws
+                                                   : rng.below(ws));
+                umon.access(line);
+                ref.access(line);
+            }
+            fed += 4000;
+            ASSERT_NO_FATAL_FAILURE(expectSame(epoch, "end of epoch"));
+            if (epoch % 3 == 1) {
+                umon.decay(epoch % 2 == 0 ? 0.5 : 0.75);
+                ref.decay(epoch % 2 == 0 ? 0.5 : 0.75);
+                ASSERT_NO_FATAL_FAILURE(expectSame(epoch, "after decay"));
+            } else if (epoch % 5 == 4) {
+                umon.clear();
+                ref.clear();
+                ASSERT_NO_FATAL_FAILURE(expectSame(epoch, "after clear"));
+            }
+        }
+        EXPECT_GE(fed, 100000u);
+        // The large working sets filled every stack to its ways.
+        EXPECT_EQ(ref.held(), std::size_t{p.sets} * p.ways);
+    }
 }
 
 // ------------------------------------------------ PlacementDescriptor
