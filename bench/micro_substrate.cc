@@ -46,8 +46,7 @@ BM_UmonAccess(benchmark::State &state)
     UmonParams params;
     params.sets = 256;
     params.ways = 64;
-    params.modelledLines = 327680;
-    Umon umon(params);
+    Umon umon(params, 327680); // 20 MB of 64 B lines
     Rng rng(1);
     for (auto _ : state) umon.access(rng.below(100000));
     state.SetItemsProcessed(state.iterations());

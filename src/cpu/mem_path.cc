@@ -31,9 +31,7 @@ void
 MemPath::registerVc(VcId vc)
 {
     if (umons_.count(vc)) return;
-    UmonParams p = umonParams_;
-    p.modelledLines = totalLines();
-    umons_[vc] = std::make_unique<Umon>(p);
+    umons_[vc] = std::make_unique<Umon>(umonParams_, totalLines());
 }
 
 Umon &

@@ -8,7 +8,7 @@
 
 namespace jumanji {
 
-Umon::Umon(const UmonParams &params)
+Umon::Umon(const UmonParams &params, std::uint64_t modelledLines)
     : params_(params),
       stacks_(params.sets),
       hitCounters_(params.ways, 0)
@@ -19,7 +19,7 @@ Umon::Umon(const UmonParams &params)
     // modelledLines of capacity, so it samples at that ratio.
     std::uint64_t tags = static_cast<std::uint64_t>(params.sets) *
                          params.ways;
-    sampleRate_ = static_cast<double>(params.modelledLines) /
+    sampleRate_ = static_cast<double>(modelledLines) /
                   static_cast<double>(std::max<std::uint64_t>(1, tags));
     if (sampleRate_ < 1.0) sampleRate_ = 1.0;
     rateInt_ = static_cast<std::uint64_t>(sampleRate_);
@@ -71,12 +71,6 @@ Umon::missCurve() const
     }
     for (double &p : pts) p *= sampleRate_;
     return MissCurve(std::move(pts));
-}
-
-std::uint64_t
-Umon::linesPerBucket() const
-{
-    return std::max<std::uint64_t>(1, params_.modelledLines / params_.ways);
 }
 
 void

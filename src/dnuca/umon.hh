@@ -4,11 +4,11 @@
  * that measure, per virtual cache, the miss curve the VC would see at
  * different capacity allocations.
  *
- * The UMON models a cache of `modelled capacity` lines at
- * `ways` bucket granularity: it monitors a hash-sampled ~1/sampleRate
- * slice of the access stream with per-set true-LRU tag arrays and
- * counts hits by recency position. missCurve()[k] then estimates the
- * VC's misses had it been allocated k/ways of the modelled capacity.
+ * The UMON models a cache of `modelledLines` lines at `ways` bucket
+ * granularity: it monitors a hash-sampled ~1/sampleRate slice of the
+ * access stream with per-set true-LRU tag arrays and counts hits by
+ * recency position. missCurve()[k] then estimates the VC's misses had
+ * it been allocated k/ways of the modelled capacity.
  */
 
 #ifndef JUMANJI_DNUCA_UMON_HH
@@ -51,8 +51,6 @@ struct UmonParams
     std::uint32_t sets = 64;
     /** Recency positions == miss-curve buckets. */
     std::uint32_t ways = 64;
-    /** Total capacity (in lines) the monitor models. */
-    std::uint64_t modelledLines = 327680; // 20 MB of 64 B lines
 };
 
 /**
@@ -61,7 +59,11 @@ struct UmonParams
 class Umon
 {
   public:
-    explicit Umon(const UmonParams &params);
+    /**
+     * @param modelledLines Total capacity (in lines) the monitor
+     *        models; MemPath passes the LLC's line count.
+     */
+    Umon(const UmonParams &params, std::uint64_t modelledLines);
 
     /**
      * Observes one LLC access; internally sampled. Inline so the
@@ -85,9 +87,6 @@ class Umon
      * over the interval since the last clear().
      */
     MissCurve missCurve() const;
-
-    /** Lines of modelled capacity per miss-curve bucket. */
-    std::uint64_t linesPerBucket() const;
 
     /** Resets counters (called each reconfiguration epoch). */
     void clear();

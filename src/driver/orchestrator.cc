@@ -145,7 +145,9 @@ Orchestrator::run(const JobGraph &graph)
                 out.ok = false;
                 out.error = e.what();
             }
-            if (out.ok && !tracing)
+            // A key serializes the config, so it is made only for a
+            // cache that will store it.
+            if (out.ok && !tracing && cache_.enabled())
                 cache_.storeResult(jobKey(job), out.result);
             timing.ok = out.ok;
             if (out.ok) timing.accesses = accessesOf(out.result);
@@ -196,7 +198,8 @@ Orchestrator::runCalibrations(const std::vector<CalibrationJob> &requests)
             try {
                 ExperimentHarness local(requests[i].config);
                 results[i] = local.calibrationFor(requests[i].lcName);
-                cache_.storeCalibration(keyOf(i), results[i]);
+                if (cache_.enabled())
+                    cache_.storeCalibration(keyOf(i), results[i]);
             } catch (const std::exception &e) {
                 errors[i] = e.what();
             }

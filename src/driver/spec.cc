@@ -362,6 +362,12 @@ ExperimentSpec::fromJson(const JsonValue &json)
         if (!v->isObject())
             fatal("overrides: expected object, got " +
                   std::string(v->kindName()));
+        // expandSpec sets the base seed from the seed policy, which
+        // would silently replace this one.
+        if (v->find("seed") != nullptr)
+            fatal("overrides.seed: set the base seed with the "
+                  "scenario's \"seed\" policy ({\"fallback\": N, "
+                  "\"fromEnv\": false}), not an override");
         spec.overrides = *v;
     }
     if (const JsonValue *v = r.get("seed"))
@@ -489,9 +495,9 @@ expandSpec(const ExperimentSpec &spec)
     SpecPlan plan;
     plan.base = configPreset(spec.preset, "preset");
     if (!spec.overrides.isNull())
-        applyConfigJson(plan.base, spec.overrides);
-    // The seed policy is applied after the overrides: a scenario's
-    // "seed" override is a fixed value, the policy is the env hook.
+        applyConfigJson(plan.base, spec.overrides, "overrides");
+    // The seed policy alone sets the base seed (fromJson rejects a
+    // top-level "seed" override); a variant may still fix its own.
     plan.base.seed = spec.seed.fromEnv ? seedFromEnv(spec.seed.fallback)
                                        : spec.seed.fallback;
     // The KV load-scale env hook layers on the scenario's value, so
@@ -502,14 +508,10 @@ expandSpec(const ExperimentSpec &spec)
 
     for (std::size_t v = 0; v < spec.variants.size(); v++) {
         SystemConfig cfg = plan.base;
-        if (!spec.variants[v].overrides.isNull()) {
-            try {
-                applyConfigJson(cfg, spec.variants[v].overrides);
-            } catch (const FatalError &e) {
-                fatal("variants[" + std::to_string(v) +
-                      "].overrides." + e.what());
-            }
-        }
+        if (!spec.variants[v].overrides.isNull())
+            applyConfigJson(cfg, spec.variants[v].overrides,
+                            "variants[" + std::to_string(v) +
+                                "].overrides");
         validateConfig(cfg);
         plan.variantConfigs.push_back(std::move(cfg));
     }

@@ -155,7 +155,11 @@ struct ExperimentSpec
     std::string name;
     /** Base preset: "paperDefault" | "benchScaled" | "testTiny". */
     std::string preset = "benchScaled";
-    /** Config patch applied to the preset (JSON object; Null = none). */
+    /**
+     * Config patch applied to the preset (JSON object; Null = none).
+     * Never "seed": the seed policy sets the base seed, so fromJson
+     * rejects it here (a variant's overrides may fix one).
+     */
     JsonValue overrides;
     SeedPolicy seed;
     MixPolicy mixes;

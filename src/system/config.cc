@@ -1,7 +1,5 @@
 #include "src/system/config.hh"
 
-#include "src/sim/fingerprint.hh"
-
 namespace jumanji {
 
 SystemConfig
@@ -83,63 +81,6 @@ SystemConfig::testTiny()
     cfg.warmupTicks = 40000;
     cfg.measureTicks = 100000;
     return cfg;
-}
-
-void
-foldConfig(Fingerprint &fp, const SystemConfig &cfg)
-{
-    fp.addU64(cfg.llc.banks);
-    fp.addU64(cfg.llc.setsPerBank);
-    fp.addU64(cfg.llc.ways);
-    fp.addI64(static_cast<std::int64_t>(cfg.llc.repl));
-    fp.addU64(cfg.llc.timing.accessLatency);
-    fp.addU64(cfg.llc.timing.ports);
-    fp.addU64(cfg.llc.timing.portOccupancy);
-
-    fp.addU64(cfg.mesh.cols);
-    fp.addU64(cfg.mesh.rows);
-    fp.addU64(cfg.mesh.routerDelay);
-    fp.addU64(cfg.mesh.linkDelay);
-    fp.addU64(cfg.mesh.dataFlits);
-    fp.addU64(cfg.mesh.modelLinkContention ? 1 : 0);
-
-    fp.addU64(cfg.mem.accessLatency);
-    fp.addU64(cfg.mem.serviceInterval);
-    fp.addU64(cfg.mem.controllers);
-    fp.addU64(cfg.mem.partitionBandwidth ? 1 : 0);
-
-    fp.addU64(cfg.umon.sets);
-    fp.addU64(cfg.umon.ways);
-    fp.addU64(cfg.umon.modelledLines);
-
-    fp.addDouble(cfg.controller.lowFrac);
-    fp.addDouble(cfg.controller.highFrac);
-    fp.addDouble(cfg.controller.panicFrac);
-    fp.addDouble(cfg.controller.stepFrac);
-    fp.addU64(cfg.controller.configurationInterval);
-    fp.addDouble(cfg.controller.percentile);
-
-    fp.addI64(static_cast<std::int64_t>(cfg.design));
-    fp.addI64(static_cast<std::int64_t>(cfg.load));
-    fp.addU64(cfg.epochTicks);
-    fp.addU64(cfg.warmupTicks);
-    fp.addU64(cfg.measureTicks);
-    fp.addU64(cfg.seed);
-    fp.addDouble(cfg.capacityScale);
-    fp.addDouble(cfg.utilizationOverride);
-    fp.addU64(cfg.fixedLcTargetLines);
-    fp.addDouble(cfg.nominalLlcLatency);
-    fp.addU64(cfg.hullCurves ? 1 : 0);
-    fp.addU64(cfg.rateNormalizeCurves ? 1 : 0);
-    fp.addU64(cfg.migrateOnReconfig ? 1 : 0);
-    fp.addDouble(cfg.deadlinePadding);
-
-    fp.addString(cfg.kv.trace);
-    fp.addDouble(cfg.kv.peakMultiplier);
-    fp.addDouble(cfg.kv.loadScale);
-
-    fp.addU64(cfg.timelineStats.size());
-    for (const std::string &sel : cfg.timelineStats) fp.addString(sel);
 }
 
 PlacementGeometry

@@ -8,6 +8,11 @@
  * minutes instead of the paper's 969 trillion simulated cycles; load
  * levels (10%/50% utilization) are expressed as ratios, so the
  * relative results are preserved (see DESIGN.md).
+ *
+ * Every result-affecting field has one row in forEachField
+ * (config_json.cc), which gives its JSON path and range; the JSON
+ * reader, the writer and the result-cache key all walk that table.
+ * Adding such a field means adding one row.
  */
 
 #ifndef JUMANJI_SYSTEM_CONFIG_HH
@@ -90,10 +95,11 @@ struct SystemConfig
     /**
      * Capacity scale: all workload footprints are multiplied by this
      * factor when apps are instantiated. benchScaled() shrinks banks
-     * and footprints together (1/8) so that the compressed time
-     * scale can still warm and exercise the full cache; every
-     * capacity *ratio* (footprint vs. LLC, allocation vs. deadline)
-     * is preserved. paperDefault() keeps 1.0.
+     * and footprints together by 4x (128 of 512 sets per bank, scale
+     * 0.25) so that the compressed time scale can still warm and
+     * exercise the full cache; every capacity *ratio* (footprint vs.
+     * LLC, allocation vs. deadline) is preserved. paperDefault()
+     * keeps 1.0.
      */
     double capacityScale = 1.0;
 
@@ -174,9 +180,9 @@ struct SystemConfig
     // ---- Serialization (docs/INTERNALS.md §12) ----
 
     /**
-     * Serializes every result-affecting field (everything
-     * foldConfig folds) as a JSON object, nested by parameter block
-     * (llc / mesh / mem / umon / controller + top-level scalars).
+     * Serializes every result-affecting field (every row of the field
+     * table) as a JSON object, nested by parameter block (llc / mesh
+     * / mem / umon / controller / kv + top-level scalars).
      * Observability handles (tracer, traceLabel) are not data and
      * are excluded; timelineStats is included.
      */
@@ -185,7 +191,7 @@ struct SystemConfig
     /**
      * Strict inverse of toJson: default-constructed config +
      * applyConfigJson + validateConfig. Round-tripping is identity
-     * under the foldConfig fingerprint. Throws FatalError with a
+     * on toJson, hence on foldConfig. Throws FatalError with a
      * "field: reason" diagnostic on unknown keys, type mismatches,
      * out-of-range values, or inconsistent geometry.
      */
@@ -196,10 +202,13 @@ struct SystemConfig
  * Applies a (possibly partial) JSON object onto @p cfg: every key
  * present is validated (type + range) and assigned; unknown keys are
  * fatal. This is the "overrides" half of the scenario layer — a
- * preset plus a patch. Callers compose with validateConfig for the
- * cross-field rules.
+ * preset plus a patch. @p path is the patch's place in its document
+ * ("overrides", "variants[1].overrides"; "" for a whole config) and
+ * prefixes every diagnostic. Callers compose with validateConfig for
+ * the cross-field rules.
  */
-void applyConfigJson(SystemConfig &cfg, const JsonValue &json);
+void applyConfigJson(SystemConfig &cfg, const JsonValue &json,
+                     const std::string &path = "");
 
 /**
  * Cross-field validation: bank count must equal mesh tiles, the
@@ -229,14 +238,11 @@ LoadLevel loadLevelFromName(const std::string &name,
 class Fingerprint;
 
 /**
- * Folds every result-affecting field of @p cfg into @p fp — the
- * config half of the driver's content-addressed result-cache key
- * (src/driver/result_cache.hh). Editing any parameter that can change
- * simulation output must change this digest, so new SystemConfig
- * fields must be added here (the cache would otherwise serve stale
- * results). Observability handles (tracer, traceLabel) are excluded:
- * they do not affect stats. timelineStats is included because it
- * selects the recorded timeline columns, which RunResult carries.
+ * Folds @p cfg into @p fp as its compact toJson() text — the config
+ * half of the driver's content-addressed result-cache key
+ * (src/driver/result_cache.hh). A field is keyed if and only if it
+ * serializes, so a new field with a table row cannot serve stale
+ * results.
  */
 void foldConfig(Fingerprint &fp, const SystemConfig &cfg);
 

@@ -1,14 +1,14 @@
 /**
  * @file
  * SystemConfig <-> JSON: the serialization half of the scenario
- * layer (docs/INTERNALS.md §12).
+ * layer (docs/INTERNALS.md §12), and the config half of the result
+ * cache's key.
  *
- * The discipline mirrors foldConfig (config.cc): every
- * result-affecting field appears in toJson and is accepted by
- * applyConfigJson, so a config is fully reconstructible from its
- * JSON form — proven by the fingerprint round-trip test
- * (tests/test_spec.cc). Adding a SystemConfig field means updating
- * foldConfig, toJson, and applyConfigJson together.
+ * forEachField is the one list of result-affecting fields: a row per
+ * field, giving its dotted path, its member and its codec (type and
+ * range). applyConfigJson, toJson and foldConfig are each one walk
+ * over it, so a field is read, written and keyed if and only if it
+ * has a row. Adding a SystemConfig field means adding one row.
  *
  * Validation is strict and precise: unknown keys, type mismatches,
  * out-of-range values, and inconsistent geometry all throw
@@ -16,11 +16,13 @@
  * ("mesh.cols: must be >= 1"), never a silent default.
  */
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 
 #include "src/dnuca/vtb.hh"
+#include "src/sim/fingerprint.hh"
 #include "src/sim/json.hh"
 #include "src/sim/logging.hh"
 #include "src/system/config.hh"
@@ -38,154 +40,211 @@ fmtDouble(double v)
     return buf;
 }
 
-// Typed field setters: assign only when the key is present, with the
-// range stated once and enforced at parse time.
+// Codecs: each reads one member from JSON, enforcing its range, and
+// writes it back.
 
-void
-setU32(ObjectReader &r, const std::string &key, std::uint32_t &out,
-       std::uint32_t min, std::uint32_t max = 0xffffffffu)
+/** An integer in [min, max] that fits the member's width. */
+struct IntRange
 {
-    const JsonValue *v = r.get(key);
-    if (v == nullptr) return;
-    std::uint32_t parsed = v->asU32(r.path(key));
-    if (parsed < min)
-        fatal(r.path(key) + ": must be >= " + std::to_string(min));
-    if (parsed > max)
-        fatal(r.path(key) + ": must be <= " + std::to_string(max));
-    out = parsed;
-}
+    std::uint64_t min;
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
 
-void
-setU64(ObjectReader &r, const std::string &key, std::uint64_t &out,
-       std::uint64_t min)
-{
-    const JsonValue *v = r.get(key);
-    if (v == nullptr) return;
-    std::uint64_t parsed = v->asU64(r.path(key));
-    if (parsed < min)
-        fatal(r.path(key) + ": must be >= " + std::to_string(min));
-    out = parsed;
-}
-
-void
-setDouble(ObjectReader &r, const std::string &key, double &out,
-          double min, double max, bool minExclusive)
-{
-    const JsonValue *v = r.get(key);
-    if (v == nullptr) return;
-    double parsed = v->asDouble(r.path(key));
-    if (minExclusive ? parsed <= min : parsed < min)
-        fatal(r.path(key) + ": must be " +
-              (minExclusive ? "> " : ">= ") + fmtDouble(min));
-    if (parsed > max)
-        fatal(r.path(key) + ": must be <= " + fmtDouble(max));
-    out = parsed;
-}
-
-void
-setBool(ObjectReader &r, const std::string &key, bool &out)
-{
-    const JsonValue *v = r.get(key);
-    if (v == nullptr) return;
-    out = v->asBool(r.path(key));
-}
-
-ReplKind
-replKindFromName(const std::string &name, const std::string &path)
-{
-    for (ReplKind kind : {ReplKind::LRU, ReplKind::SRRIP,
-                          ReplKind::BRRIP, ReplKind::DRRIP})
-        if (name == replKindName(kind)) return kind;
-    fatal(path + ": unknown replacement policy \"" + name +
-          "\" (LRU|SRRIP|BRRIP|DRRIP)");
-}
-
-void
-applyLlc(LlcParams &llc, const JsonValue &json)
-{
-    ObjectReader r(json, "llc");
-    setU32(r, "banks", llc.banks, 1);
-    setU32(r, "setsPerBank", llc.setsPerBank, 1);
-    // WayMask is a 64-bit bitmap; more than 64 ways cannot be masked.
-    setU32(r, "ways", llc.ways, 1, 64);
-    if (const JsonValue *v = r.get("repl"))
-        llc.repl = replKindFromName(v->asString(r.path("repl")),
-                                    r.path("repl"));
-    setU64(r, "accessLatency", llc.timing.accessLatency, 1);
-    setU32(r, "ports", llc.timing.ports, 1);
-    setU64(r, "portOccupancy", llc.timing.portOccupancy, 1);
-    r.finish();
-}
-
-void
-applyMesh(MeshParams &mesh, const JsonValue &json)
-{
-    ObjectReader r(json, "mesh");
-    setU32(r, "cols", mesh.cols, 1);
-    setU32(r, "rows", mesh.rows, 1);
-    setU64(r, "routerDelay", mesh.routerDelay, 0);
-    setU64(r, "linkDelay", mesh.linkDelay, 0);
-    setU32(r, "dataFlits", mesh.dataFlits, 1);
-    setBool(r, "modelLinkContention", mesh.modelLinkContention);
-    r.finish();
-}
-
-void
-applyMem(MemoryParams &mem, const JsonValue &json)
-{
-    ObjectReader r(json, "mem");
-    setU64(r, "accessLatency", mem.accessLatency, 1);
-    setU64(r, "serviceInterval", mem.serviceInterval, 1);
-    setU32(r, "controllers", mem.controllers, 1);
-    setBool(r, "partitionBandwidth", mem.partitionBandwidth);
-    r.finish();
-}
-
-void
-applyUmon(UmonParams &umon, const JsonValue &json)
-{
-    ObjectReader r(json, "umon");
-    setU32(r, "sets", umon.sets, 1);
-    setU32(r, "ways", umon.ways, 1);
-    setU64(r, "modelledLines", umon.modelledLines, 1);
-    r.finish();
-}
-
-void
-applyController(ControllerParams &ctl, const JsonValue &json)
-{
-    ObjectReader r(json, "controller");
-    setDouble(r, "lowFrac", ctl.lowFrac, 0.0, 10.0, true);
-    setDouble(r, "highFrac", ctl.highFrac, 0.0, 10.0, true);
-    setDouble(r, "panicFrac", ctl.panicFrac, 0.0, 10.0, true);
-    setDouble(r, "stepFrac", ctl.stepFrac, 0.0, 1.0, true);
-    setU32(r, "configurationInterval", ctl.configurationInterval, 1);
-    setDouble(r, "percentile", ctl.percentile, 0.0, 100.0, true);
-    r.finish();
-}
-
-void
-applyKv(KvTrafficConfig &kv, const JsonValue &json)
-{
-    ObjectReader r(json, "kv");
-    if (const JsonValue *v = r.get("trace")) {
-        std::string name = v->asString(r.path("trace"));
-        bool known = false;
-        for (const std::string &t : allLoadTraceNames())
-            if (t == name) known = true;
-        if (!known) {
-            std::string list;
-            for (const std::string &t : allLoadTraceNames())
-                list += (list.empty() ? "" : "|") + t;
-            fatal(r.path("trace") + ": unknown load trace \"" +
-                  name + "\" (" + list + ")");
-        }
-        kv.trace = name;
+    template <typename T>
+    void
+    read(const JsonValue &v, const std::string &path, T &out) const
+    {
+        const std::uint64_t parsed = v.asU64(path);
+        const std::uint64_t top =
+            std::min<std::uint64_t>(max, std::numeric_limits<T>::max());
+        if (parsed < min)
+            fatal(path + ": must be >= " + std::to_string(min));
+        if (parsed > top)
+            fatal(path + ": must be <= " + std::to_string(top));
+        out = static_cast<T>(parsed);
     }
-    setDouble(r, "peakMultiplier", kv.peakMultiplier, 1.0, 64.0,
-              false);
-    setDouble(r, "loadScale", kv.loadScale, 0.0, 1e3, true);
-    r.finish();
+    JsonValue write(std::uint64_t v) const { return JsonValue::makeU64(v); }
+};
+
+/** A real in [min, max], or in (min, max] when minOpen. */
+struct RealRange
+{
+    double min;
+    double max;
+    bool minOpen;
+
+    void
+    read(const JsonValue &v, const std::string &path, double &out) const
+    {
+        const double parsed = v.asDouble(path);
+        if (minOpen ? parsed <= min : parsed < min)
+            fatal(path + ": must be " + (minOpen ? "> " : ">= ") +
+                  fmtDouble(min));
+        if (parsed > max)
+            fatal(path + ": must be <= " + fmtDouble(max));
+        out = parsed;
+    }
+    JsonValue write(double v) const { return JsonValue::makeNumber(v); }
+};
+
+struct Flag
+{
+    void
+    read(const JsonValue &v, const std::string &path, bool &out) const
+    {
+        out = v.asBool(path);
+    }
+    JsonValue write(bool v) const { return JsonValue::makeBool(v); }
+};
+
+std::string nameOf(ReplKind kind) { return replKindName(kind); }
+std::string nameOf(LlcDesign design) { return llcDesignName(design); }
+std::string nameOf(LoadLevel load) { return loadName(load); }
+std::string nameOf(const std::string &name) { return name; }
+
+/** One name of a fixed list; the member holds the value it names. */
+template <typename T>
+struct NameList
+{
+    const char *noun; // what the names name: "unknown <noun>"
+    std::vector<T> values;
+
+    T
+    parse(const std::string &name, const std::string &path) const
+    {
+        std::string known;
+        for (const T &value : values) {
+            if (nameOf(value) == name) return value;
+            known += (known.empty() ? "" : "|") + nameOf(value);
+        }
+        fatal(path + ": unknown " + noun + " \"" + name + "\" (" + known +
+              ")");
+    }
+    void
+    read(const JsonValue &v, const std::string &path, T &out) const
+    {
+        out = parse(v.asString(path), path);
+    }
+    JsonValue write(T v) const { return JsonValue::makeString(nameOf(v)); }
+};
+
+NameList<LlcDesign>
+designNames()
+{
+    return {"design",
+            {LlcDesign::Static, LlcDesign::Adaptive, LlcDesign::VMPart,
+             LlcDesign::Jigsaw, LlcDesign::Jumanji,
+             LlcDesign::JumanjiInsecure, LlcDesign::JumanjiIdealBatch}};
+}
+
+NameList<LoadLevel>
+loadNames()
+{
+    return {"load", {LoadLevel::Low, LoadLevel::High}};
+}
+
+/** A list of strings, replaced whole. */
+struct StringList
+{
+    void
+    read(const JsonValue &v, const std::string &path,
+         std::vector<std::string> &out) const
+    {
+        if (!v.isArray())
+            fatal(path + ": expected array, got " + v.kindName());
+        std::vector<std::string> parsed;
+        for (std::size_t i = 0; i < v.items().size(); i++)
+            parsed.push_back(v.items()[i].asString(
+                path + "[" + std::to_string(i) + "]"));
+        out = std::move(parsed);
+    }
+    JsonValue
+    write(const std::vector<std::string> &v) const
+    {
+        JsonValue list = JsonValue::makeArray();
+        for (const std::string &s : v) list.push(JsonValue::makeString(s));
+        return list;
+    }
+};
+
+/**
+ * The one list of result-affecting fields of a (const) SystemConfig:
+ * each row is visit(dotted path, member, codec), and a block's rows
+ * stay together in the order toJson writes them. Observability
+ * handles (tracer, traceLabel) are not data and have no row;
+ * timelineStats selects the timeline columns a RunResult carries.
+ */
+template <typename Config, typename Visit>
+void
+forEachField(Config &cfg, Visit &&visit)
+{
+    visit("llc.banks", cfg.llc.banks, IntRange{1});
+    visit("llc.setsPerBank", cfg.llc.setsPerBank, IntRange{1});
+    // WayMask is a 64-bit bitmap; more than 64 ways cannot be masked.
+    visit("llc.ways", cfg.llc.ways, IntRange{1, 64});
+    visit("llc.repl", cfg.llc.repl,
+          NameList<ReplKind>{"replacement policy",
+                             {ReplKind::LRU, ReplKind::SRRIP,
+                              ReplKind::BRRIP, ReplKind::DRRIP}});
+    visit("llc.accessLatency", cfg.llc.timing.accessLatency, IntRange{1});
+    visit("llc.ports", cfg.llc.timing.ports, IntRange{1});
+    visit("llc.portOccupancy", cfg.llc.timing.portOccupancy, IntRange{1});
+
+    visit("mesh.cols", cfg.mesh.cols, IntRange{1});
+    visit("mesh.rows", cfg.mesh.rows, IntRange{1});
+    visit("mesh.routerDelay", cfg.mesh.routerDelay, IntRange{0});
+    visit("mesh.linkDelay", cfg.mesh.linkDelay, IntRange{0});
+    visit("mesh.dataFlits", cfg.mesh.dataFlits, IntRange{1});
+    visit("mesh.modelLinkContention", cfg.mesh.modelLinkContention, Flag{});
+
+    visit("mem.accessLatency", cfg.mem.accessLatency, IntRange{1});
+    visit("mem.serviceInterval", cfg.mem.serviceInterval, IntRange{1});
+    visit("mem.controllers", cfg.mem.controllers, IntRange{1});
+    visit("mem.partitionBandwidth", cfg.mem.partitionBandwidth, Flag{});
+
+    visit("umon.sets", cfg.umon.sets, IntRange{1});
+    visit("umon.ways", cfg.umon.ways, IntRange{1});
+
+    auto &ctl = cfg.controller;
+    visit("controller.lowFrac", ctl.lowFrac, RealRange{0, 10, true});
+    visit("controller.highFrac", ctl.highFrac, RealRange{0, 10, true});
+    visit("controller.panicFrac", ctl.panicFrac, RealRange{0, 10, true});
+    visit("controller.stepFrac", ctl.stepFrac, RealRange{0, 1, true});
+    visit("controller.configurationInterval", ctl.configurationInterval,
+          IntRange{1});
+    visit("controller.percentile", ctl.percentile, RealRange{0, 100, true});
+
+    visit("kv.trace", cfg.kv.trace,
+          NameList<std::string>{"load trace", allLoadTraceNames()});
+    visit("kv.peakMultiplier", cfg.kv.peakMultiplier, RealRange{1, 64, false});
+    visit("kv.loadScale", cfg.kv.loadScale, RealRange{0, 1e3, true});
+
+    visit("design", cfg.design, designNames());
+    visit("load", cfg.load, loadNames());
+    visit("epochTicks", cfg.epochTicks, IntRange{1});
+    visit("warmupTicks", cfg.warmupTicks, IntRange{0});
+    visit("measureTicks", cfg.measureTicks, IntRange{1});
+    // Seed 0 is reserved as "unset" across the project (JUMANJI_SEED
+    // treats it as invalid), so configs must use >= 1.
+    visit("seed", cfg.seed, IntRange{1});
+    visit("capacityScale", cfg.capacityScale, RealRange{0, 1e6, true});
+    visit("utilizationOverride", cfg.utilizationOverride,
+          RealRange{0, 1, false});
+    visit("fixedLcTargetLines", cfg.fixedLcTargetLines, IntRange{0});
+    visit("nominalLlcLatency", cfg.nominalLlcLatency, RealRange{0, 1e9, true});
+    visit("hullCurves", cfg.hullCurves, Flag{});
+    visit("rateNormalizeCurves", cfg.rateNormalizeCurves, Flag{});
+    visit("migrateOnReconfig", cfg.migrateOnReconfig, Flag{});
+    visit("deadlinePadding", cfg.deadlinePadding, RealRange{0, 1e3, true});
+    visit("timelineStats", cfg.timelineStats, StringList{});
+}
+
+/** "llc.ways" -> {"llc", "ways"}; "seed" -> {"", "seed"}. */
+std::pair<std::string, std::string>
+splitField(const std::string &field)
+{
+    const std::size_t dot = field.find('.');
+    if (dot == std::string::npos) return {"", field};
+    return {field.substr(0, dot), field.substr(dot + 1)};
 }
 
 } // namespace
@@ -193,22 +252,13 @@ applyKv(KvTrafficConfig &kv, const JsonValue &json)
 LlcDesign
 llcDesignFromName(const std::string &name, const std::string &path)
 {
-    for (LlcDesign d :
-         {LlcDesign::Static, LlcDesign::Adaptive, LlcDesign::VMPart,
-          LlcDesign::Jigsaw, LlcDesign::Jumanji,
-          LlcDesign::JumanjiInsecure, LlcDesign::JumanjiIdealBatch})
-        if (name == llcDesignName(d)) return d;
-    fatal(path + ": unknown design \"" + name +
-          "\" (Static|Adaptive|VM-Part|Jigsaw|Jumanji|"
-          "Jumanji-Insecure|Jumanji-IdealBatch)");
+    return designNames().parse(name, path);
 }
 
 LoadLevel
 loadLevelFromName(const std::string &name, const std::string &path)
 {
-    if (name == loadName(LoadLevel::Low)) return LoadLevel::Low;
-    if (name == loadName(LoadLevel::High)) return LoadLevel::High;
-    fatal(path + ": unknown load \"" + name + "\" (low|high)");
+    return loadNames().parse(name, path);
 }
 
 SystemConfig
@@ -222,51 +272,30 @@ configPreset(const std::string &name, const std::string &path)
 }
 
 void
-applyConfigJson(SystemConfig &cfg, const JsonValue &json)
+applyConfigJson(SystemConfig &cfg, const JsonValue &json,
+                const std::string &path)
 {
-    ObjectReader r(json, "", "config");
-    if (const JsonValue *v = r.get("llc")) applyLlc(cfg.llc, *v);
-    if (const JsonValue *v = r.get("mesh")) applyMesh(cfg.mesh, *v);
-    if (const JsonValue *v = r.get("mem")) applyMem(cfg.mem, *v);
-    if (const JsonValue *v = r.get("umon")) applyUmon(cfg.umon, *v);
-    if (const JsonValue *v = r.get("controller"))
-        applyController(cfg.controller, *v);
-    if (const JsonValue *v = r.get("kv")) applyKv(cfg.kv, *v);
-
-    if (const JsonValue *v = r.get("design"))
-        cfg.design = llcDesignFromName(v->asString("design"), "design");
-    if (const JsonValue *v = r.get("load"))
-        cfg.load = loadLevelFromName(v->asString("load"), "load");
-
-    setU64(r, "epochTicks", cfg.epochTicks, 1);
-    setU64(r, "warmupTicks", cfg.warmupTicks, 0);
-    setU64(r, "measureTicks", cfg.measureTicks, 1);
-    // Seed 0 is reserved as "unset" across the project (JUMANJI_SEED
-    // treats it as invalid), so configs must use >= 1.
-    setU64(r, "seed", cfg.seed, 1);
-    setDouble(r, "capacityScale", cfg.capacityScale, 0.0, 1e6, true);
-    setDouble(r, "utilizationOverride", cfg.utilizationOverride, 0.0,
-              1.0, false);
-    setU64(r, "fixedLcTargetLines", cfg.fixedLcTargetLines, 0);
-    setDouble(r, "nominalLlcLatency", cfg.nominalLlcLatency, 0.0, 1e9,
-              true);
-    setBool(r, "hullCurves", cfg.hullCurves);
-    setBool(r, "rateNormalizeCurves", cfg.rateNormalizeCurves);
-    setBool(r, "migrateOnReconfig", cfg.migrateOnReconfig);
-    setDouble(r, "deadlinePadding", cfg.deadlinePadding, 0.0, 1e3,
-              true);
-
-    if (const JsonValue *v = r.get("timelineStats")) {
-        if (!v->isArray())
-            fatal("timelineStats: expected array, got " +
-                  std::string(v->kindName()));
-        std::vector<std::string> selectors;
-        for (std::size_t i = 0; i < v->items().size(); i++)
-            selectors.push_back(v->items()[i].asString(
-                "timelineStats[" + std::to_string(i) + "]"));
-        cfg.timelineStats = std::move(selectors);
-    }
-    r.finish();
+    ObjectReader root(json, path, "config");
+    // A block's rows are adjacent, so one block reader is open at a
+    // time; it rejects its unknown keys as the walk leaves the block.
+    std::string blockName;
+    std::optional<ObjectReader> block;
+    forEachField(cfg, [&](const std::string &field, auto &member,
+                          const auto &codec) {
+        const auto [name, key] = splitField(field);
+        if (name != blockName) {
+            if (block) block->finish();
+            block.reset();
+            blockName = name;
+            if (const JsonValue *v = name.empty() ? nullptr : root.get(name))
+                block.emplace(*v, root.path(name));
+        }
+        ObjectReader *r = name.empty() ? &root : block ? &*block : nullptr;
+        if (const JsonValue *v = r ? r->get(key) : nullptr)
+            codec.read(*v, r->path(key), member);
+    });
+    if (block) block->finish();
+    root.finish();
 }
 
 void
@@ -313,90 +342,22 @@ JsonValue
 SystemConfig::toJson() const
 {
     JsonValue root = JsonValue::makeObject();
-
-    JsonValue jLlc = JsonValue::makeObject();
-    jLlc.set("banks", JsonValue::makeU64(llc.banks));
-    jLlc.set("setsPerBank", JsonValue::makeU64(llc.setsPerBank));
-    jLlc.set("ways", JsonValue::makeU64(llc.ways));
-    jLlc.set("repl",
-             JsonValue::makeString(replKindName(llc.repl)));
-    jLlc.set("accessLatency",
-             JsonValue::makeU64(llc.timing.accessLatency));
-    jLlc.set("ports", JsonValue::makeU64(llc.timing.ports));
-    jLlc.set("portOccupancy",
-             JsonValue::makeU64(llc.timing.portOccupancy));
-    root.set("llc", std::move(jLlc));
-
-    JsonValue jMesh = JsonValue::makeObject();
-    jMesh.set("cols", JsonValue::makeU64(mesh.cols));
-    jMesh.set("rows", JsonValue::makeU64(mesh.rows));
-    jMesh.set("routerDelay", JsonValue::makeU64(mesh.routerDelay));
-    jMesh.set("linkDelay", JsonValue::makeU64(mesh.linkDelay));
-    jMesh.set("dataFlits", JsonValue::makeU64(mesh.dataFlits));
-    jMesh.set("modelLinkContention",
-              JsonValue::makeBool(mesh.modelLinkContention));
-    root.set("mesh", std::move(jMesh));
-
-    JsonValue jMem = JsonValue::makeObject();
-    jMem.set("accessLatency", JsonValue::makeU64(mem.accessLatency));
-    jMem.set("serviceInterval",
-             JsonValue::makeU64(mem.serviceInterval));
-    jMem.set("controllers", JsonValue::makeU64(mem.controllers));
-    jMem.set("partitionBandwidth",
-             JsonValue::makeBool(mem.partitionBandwidth));
-    root.set("mem", std::move(jMem));
-
-    JsonValue jUmon = JsonValue::makeObject();
-    jUmon.set("sets", JsonValue::makeU64(umon.sets));
-    jUmon.set("ways", JsonValue::makeU64(umon.ways));
-    jUmon.set("modelledLines",
-              JsonValue::makeU64(umon.modelledLines));
-    root.set("umon", std::move(jUmon));
-
-    JsonValue jCtl = JsonValue::makeObject();
-    jCtl.set("lowFrac", JsonValue::makeNumber(controller.lowFrac));
-    jCtl.set("highFrac", JsonValue::makeNumber(controller.highFrac));
-    jCtl.set("panicFrac", JsonValue::makeNumber(controller.panicFrac));
-    jCtl.set("stepFrac", JsonValue::makeNumber(controller.stepFrac));
-    jCtl.set("configurationInterval",
-             JsonValue::makeU64(controller.configurationInterval));
-    jCtl.set("percentile",
-             JsonValue::makeNumber(controller.percentile));
-    root.set("controller", std::move(jCtl));
-
-    JsonValue jKv = JsonValue::makeObject();
-    jKv.set("trace", JsonValue::makeString(kv.trace));
-    jKv.set("peakMultiplier",
-            JsonValue::makeNumber(kv.peakMultiplier));
-    jKv.set("loadScale", JsonValue::makeNumber(kv.loadScale));
-    root.set("kv", std::move(jKv));
-
-    root.set("design",
-             JsonValue::makeString(llcDesignName(design)));
-    root.set("load", JsonValue::makeString(loadName(load)));
-    root.set("epochTicks", JsonValue::makeU64(epochTicks));
-    root.set("warmupTicks", JsonValue::makeU64(warmupTicks));
-    root.set("measureTicks", JsonValue::makeU64(measureTicks));
-    root.set("seed", JsonValue::makeU64(seed));
-    root.set("capacityScale", JsonValue::makeNumber(capacityScale));
-    root.set("utilizationOverride",
-             JsonValue::makeNumber(utilizationOverride));
-    root.set("fixedLcTargetLines",
-             JsonValue::makeU64(fixedLcTargetLines));
-    root.set("nominalLlcLatency",
-             JsonValue::makeNumber(nominalLlcLatency));
-    root.set("hullCurves", JsonValue::makeBool(hullCurves));
-    root.set("rateNormalizeCurves",
-             JsonValue::makeBool(rateNormalizeCurves));
-    root.set("migrateOnReconfig",
-             JsonValue::makeBool(migrateOnReconfig));
-    root.set("deadlinePadding",
-             JsonValue::makeNumber(deadlinePadding));
-
-    JsonValue jStats = JsonValue::makeArray();
-    for (const std::string &sel : timelineStats)
-        jStats.push(JsonValue::makeString(sel));
-    root.set("timelineStats", std::move(jStats));
+    std::string blockName;
+    JsonValue block;
+    const auto closeBlock = [&] {
+        if (!blockName.empty()) root.set(blockName, std::move(block));
+    };
+    forEachField(*this, [&](const std::string &field, const auto &member,
+                            const auto &codec) {
+        const auto [name, key] = splitField(field);
+        if (name != blockName) {
+            closeBlock();
+            blockName = name;
+            block = JsonValue::makeObject();
+        }
+        (name.empty() ? root : block).set(key, codec.write(member));
+    });
+    closeBlock();
     return root;
 }
 
@@ -407,6 +368,12 @@ SystemConfig::fromJson(const JsonValue &json)
     applyConfigJson(cfg, json);
     validateConfig(cfg);
     return cfg;
+}
+
+void
+foldConfig(Fingerprint &fp, const SystemConfig &cfg)
+{
+    fp.addString(cfg.toJson().dump(-1));
 }
 
 } // namespace jumanji

@@ -885,7 +885,6 @@ rigUmon()
     UmonParams p;
     p.sets = 8;
     p.ways = 8;
-    p.modelledLines = 4 * 32 * 8;
     return p;
 }
 

@@ -129,14 +129,13 @@ TEST(MissCurve, FlatAndScaled)
 
 // --------------------------------------------------------------- Umon
 
-UmonParams
+Umon
 smallUmon()
 {
     UmonParams p;
     p.sets = 16;
     p.ways = 16;
-    p.modelledLines = 16 * 16; // sample rate 1: monitor everything
-    return p;
+    return Umon(p, 16 * 16); // sample rate 1: monitor everything
 }
 
 TEST(Umon, CountsAccesses)
@@ -204,8 +203,7 @@ TEST(Umon, SamplingScalesBack)
     UmonParams p;
     p.sets = 16;
     p.ways = 16;
-    p.modelledLines = 16 * 16 * 8; // sample 1/8 of lines
-    Umon umon(p);
+    Umon umon(p, 16 * 16 * 8); // sample 1/8 of lines
     Rng rng(3);
     // Uniform traffic over many lines: scaled miss estimate should
     // approximate the true access count at allocation 0.
@@ -224,11 +222,11 @@ TEST(Umon, SamplingScalesBack)
 class NaiveUmon
 {
   public:
-    explicit NaiveUmon(const UmonParams &p)
+    NaiveUmon(const UmonParams &p, std::uint64_t modelledLines)
         : p_(p), stacks_(p.sets), hits_(p.ways, 0)
     {
         const double tags = static_cast<double>(p.sets) * p.ways;
-        rate_ = std::max(1.0, static_cast<double>(p.modelledLines) / tags);
+        rate_ = std::max(1.0, static_cast<double>(modelledLines) / tags);
     }
 
     void
@@ -316,9 +314,8 @@ TEST(Umon, MatchesNaiveListModelBitForBit)
         UmonParams p;
         p.sets = 32;
         p.ways = 16;
-        p.modelledLines = modelled;
-        Umon umon(p);
-        NaiveUmon ref(p);
+        Umon umon(p, modelled);
+        NaiveUmon ref(p, modelled);
         StatRegistry reg;
         umon.registerStats(reg, "umon.");
         auto expectSame = [&](int epoch, const char *when) {

@@ -409,8 +409,7 @@ TEST_P(UmonProperty, CurveMonotoneAndBounded)
     UmonParams params;
     params.sets = 32;
     params.ways = 16;
-    params.modelledLines = 512 * (1 + rng.below(8));
-    Umon umon(params);
+    Umon umon(params, 512 * (1 + rng.below(8)));
 
     for (int i = 0; i < 20000; i++)
         umon.access(rng.below(1 + rng.below(5000)));

@@ -1,10 +1,11 @@
 /**
  * @file
  * Scenario-layer tests: config JSON round-trips under the foldConfig
- * fingerprint, schema violations fail with precise "field: reason"
- * diagnostics, every shipped examples/scenarios/ file (the one
- * definition of each spec-based exhibit) expands to a pinned set of
- * jobs, checkSpec resolves every scenario stat reference against the
+ * fingerprint, every serialized field is keyed and reads back, schema
+ * violations fail with precise "field: reason" diagnostics, every
+ * shipped examples/scenarios/ file (the one definition of each
+ * spec-based exhibit) expands to a pinned set of jobs, checkSpec
+ * resolves every scenario stat reference against the
  * live registry and names the job and design of a dead one,
  * expansion order is stable, and a spec-driven run is byte-identical
  * — results *and* rendered table — to a plain serial loop that
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -103,6 +105,84 @@ TEST(ConfigJson, RoundTripPreservesTheFoldConfigFingerprint)
     }
 }
 
+/** Every leaf under @p json as (dotted path, value); lists are leaves. */
+void
+collectLeaves(const JsonValue &json, const std::string &prefix,
+              std::vector<std::pair<std::string, JsonValue>> &out)
+{
+    for (const auto &[key, value] : json.members()) {
+        const std::string path = prefix.empty() ? key : prefix + "." + key;
+        if (value.isObject()) collectLeaves(value, path, out);
+        else out.emplace_back(path, value);
+    }
+}
+
+/** @p value nested under the dotted @p path: a one-field patch. */
+JsonValue
+patchAt(const std::string &path, JsonValue value)
+{
+    const std::size_t dot = path.find('.');
+    JsonValue patch = JsonValue::makeObject();
+    if (dot == std::string::npos) {
+        patch.set(path, std::move(value));
+    } else {
+        patch.set(path.substr(0, dot),
+                  patchAt(path.substr(dot + 1), std::move(value)));
+    }
+    return patch;
+}
+
+TEST(ConfigJson, EveryLeafIsKeyedAndReadsBack)
+{
+    // Another in-range value for each leaf of benchScaled: an integer
+    // moves up by one, a fraction halves, a flag flips, and a name or
+    // a list takes another valid one.
+    const std::map<std::string, JsonValue> otherName = {
+        {"llc.repl", JsonValue::makeString("LRU")},
+        {"kv.trace", JsonValue::makeString("diurnal")},
+        {"design", JsonValue::makeString("Static")},
+        {"load", JsonValue::makeString("low")},
+        {"timelineStats", JsonValue::parse("[\"llc.\"]", "test")},
+    };
+    const SystemConfig base = SystemConfig::benchScaled();
+    std::vector<std::pair<std::string, JsonValue>> leaves;
+    collectLeaves(base.toJson(), "", leaves);
+    ASSERT_FALSE(leaves.empty());
+    for (const auto &[path, value] : leaves) {
+        SCOPED_TRACE(path);
+        JsonValue other;
+        if (value.isBool()) {
+            other = JsonValue::makeBool(!value.asBool(path));
+        } else if (value.isNumber()) {
+            const double v = value.asDouble(path);
+            other = v == std::floor(v)
+                        ? JsonValue::makeU64(static_cast<std::uint64_t>(v) + 1)
+                        : JsonValue::makeNumber(v / 2);
+        } else {
+            auto it = otherName.find(path);
+            ASSERT_NE(it, otherName.end()) << "no other value for " << path;
+            other = it->second;
+        }
+        ASSERT_NE(other, value);
+
+        SystemConfig cfg = base;
+        applyConfigJson(cfg, patchAt(path, other));
+        EXPECT_NE(configFingerprint(cfg), configFingerprint(base));
+        // The value reads back at its own leaf and moves no other one,
+        // so no two leaves share a member.
+        std::vector<std::pair<std::string, JsonValue>> after;
+        collectLeaves(cfg.toJson(), "", after);
+        ASSERT_EQ(after.size(), leaves.size());
+        for (std::size_t i = 0; i < after.size(); i++) {
+            ASSERT_EQ(after[i].first, leaves[i].first);
+            const JsonValue &want =
+                after[i].first == path ? other : leaves[i].second;
+            EXPECT_EQ(after[i].second.dump(-1), want.dump(-1))
+                << after[i].first;
+        }
+    }
+}
+
 TEST(ConfigJson, UnknownKeysAreFatalWithTheirFullPath)
 {
     EXPECT_EQ(fatalMessage([] {
@@ -119,6 +199,13 @@ TEST(ConfigJson, UnknownKeysAreFatalWithTheirFullPath)
                   SystemConfig::fromJson(JsonValue::parse("[]", "test"));
               }),
               "fatal: config: expected object, got array");
+    // MemPath models the whole LLC in every UMON; the capacity is
+    // derived, not configured.
+    EXPECT_EQ(fatalMessage([] {
+                  SystemConfig::fromJson(JsonValue::parse(
+                      "{\"umon\": {\"modelledLines\": 1000}}", "test"));
+              }),
+              "fatal: umon.modelledLines: unknown key");
 }
 
 TEST(ConfigJson, OutOfRangeValuesNameTheirBound)
@@ -238,17 +325,17 @@ TEST(Spec, ShippedScenariosExpandToPinnedJobs)
     // policies do not cover, so it is unset (as test_kv leaves it).
     unsetenv("JUMANJI_KV_LOAD_SCALE");
     const std::map<std::string, std::uint64_t> pins = {
-        {"ablation_design_choices.json", 0xa2dce1b83499c528ull},
-        {"epoch_load_grid.json", 0xae5203c8cfe6b3f1ull},
-        {"fig05_case_study.json", 0xd7f4763d70d4713aull},
-        {"fig09_controller_sensitivity.json", 0x9039042981dae3f2ull},
-        {"fig13_small.json", 0x922cfc961eab4cf5ull},
-        {"fig14_vulnerability.json", 0x084594dda1cd9d91ull},
-        {"fig16_ideal_batch.json", 0xeb1f0d9b91f7ddb1ull},
-        {"fig17_vm_scaling.json", 0x727152fedee3dc50ull},
-        {"fig18_noc_sensitivity.json", 0x791c0b90ae9a4639ull},
-        {"kv_flash_crowd.json", 0xe356050bcae64f3eull},
-        {"main_comparison.json", 0xb6f5665fcb5a7260ull},
+        {"ablation_design_choices.json", 0xd3e083f7885a6d48ull},
+        {"epoch_load_grid.json", 0xa2debbab71973227ull},
+        {"fig05_case_study.json", 0x72bb06746a20f562ull},
+        {"fig09_controller_sensitivity.json", 0xf441ea8cc57c0205ull},
+        {"fig13_small.json", 0xf7cbe62d6e8a5128ull},
+        {"fig14_vulnerability.json", 0x2a2dd29c1252cdedull},
+        {"fig16_ideal_batch.json", 0x4184e5038482f36dull},
+        {"fig17_vm_scaling.json", 0x256fae25638255d2ull},
+        {"fig18_noc_sensitivity.json", 0x3d12a7606c7be42aull},
+        {"kv_flash_crowd.json", 0xaafc9519e7957e8cull},
+        {"main_comparison.json", 0x8c615d45af492e15ull},
     };
     std::map<std::string, std::uint64_t> found;
     for (const auto &entry :
@@ -461,7 +548,7 @@ TEST(Spec, LoadingRejectsUnknownKeysAndBareColumnsWithTheirPath)
               "fatal: seed.nope: unknown key");
     EXPECT_EQ(reject("overrides",
                      JsonValue::parse("{\"llc\": {\"wayz\": 8}}", "t")),
-              "fatal: llc.wayz: unknown key");
+              "fatal: overrides.llc.wayz: unknown key");
 
     JsonValue output = *shippedDocument("fig13_small.json").find("output");
     JsonValue columns = JsonValue::makeArray();
@@ -471,6 +558,47 @@ TEST(Spec, LoadingRejectsUnknownKeysAndBareColumnsWithTheirPath)
               "fatal: output.columns[0].key: unknown column key "
               "\"notdotted\" (tailMean|tailWorst|batchWS|batchWSMean|"
               "attackers, or a dotted stat name)");
+}
+
+TEST(Spec, OverrideDiagnosticsNameTheirPatchOnce)
+{
+    ExperimentSpec base = oneMix(shippedScenario("fig13_small.json"));
+    base.overrides = JsonValue::parse("{\"llc\": {\"ways\": 100}}", "t");
+    EXPECT_EQ(fatalMessage([&] { expandSpec(base); }),
+              "fatal: overrides.llc.ways: must be <= 64");
+
+    ExperimentSpec variant =
+        oneMix(shippedScenario("fig18_noc_sensitivity.json"));
+    variant.variants[1].overrides =
+        JsonValue::parse("{\"llc\": {\"ways\": 100}}", "t");
+    EXPECT_EQ(fatalMessage([&] { expandSpec(variant); }),
+              "fatal: variants[1].overrides.llc.ways: must be <= 64");
+}
+
+TEST(Spec, TopLevelSeedOverrideIsRejected)
+{
+    // expandSpec sets the base seed from the seed policy, which would
+    // drop a top-level seed override without a word.
+    const std::string msg = fatalMessage([] {
+        ExperimentSpec::fromJson(patchedScenario(
+            "fig13_small.json", "overrides",
+            JsonValue::parse("{\"seed\": 12345}", "t")));
+    });
+    EXPECT_EQ(msg.find("fatal: overrides.seed: "), 0u) << msg;
+    EXPECT_NE(msg.find("\"seed\" policy"), std::string::npos) << msg;
+
+    // A variant may fix its own seed, and a whole config carries one.
+    ExperimentSpec spec = oneMix(ExperimentSpec::fromJson(patchedScenario(
+        "fig13_small.json", "variants",
+        JsonValue::parse(
+            "[{\"label\": \"\", \"overrides\": {\"seed\": 12345}}]",
+            "t"))));
+    spec.seed.fromEnv = false;
+    EXPECT_EQ(expandSpec(spec).variantConfigs[0].seed, 12345u);
+    EXPECT_EQ(SystemConfig::fromJson(
+                  JsonValue::parse("{\"seed\": 12345}", "t"))
+                  .seed,
+              12345u);
 }
 
 TEST(Spec, ExpansionOrderIsStableAndSeedsDeriveFromTheBase)
