@@ -77,8 +77,7 @@ main()
         }
         std::size_t vulnCol = ts.columnIndex("epoch.vuln");
 
-        for (std::size_t e = 0; e < ts.rows.size(); e++) {
-            const std::vector<double> &row = ts.rows[e];
+        for (auto row = ts.cursor(); row.next();) {
             double lat = 0.0;
             for (std::size_t col : latCols) lat += row[col];
             if (!latCols.empty())
@@ -88,8 +87,8 @@ main()
             if (!allocCols.empty())
                 alloc /= static_cast<double>(allocCols.size());
             double vuln = vulnCol != kNoColumn ? row[vulnCol] : 0.0;
-            std::printf("%-6zu %16.0f %16.0f %14.3f\n", e, lat, alloc,
-                        vuln);
+            std::printf("%-6zu %16.0f %16.0f %14.3f\n", row.index(), lat,
+                        alloc, vuln);
         }
     }
 

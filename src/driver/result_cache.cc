@@ -111,6 +111,9 @@ class BlobReader
 
     bool atEnd() const { return ok_ && pos_ == blob_.size(); }
 
+    /** Marks the blob malformed: every later read fails. */
+    void fail() { ok_ = false; }
+
     /**
      * Sanity bound for count fields: a corrupt length must not drive
      * a multi-gigabyte resize before the per-element reads fail.
@@ -169,14 +172,17 @@ writeRun(BlobWriter &w, const RunResult &run)
         w.str(sv.name);
         w.f64(sv.value);
     }
-    w.u64(run.timeline.columns.size());
-    for (const std::string &c : run.timeline.columns) w.str(c);
-    w.u64(run.timeline.ticks.size());
-    for (Tick t : run.timeline.ticks) w.u64(t);
-    w.u64(run.timeline.rows.size());
-    for (const auto &row : run.timeline.rows) {
-        w.u64(row.size());
-        for (double v : row) w.f64(v);
+    const TimelineSeries &timeline = run.timeline;
+    w.u64(timeline.columns().size());
+    for (const std::string &c : timeline.columns()) w.str(c);
+    w.u64(timeline.ticks().size());
+    for (Tick t : timeline.ticks()) w.u64(t);
+    // Rows stay dense in the blob: a count, then each row's width and
+    // values.
+    w.u64(timeline.rowCount());
+    for (auto row = timeline.cursor(); row.next();) {
+        w.u64(row.values().size());
+        for (double v : row.values()) w.f64(v);
     }
 }
 
@@ -212,14 +218,18 @@ readRun(BlobReader &r)
         sv.name = r.str();
         sv.value = r.f64();
     }
-    run.timeline.columns.resize(r.count());
-    for (std::string &c : run.timeline.columns) c = r.str();
-    run.timeline.ticks.resize(r.count());
-    for (Tick &t : run.timeline.ticks) t = r.u64();
-    run.timeline.rows.resize(r.count());
-    for (auto &row : run.timeline.rows) {
-        row.resize(r.count());
-        for (double &v : row) v = r.f64();
+    std::vector<std::string> columns(r.count());
+    for (std::string &c : columns) c = r.str();
+    std::vector<Tick> ticks(r.count());
+    for (Tick &t : ticks) t = r.u64();
+    // A series holds one full-width row per tick; a blob of any other
+    // shape is malformed.
+    if (r.count() != ticks.size()) r.fail();
+    run.timeline = TimelineSeries(std::move(columns));
+    for (Tick t : ticks) {
+        if (r.u64() != run.timeline.columns().size()) r.fail();
+        if (!r.ok()) break;
+        run.timeline.appendRow(t, [&r](std::size_t) { return r.f64(); });
     }
     return run;
 }

@@ -504,15 +504,15 @@ expandSpec(const ExperimentSpec &spec)
     // a sweep can be rate-shifted without editing the file. Inert
     // (returns the fallback) when the env var is unset.
     plan.base.kv.loadScale = kvLoadScaleFromEnv(plan.base.kv.loadScale);
-    validateConfig(plan.base);
+    validateConfig(plan.base, "overrides");
 
     for (std::size_t v = 0; v < spec.variants.size(); v++) {
         SystemConfig cfg = plan.base;
+        const std::string path =
+            "variants[" + std::to_string(v) + "].overrides";
         if (!spec.variants[v].overrides.isNull())
-            applyConfigJson(cfg, spec.variants[v].overrides,
-                            "variants[" + std::to_string(v) +
-                                "].overrides");
-        validateConfig(cfg);
+            applyConfigJson(cfg, spec.variants[v].overrides, path);
+        validateConfig(cfg, path);
         plan.variantConfigs.push_back(std::move(cfg));
     }
 

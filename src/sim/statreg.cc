@@ -1,6 +1,7 @@
 #include "src/sim/statreg.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -308,24 +309,123 @@ StatRegistry::value(const std::string &name) const
 }
 
 // --------------------------------------------------- TimelineSeries
+//
+// Row coding. Values are appended row-major, one token each:
+//  - A value equal to an integer i with |i| <= 2^53, other than -0.0,
+//    is the LEB128 varint of zigzag(i - last) + 1, where last is the
+//    column's previous integer (0 before its first). A counter or line
+//    count that moves by less than 64 in an epoch takes one byte.
+//  - Any other double (fractions, -0.0, infinities, NaNs, integers
+//    past 2^53) is a 0 byte, then its 8 bytes little-endian.
+// Every integer up to 2^53 in magnitude converts to int64 and back
+// exactly, and put() takes the integer path only when that round trip
+// gives back the input's bits, so decoding restores each value bit for
+// bit. Deltas of such integers stay within +-2^54, so no step
+// overflows.
+
+namespace {
+
+constexpr double kExactIntegerLimit = 9007199254740992.0; // 2^53
+constexpr std::uint64_t kRawToken = 0;
+
+void
+putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
+{
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<std::uint8_t>(v | 0x80));
+    out.push_back(static_cast<std::uint8_t>(v));
+}
+
+std::uint64_t
+getVarint(const std::vector<std::uint8_t> &in, std::size_t &pos)
+{
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+        const std::uint8_t b = in[pos++];
+        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+        if (b < 0x80) return v;
+    }
+}
+
+} // namespace
+
+TimelineSeries::TimelineSeries(std::vector<std::string> columns)
+    : columns_(std::move(columns)), last_(columns_.size(), 0)
+{
+}
 
 std::size_t
 TimelineSeries::columnIndex(const std::string &column) const
 {
-    for (std::size_t i = 0; i < columns.size(); i++)
-        if (columns[i] == column) return i;
+    for (std::size_t i = 0; i < columns_.size(); i++)
+        if (columns_[i] == column) return i;
     return static_cast<std::size_t>(-1);
+}
+
+void
+TimelineSeries::put(std::size_t column, double v)
+{
+    // The comparison is false for NaN, so the cast sees only values
+    // it can represent.
+    if (std::fabs(v) <= kExactIntegerLimit) {
+        const auto i = static_cast<std::int64_t>(v);
+        if (std::bit_cast<std::uint64_t>(static_cast<double>(i)) ==
+            std::bit_cast<std::uint64_t>(v)) {
+            const std::int64_t delta = i - last_[column];
+            last_[column] = i;
+            const std::uint64_t zigzag =
+                (static_cast<std::uint64_t>(delta) << 1) ^
+                static_cast<std::uint64_t>(delta >> 63);
+            putVarint(bytes_, zigzag + 1);
+            return;
+        }
+    }
+    putVarint(bytes_, kRawToken);
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; b++)
+        bytes_.push_back(static_cast<std::uint8_t>(bits >> (8 * b)));
+}
+
+TimelineSeries::Cursor::Cursor(const TimelineSeries &series)
+    : series_(&series), last_(series.columns_.size(), 0),
+      values_(series.columns_.size(), 0.0)
+{
+}
+
+bool
+TimelineSeries::Cursor::next()
+{
+    if (row_ == series_->ticks_.size()) return false;
+    const std::vector<std::uint8_t> &in = series_->bytes_;
+    for (std::size_t j = 0; j < values_.size(); j++) {
+        const std::uint64_t token = getVarint(in, pos_);
+        if (token == kRawToken) {
+            std::uint64_t bits = 0;
+            for (int b = 0; b < 8; b++)
+                bits |= static_cast<std::uint64_t>(in[pos_ + b]) << (8 * b);
+            pos_ += 8;
+            values_[j] = std::bit_cast<double>(bits);
+            continue;
+        }
+        const std::uint64_t zigzag = token - 1;
+        auto delta = static_cast<std::int64_t>(zigzag >> 1);
+        if (zigzag & 1) delta = ~delta;
+        last_[j] += delta;
+        values_[j] = static_cast<double>(last_[j]);
+    }
+    row_++;
+    return true;
 }
 
 void
 TimelineSeries::fold(Fingerprint &fp) const
 {
-    fp.addU64(columns.size());
-    for (const auto &c : columns) fp.addString(c);
-    fp.addU64(ticks.size());
-    for (Tick t : ticks) fp.addU64(t);
-    for (const auto &row : rows)
-        for (double v : row) fp.addDouble(v);
+    fp.addU64(columns_.size());
+    for (const auto &c : columns_) fp.addString(c);
+    fp.addU64(ticks_.size());
+    for (Tick t : ticks_) fp.addU64(t);
+    for (Cursor row = cursor(); row.next();)
+        for (double v : row.values()) fp.addDouble(v);
 }
 
 // ---------------------------------------------------- EpochRecorder
@@ -341,7 +441,7 @@ void
 EpochRecorder::record(Tick now)
 {
     if (!resolved_) {
-        series_.columns = reg_->leaves(selectors_);
+        series_ = TimelineSeries(reg_->leaves(selectors_));
         leaves_ = reg_->resolve(selectors_);
         resolved_ = true;
     }
@@ -350,12 +450,8 @@ EpochRecorder::record(Tick now)
     // selection has the same leaves.
     JUMANJI_INVARIANT(reg_->resolve(selectors_).size() == leaves_.size(),
                       "stats registered after the first epoch record");
-    std::vector<double> row;
-    row.reserve(leaves_.size());
-    for (const StatRegistry::Leaf &leaf : leaves_)
-        row.push_back(leaf.value());
-    series_.ticks.push_back(now);
-    series_.rows.push_back(std::move(row));
+    series_.appendRow(now,
+                      [this](std::size_t j) { return leaves_[j].value(); });
 }
 
 // ---------------------------------------------- writeNestedStatsJson

@@ -185,23 +185,101 @@ class StatRegistry
 };
 
 /**
- * A recorded per-epoch time series: one row per record() call over a
- * fixed set of snapshot-leaf columns. RunResult carries one of these
+ * A recorded per-epoch time series: one row per appendRow() call over
+ * a fixed set of snapshot-leaf columns. RunResult carries one of these
  * so timelines survive the System that produced them.
+ *
+ * The rows are one private delta-coded byte stream, not doubles: most
+ * columns are counters, line counts and indices that move by little or
+ * nothing from one epoch to the next, and a dense row costs 8 bytes a
+ * column either way. The coding is exact (every value reads back with
+ * its own bit pattern) and is known only to statreg.cc; rows go in
+ * through appendRow() and come back, in order, through a Cursor.
  */
-struct TimelineSeries
+class TimelineSeries
 {
-    std::vector<std::string> columns;
-    std::vector<Tick> ticks;
-    /** rows[i][j] = value of columns[j] at ticks[i]. */
-    std::vector<std::vector<double>> rows;
+  public:
+    TimelineSeries() = default;
 
-    bool empty() const { return ticks.empty(); }
+    /** An empty series over @p columns. */
+    explicit TimelineSeries(std::vector<std::string> columns);
+
+    const std::vector<std::string> &columns() const { return columns_; }
+
+    /** ticks()[i] is the tick row i was recorded at. */
+    const std::vector<Tick> &ticks() const { return ticks_; }
+
+    std::size_t rowCount() const { return ticks_.size(); }
+    bool empty() const { return ticks_.empty(); }
 
     /** Index of @p column, or npos. */
     std::size_t columnIndex(const std::string &column) const;
 
+    /**
+     * Appends one row recorded at @p tick. @p valueAt(j) is column j's
+     * value; it is called once per column, in column order.
+     */
+    template <typename ValueAt>
+    void
+    appendRow(Tick tick, ValueAt &&valueAt)
+    {
+        for (std::size_t j = 0; j < columns_.size(); j++)
+            put(j, valueAt(j));
+        ticks_.push_back(tick);
+    }
+
+    /** Bytes the coded rows take; dense rows take 8 per value. */
+    std::size_t codedBytes() const { return bytes_.size(); }
+
+    /**
+     * The one way to read the rows: a sequential cursor that decodes
+     * each row, in order, into a buffer of one value per column. The
+     * series must outlive the cursor and not grow while it reads.
+     *
+     *     for (auto row = series.cursor(); row.next();)
+     *         use(row.index(), row.tick(), row[column]);
+     */
+    class Cursor
+    {
+      public:
+        /** Decodes the next row; false once every row has been read. */
+        bool next();
+
+        /** Index of the current row. */
+        std::size_t index() const { return row_ - 1; }
+        Tick tick() const { return series_->ticks_[row_ - 1]; }
+        double operator[](std::size_t column) const { return values_[column]; }
+        /** The current row, one value per column. */
+        const std::vector<double> &values() const { return values_; }
+
+      private:
+        friend class TimelineSeries;
+        explicit Cursor(const TimelineSeries &series);
+
+        const TimelineSeries *series_;
+        /** Next byte of the stream to decode. */
+        std::size_t pos_ = 0;
+        /** Rows decoded so far. */
+        std::size_t row_ = 0;
+        /** Per column, the last integer decoded (the delta base). */
+        std::vector<std::int64_t> last_;
+        std::vector<double> values_;
+    };
+
+    Cursor cursor() const { return Cursor(*this); }
+
     void fold(Fingerprint &fp) const;
+
+  private:
+    /** Codes @p v as column @p column's next value. */
+    void put(std::size_t column, double v);
+
+    std::vector<std::string> columns_;
+    std::vector<Tick> ticks_;
+    /** Every row's values, row-major, coded as statreg.cc describes. */
+    std::vector<std::uint8_t> bytes_;
+    /** Per column, the last integer coded (the delta base). */
+    std::vector<std::int64_t> last_;
 };
 
 /**
@@ -224,7 +302,7 @@ class EpochRecorder
     /** Appends one row sampled at @p now. */
     void record(Tick now);
 
-    std::size_t epochs() const { return series_.ticks.size(); }
+    std::size_t epochs() const { return series_.rowCount(); }
     const TimelineSeries &series() const { return series_; }
 
   private:

@@ -215,9 +215,11 @@ void applyConfigJson(SystemConfig &cfg, const JsonValue &json,
  * controller's thresholds must be ordered
  * (lowFrac < highFrac < panicFrac), and the measurement windows must
  * be non-degenerate. Throws FatalError ("field: reason") on the
- * first violation.
+ * first violation. @p path is the place in its document of the patch
+ * that produced @p cfg, as for applyConfigJson, and prefixes the
+ * field.
  */
-void validateConfig(const SystemConfig &cfg);
+void validateConfig(const SystemConfig &cfg, const std::string &path = "");
 
 /**
  * Named preset lookup for scenario files: "paperDefault" |

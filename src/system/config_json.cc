@@ -299,39 +299,44 @@ applyConfigJson(SystemConfig &cfg, const JsonValue &json,
 }
 
 void
-validateConfig(const SystemConfig &cfg)
+validateConfig(const SystemConfig &cfg, const std::string &path)
 {
+    const auto field = [&path](const char *name) {
+        return path.empty() ? std::string(name) : path + "." + name;
+    };
     // In 64 bits: a 32-bit product wraps (65536 x 65537 would pass
     // as 65536 tiles).
     const std::uint64_t tiles =
         static_cast<std::uint64_t>(cfg.mesh.cols) * cfg.mesh.rows;
     if (tiles > std::numeric_limits<std::uint32_t>::max())
-        fatal("mesh.rows: " + std::to_string(cfg.mesh.cols) + "x" +
-              std::to_string(cfg.mesh.rows) + " = " +
+        fatal(field("mesh.rows") + ": " + std::to_string(cfg.mesh.cols) +
+              "x" + std::to_string(cfg.mesh.rows) + " = " +
               std::to_string(tiles) + " tiles (must be <= " +
               std::to_string(std::numeric_limits<std::uint32_t>::max()) +
               ")");
     if (cfg.llc.banks != tiles)
-        fatal("llc.banks: " + std::to_string(cfg.llc.banks) +
+        fatal(field("llc.banks") + ": " + std::to_string(cfg.llc.banks) +
               " banks but mesh is " + std::to_string(cfg.mesh.cols) +
               "x" + std::to_string(cfg.mesh.rows) + " = " +
               std::to_string(tiles) +
               " tiles (banks must equal mesh tiles)");
     if (cfg.llc.banks > PlacementDescriptor::kSlots)
-        fatal("llc.banks: " + std::to_string(cfg.llc.banks) +
+        fatal(field("llc.banks") + ": " + std::to_string(cfg.llc.banks) +
               " banks (must be <= " +
               std::to_string(PlacementDescriptor::kSlots) +
               ", the placement descriptor's slot count)");
     if (cfg.controller.lowFrac >= cfg.controller.highFrac)
-        fatal("controller.lowFrac: must be < controller.highFrac (" +
+        fatal(field("controller.lowFrac") +
+              ": must be < controller.highFrac (" +
               fmtDouble(cfg.controller.lowFrac) + " >= " +
               fmtDouble(cfg.controller.highFrac) + ")");
     if (cfg.controller.highFrac >= cfg.controller.panicFrac)
-        fatal("controller.highFrac: must be < controller.panicFrac (" +
+        fatal(field("controller.highFrac") +
+              ": must be < controller.panicFrac (" +
               fmtDouble(cfg.controller.highFrac) + " >= " +
               fmtDouble(cfg.controller.panicFrac) + ")");
     if (cfg.measureTicks < cfg.epochTicks)
-        fatal("measureTicks: must be >= epochTicks (" +
+        fatal(field("measureTicks") + ": must be >= epochTicks (" +
               std::to_string(cfg.measureTicks) + " < " +
               std::to_string(cfg.epochTicks) +
               "); the measurement window must cover at least one "

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -249,6 +250,67 @@ TEST(ResultCacheBlob, MixResultSurvivesARoundTrip)
     fingerprintMix(a, original);
     fingerprintMix(b, *restored);
     EXPECT_EQ(a.value(), b.value());
+    // The timeline is coded in memory but dense in the blob: a cached
+    // result writes back the very bytes it was read from.
+    EXPECT_EQ(driver::serializeMixResult(*restored), blob);
+}
+
+/** @p v as a blob field: 8 bytes, little-endian. */
+std::string
+blobU64(std::uint64_t v)
+{
+    std::string s;
+    for (int i = 0; i < 8; i++) s.push_back(static_cast<char>(v >> (8 * i)));
+    return s;
+}
+
+/** One timeline row as a blob stores it: its width, then its values. */
+std::string
+blobRow(const std::vector<double> &values)
+{
+    std::string s = blobU64(values.size());
+    for (double v : values) s += blobU64(std::bit_cast<std::uint64_t>(v));
+    return s;
+}
+
+TEST(ResultCacheBlob, TimelineOfAnyOtherShapeIsAMiss)
+{
+    // One run whose two-column, two-row timeline ends the blob.
+    const std::vector<std::vector<double>> rows = {{1.0, 2.0}, {3.0, 4.5}};
+    DesignResult design;
+    design.run.timeline = TimelineSeries({"a", "b"});
+    for (std::size_t r = 0; r < rows.size(); r++)
+        design.run.timeline.appendRow(
+            100 * (r + 1), [&](std::size_t j) { return rows[r][j]; });
+    MixResult result;
+    result.designs.push_back(design);
+    const std::string blob = driver::serializeMixResult(result);
+
+    // Swap the row count and rows at the end of the blob for others.
+    const std::string tail =
+        blobU64(2) + blobRow(rows[0]) + blobRow(rows[1]);
+    ASSERT_GT(blob.size(), tail.size());
+    ASSERT_EQ(blob.substr(blob.size() - tail.size()), tail);
+    const std::string head = blob.substr(0, blob.size() - tail.size());
+    const auto readsBack = [&head](const std::string &rowsPart) {
+        return driver::deserializeMixResult(head + rowsPart).has_value();
+    };
+    EXPECT_TRUE(readsBack(tail));
+    // Rows wider or narrower than the column header.
+    EXPECT_FALSE(readsBack(blobU64(2) + blobRow({1.0, 2.0, 9.0}) +
+                           blobRow({3.0, 4.5, 9.0})));
+    EXPECT_FALSE(
+        readsBack(blobU64(2) + blobRow({1.0}) + blobRow({3.0})));
+    // One row fewer, or one more, than the ticks.
+    EXPECT_FALSE(readsBack(blobU64(1) + blobRow(rows[0])));
+    EXPECT_FALSE(readsBack(blobU64(3) + blobRow(rows[0]) +
+                           blobRow(rows[1]) + blobRow({5.0, 6.0})));
+    // Rows of the right shape under a row count or a width that
+    // says otherwise.
+    EXPECT_FALSE(
+        readsBack(blobU64(3) + blobRow(rows[0]) + blobRow(rows[1])));
+    EXPECT_FALSE(readsBack(blobU64(2) + blobU64(3) +
+                           blobRow(rows[0]).substr(8) + blobRow(rows[1])));
 }
 
 TEST(ResultCacheBlob, CorruptionReadsAsMissNeverAsError)

@@ -94,8 +94,10 @@ TEST(Integration, JigsawStarvesIdleLatencyCritical)
                 "runtime.vc" + statIndexName(core->owner().vc) +
                 ".allocLines");
             EXPECT_NE(col, kNoColumn);
-            if (col != kNoColumn && !ts.empty())
-                lc += static_cast<std::uint64_t>(ts.rows.back()[col]);
+            if (col == kNoColumn) continue;
+            double last = 0.0;
+            for (auto row = ts.cursor(); row.next();) last = row[col];
+            lc += static_cast<std::uint64_t>(last);
         }
         return lc;
     };
@@ -122,7 +124,8 @@ TEST(Integration, JumanjiIsolationHoldsUnderReconfiguration)
     std::size_t vuln = ts.columnIndex("epoch.vuln");
     ASSERT_NE(vuln, kNoColumn);
     ASSERT_FALSE(ts.empty());
-    for (const auto &row : ts.rows) EXPECT_DOUBLE_EQ(row[vuln], 0.0);
+    for (auto row = ts.cursor(); row.next();)
+        EXPECT_DOUBLE_EQ(row[vuln], 0.0);
 }
 
 /** The D-NUCAs cut average hop distance dramatically vs S-NUCA. */

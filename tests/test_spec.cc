@@ -575,6 +575,30 @@ TEST(Spec, OverrideDiagnosticsNameTheirPatchOnce)
               "fatal: variants[1].overrides.llc.ways: must be <= 64");
 }
 
+TEST(Spec, CrossFieldDiagnosticsNameTheirPatch)
+{
+    // 16 banks is in range alone; only the resolved config breaks the
+    // geometry, so the message names the patch that produced it.
+    const JsonValue patch =
+        JsonValue::parse("{\"llc\": {\"banks\": 16}}", "t");
+    const std::string banks = "llc.banks: 16 banks but mesh is 5x4 = 20 "
+                              "tiles (banks must equal mesh tiles)";
+    ExperimentSpec base = oneMix(shippedScenario("fig13_small.json"));
+    base.overrides = patch;
+    EXPECT_EQ(fatalMessage([&] { expandSpec(base); }),
+              "fatal: overrides." + banks);
+
+    ExperimentSpec variant =
+        oneMix(shippedScenario("fig18_noc_sensitivity.json"));
+    variant.variants[2].overrides = patch;
+    EXPECT_EQ(fatalMessage([&] { expandSpec(variant); }),
+              "fatal: variants[2].overrides." + banks);
+
+    // A whole config has no patch path: the field stands bare.
+    EXPECT_EQ(fatalMessage([&] { SystemConfig::fromJson(patch); }),
+              "fatal: " + banks);
+}
+
 TEST(Spec, TopLevelSeedOverrideIsRejected)
 {
     // expandSpec sets the base seed from the seed policy, which would

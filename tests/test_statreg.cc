@@ -6,17 +6,33 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/sim/check.hh"
 #include "src/sim/logging.hh"
+#include "src/sim/rng.hh"
 #include "src/sim/statreg.hh"
 
 namespace jumanji {
 namespace {
+
+/** Every row of @p ts, decoded through its cursor. */
+std::vector<std::vector<double>>
+decodedRows(const TimelineSeries &ts)
+{
+    std::vector<std::vector<double>> rows;
+    for (auto row = ts.cursor(); row.next();) {
+        EXPECT_EQ(row.index(), rows.size());
+        EXPECT_EQ(row.tick(), ts.ticks()[row.index()]);
+        rows.push_back(row.values());
+    }
+    return rows;
+}
 
 TEST(StatRegistry, CounterBindsLiveValue)
 {
@@ -202,26 +218,29 @@ TEST(EpochRecorder, RecordsSelectedColumnsPerEpoch)
 
     EXPECT_EQ(rec.epochs(), batches.size());
     const TimelineSeries &ts = rec.series();
-    ASSERT_EQ(ts.columns.size(), 9u);
-    EXPECT_EQ(ts.columns[0], "llc.hits");
-    EXPECT_EQ(ts.columns[1], "llc.lat.count");
-    EXPECT_EQ(ts.columns[8], "sys.util");
+    ASSERT_EQ(ts.columns().size(), 9u);
+    EXPECT_EQ(ts.columns()[0], "llc.hits");
+    EXPECT_EQ(ts.columns()[1], "llc.lat.count");
+    EXPECT_EQ(ts.columns()[8], "sys.util");
     EXPECT_EQ(ts.columnIndex("sys.util"), 8u);
-    ASSERT_EQ(ts.rows.size(), batches.size());
-    EXPECT_EQ(ts.ticks[0], 1000u);
-    EXPECT_DOUBLE_EQ(ts.rows[0][0], 10.0);
-    EXPECT_DOUBLE_EQ(ts.rows[0][8], 0.0);
-    EXPECT_DOUBLE_EQ(ts.rows[1][0], 30.0);
-    EXPECT_DOUBLE_EQ(ts.rows[1][8], 0.25);
-    EXPECT_DOUBLE_EQ(ts.rows[3][1], 12.0);
-    EXPECT_DOUBLE_EQ(ts.rows[3][ts.columnIndex("llc.lat.max")], 12.0);
-    EXPECT_DOUBLE_EQ(ts.rows[3][ts.columnIndex("llc.lat.min")], 0.0);
+    EXPECT_EQ(ts.rowCount(), batches.size());
+    EXPECT_EQ(ts.ticks()[0], 1000u);
+    const std::vector<std::vector<double>> rows = decodedRows(ts);
+    ASSERT_EQ(rows.size(), batches.size());
+    EXPECT_DOUBLE_EQ(rows[0][0], 10.0);
+    EXPECT_DOUBLE_EQ(rows[0][8], 0.0);
+    EXPECT_DOUBLE_EQ(rows[1][0], 30.0);
+    EXPECT_DOUBLE_EQ(rows[1][8], 0.25);
+    EXPECT_DOUBLE_EQ(rows[3][1], 12.0);
+    EXPECT_DOUBLE_EQ(rows[3][ts.columnIndex("llc.lat.max")], 12.0);
+    EXPECT_DOUBLE_EQ(rows[3][ts.columnIndex("llc.lat.min")], 0.0);
     for (std::size_t e = 0; e < batches.size(); e++) {
-        ASSERT_EQ(after[e].size(), ts.columns.size());
-        for (std::size_t c = 0; c < ts.columns.size(); c++) {
-            EXPECT_EQ(after[e][c].name, ts.columns[c]);
-            EXPECT_EQ(after[e][c].value, ts.rows[e][c])
-                << "epoch " << e << " column " << ts.columns[c];
+        ASSERT_EQ(after[e].size(), ts.columns().size());
+        ASSERT_EQ(rows[e].size(), ts.columns().size());
+        for (std::size_t c = 0; c < ts.columns().size(); c++) {
+            EXPECT_EQ(after[e][c].name, ts.columns()[c]);
+            EXPECT_EQ(after[e][c].value, rows[e][c])
+                << "epoch " << e << " column " << ts.columns()[c];
         }
     }
 }
@@ -238,33 +257,118 @@ TEST(EpochRecorder, LateRegistrationOfASelectedStatIsCaught)
     reg.addCounter("noc.hops", "", &v);
     v = 5;
     rec.record(2000);
-    EXPECT_DOUBLE_EQ(rec.series().rows[1][0], 5.0);
+    EXPECT_DOUBLE_EQ(decodedRows(rec.series())[1][0], 5.0);
     // A selected one would need a column the header lacks.
     reg.addCounter("llc.misses", "", &v);
     if (checksActiveInCore()) {
         EXPECT_THROW(rec.record(3000), PanicError);
     } else {
         rec.record(3000);
-        EXPECT_EQ(rec.series().rows.back().size(), 1u);
+        EXPECT_EQ(decodedRows(rec.series()).back().size(), 1u);
     }
 }
 
 TEST(TimelineSeries, FoldCoversNamesTicksAndValues)
 {
-    TimelineSeries a;
-    a.columns = {"x"};
-    a.ticks = {5};
-    a.rows = {{1.0}};
+    TimelineSeries a({"x"});
+    a.appendRow(5, [](std::size_t) { return 1.0; });
     TimelineSeries b = a;
     Fingerprint fa, fb;
     a.fold(fa);
     b.fold(fb);
     EXPECT_EQ(fa.value(), fb.value());
 
-    b.rows[0][0] = 2.0;
+    TimelineSeries c({"x"});
+    c.appendRow(5, [](std::size_t) { return 2.0; });
     Fingerprint fc;
-    b.fold(fc);
+    c.fold(fc);
     EXPECT_NE(fa.value(), fc.value());
+}
+
+TEST(TimelineSeries, DeltaCodingIsBitExact)
+{
+    const double two53 = 9007199254740992.0;
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> specials = {
+        two53, -two53, two53 + 2.0, -(two53 + 2.0), 0.0, -0.0,
+        std::bit_cast<double>(std::uint64_t{0x7ff8000000000001}),
+        std::bit_cast<double>(std::uint64_t{0xfff80000deadbeef}), inf,
+        -inf, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), 0.5, -1.0, 1e300};
+    const std::vector<std::string> columns = {
+        "counter", "falling", "swing", "constant", "real", "special",
+        "mixed"};
+
+    Rng rng(27);
+    std::vector<Tick> ticks;
+    std::vector<std::vector<double>> input;
+    double counter = 0.0;
+    double falling = 5000.0;
+    for (std::size_t r = 0; r < 300; r++) {
+        // Counters jump past 2^32 now and then.
+        counter += static_cast<double>(rng.below(1000)) +
+                   (rng.below(16) == 0
+                        ? 4294967296.0 * static_cast<double>(1 + rng.below(4))
+                        : 0.0);
+        falling -= static_cast<double>(rng.below(97));
+        // From one end of the exact range to the other: deltas of
+        // +-2^54.
+        const double swing = (r % 2 == 0 ? 1.0 : -1.0) * two53;
+        const double real =
+            static_cast<double>(rng.below(1000000)) / 1024.0 + 1.0 / 3.0;
+        const double special = specials[r % specials.size()];
+        double mixed = 0.0;
+        switch (rng.below(3)) {
+        case 0: mixed = static_cast<double>(rng.below(200)) - 100.0; break;
+        case 1: mixed = specials[rng.below(specials.size())]; break;
+        default: mixed = real * -3.0; break;
+        }
+        ticks.push_back(600000 * (r + 1));
+        input.push_back(
+            {counter, falling, swing, 42.0, real, special, mixed});
+    }
+
+    TimelineSeries ts(columns);
+    for (std::size_t r = 0; r < input.size(); r++)
+        ts.appendRow(ticks[r], [&](std::size_t j) { return input[r][j]; });
+    EXPECT_EQ(ts.rowCount(), input.size());
+    EXPECT_EQ(ts.ticks(), ticks);
+
+    const std::vector<std::vector<double>> rows = decodedRows(ts);
+    ASSERT_EQ(rows.size(), input.size());
+    for (std::size_t r = 0; r < rows.size(); r++) {
+        ASSERT_EQ(rows[r].size(), columns.size());
+        for (std::size_t j = 0; j < columns.size(); j++)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(rows[r][j]),
+                      std::bit_cast<std::uint64_t>(input[r][j]))
+                << "row " << r << " column " << columns[j] << ": "
+                << input[r][j] << " read back as " << rows[r][j];
+    }
+
+    // fold() reads the coded rows; it must equal a fold of the dense
+    // rows it was given.
+    Fingerprint dense;
+    dense.addU64(columns.size());
+    for (const std::string &c : columns) dense.addString(c);
+    dense.addU64(ticks.size());
+    for (Tick t : ticks) dense.addU64(t);
+    for (const auto &row : input)
+        for (double v : row) dense.addDouble(v);
+    Fingerprint coded;
+    ts.fold(coded);
+    EXPECT_EQ(coded.value(), dense.value());
+}
+
+TEST(TimelineSeries, SmallStepsCostOneBytePerValue)
+{
+    // A constant and a counter that moves by 50 an epoch: the columns
+    // most epoch stats are.
+    TimelineSeries ts({"constant", "counter"});
+    for (Tick r = 0; r < 100; r++)
+        ts.appendRow(r, [r](std::size_t j) {
+            return j == 0 ? 7.0 : 50.0 * static_cast<double>(r);
+        });
+    EXPECT_EQ(ts.codedBytes(), 200u);
 }
 
 TEST(StatIndexName, FixedWidthFormatting)

@@ -192,7 +192,9 @@ TEST(SystemTest, TimelinesPopulated)
     EXPECT_NE(ts.columnIndex("epoch.vuln"), kNoColumn);
     std::size_t index = ts.columnIndex("epoch.index");
     ASSERT_NE(index, kNoColumn);
-    EXPECT_EQ(ts.rows.back()[index], static_cast<double>(ts.rows.size()));
+    double lastIndex = 0.0;
+    for (auto row = ts.cursor(); row.next();) lastIndex = row[index];
+    EXPECT_EQ(lastIndex, static_cast<double>(ts.rowCount()));
     for (std::size_t i = 0; i < system.cores().size(); i++) {
         const AccessOwner &owner = system.cores()[i]->owner();
         EXPECT_NE(ts.columnIndex("runtime.vc" + statIndexName(owner.vc) +
@@ -254,7 +256,7 @@ TEST(SystemTest, FixedLcTargetPinsAllocation)
         std::size_t col = ts.columnIndex(
             "runtime.vc" + statIndexName(core->owner().vc) + ".allocLines");
         ASSERT_NE(col, kNoColumn);
-        for (const auto &row : ts.rows) {
+        for (auto row = ts.cursor(); row.next();) {
             EXPECT_NEAR(row[col],
                         static_cast<double>(cfg.fixedLcTargetLines),
                         static_cast<double>(

@@ -248,16 +248,16 @@ writeTimelineCsv(std::ostream &os, const std::vector<MixResult> &results)
         for (const auto &d : results[m].designs) {
             const TimelineSeries &ts = d.run.timeline;
             if (ts.empty()) continue;
-            if (header == nullptr || ts.columns != *header) {
+            if (header == nullptr || ts.columns() != *header) {
                 os << "mix,design,epoch,tick";
-                for (const auto &c : ts.columns) os << ',' << c;
+                for (const auto &c : ts.columns()) os << ',' << c;
                 os << '\n';
-                header = &ts.columns;
+                header = &ts.columns();
             }
-            for (std::size_t r = 0; r < ts.rows.size(); r++) {
-                os << m << ',' << llcDesignName(d.design) << ',' << r
-                   << ',' << ts.ticks[r];
-                for (double v : ts.rows[r]) os << ',' << csvNumber(v);
+            for (auto row = ts.cursor(); row.next();) {
+                os << m << ',' << llcDesignName(d.design) << ','
+                   << row.index() << ',' << row.tick();
+                for (double v : row.values()) os << ',' << csvNumber(v);
                 os << '\n';
             }
         }
