@@ -7,7 +7,7 @@
  * examples/scenarios/; when the generic table renderer prints it,
  * `jumanji_cli --scenario <file>` is its only runner, and the
  * binaries here are left for the exhibits with their own table
- * format (fig05, fig14, fig15, table1, the ablations), which load
+ * format (fig15, table1, the ablations), which load
  * their file with scenario() and print from SpecRun::results, and
  * for the exhibits that drive a System by hand. Scale knobs, parsed
  * by src/driver/env.hh (a malformed value warns once and falls

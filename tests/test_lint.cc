@@ -237,8 +237,8 @@ TEST(LintRules, ClockRoutingFlagsCallsButNotDeclaratorsOrMembers)
         countRule(lintMemory({{"src/driver/telemetry.cc", chrono}}),
                   "clock-routing"),
         0u);
-    // And tools/ is out of scope entirely: perf_history and the CLI
-    // may time themselves however they like.
+    // And tools/ is out of scope entirely: the CLI may time itself
+    // however it likes.
     EXPECT_EQ(countRule(lintMemory({{"tools/timer.cc", chrono}}),
                         "clock-routing"),
               0u);

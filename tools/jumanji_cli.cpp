@@ -9,9 +9,13 @@
  *                          examples/scenarios/ and docs/INTERNALS.md
  *                          §12) through the orchestrator and print
  *                          its report; --jobs/--cache-dir and the
- *                          observability exports apply. The document
- *                          first passes the --scenario-check checks;
- *                          an invalid scenario exits 2 with a
+ *                          observability exports apply. The file sets
+ *                          what --design, --lc, --load, --vms,
+ *                          --batch, --mixes, --seed, --paper-scale
+ *                          and --sweep would, so each of them exits
+ *                          2 with --scenario or --scenario-check. The
+ *                          document first passes the --scenario-check
+ *                          checks; an invalid scenario exits 2 with a
  *                          "field: reason" diagnostic on stderr.
  *     --scenario-check <file>
  *                          parse, validate, and expand a scenario,
@@ -53,7 +57,9 @@
  *                          default independent per-mix calibration
  *     --selfcheck          run the experiment twice and compare stats
  *                          fingerprints (determinism self-check;
- *                          bypasses the result cache)
+ *                          bypasses the result cache); --trace-out
+ *                          writes both runs, and --stats-json or
+ *                          --timeline-csv exits 2
  *     --stats-json <file>  write the full hierarchical stats registry
  *                          of every run as nested JSON
  *     --timeline-csv <file> write the per-epoch recorder series of
@@ -68,11 +74,12 @@
  *                          (schema jumanji-bench-v3: codeVersion,
  *                          jobs, mixes, seed, wall_seconds,
  *                          simulated_accesses, accesses_per_sec) as
- *                          JSON. The canonical baseline is
- *                          `--scenario
+ *                          JSON. The canonical run is `--scenario
  *                          examples/scenarios/fig13_small.json` at
- *                          JUMANJI_MIXES=1 (the bench-smoke target);
- *                          tools/perf_history compares snapshots.
+ *                          JUMANJI_MIXES=1 (the bench-smoke target).
+ *                          --profile, --events-out and --heartbeat-ms
+ *                          apply; --selfcheck, --stats-json,
+ *                          --timeline-csv and --trace-out exit 2.
  *     --profile <file>     enable the host-side scope profiler
  *                          (src/sim/profiler.hh) and write its
  *                          aggregated JSON report (where the wall
@@ -110,6 +117,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -302,9 +310,9 @@ runScenarioBenchJson(const std::string &path,
     std::ofstream os(path);
     if (!os) fatal("cannot open " + path);
     // Self-describing snapshot (schema jumanji-bench-v3): jobs,
-    // mixes, seed, and codeVersion pin what was measured, so
-    // tools/perf_history can refuse to compare unlike work instead
-    // of reporting a bogus throughput delta.
+    // mixes, seed, and codeVersion pin what was measured, so two
+    // snapshots of unlike work are told apart instead of read as a
+    // throughput delta.
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "{\"schema\": \"jumanji-bench-v3\",\n"
@@ -383,9 +391,11 @@ main(int argc, char **argv)
     std::string benchJsonPath;
     std::string scenarioPath, scenarioCheckPath;
     std::string profilePath;
+    std::set<std::string> given; // every flag, for the checks below
 
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
+        given.insert(arg);
         auto next = [&]() -> std::string {
             if (i + 1 >= argc) usage(argv[0]);
             return argv[++i];
@@ -458,6 +468,35 @@ main(int argc, char **argv)
             return 2;
         }
     }
+
+    // A flag that the chosen mode would ignore exits 2 naming both
+    // flags: a scenario file sets what the spec-building flags would,
+    // and a timed run or a selfcheck writes none of these exports.
+    struct Conflict {
+        std::vector<const char *> modes, flags;
+        const char *why;
+    };
+    const Conflict conflicts[] = {
+        {{"--scenario", "--scenario-check"},
+         {"--design", "--lc", "--load", "--vms", "--batch", "--mixes",
+          "--seed", "--paper-scale", "--sweep"},
+         "the scenario file sets it"},
+        {{"--bench-json"},
+         {"--selfcheck", "--stats-json", "--timeline-csv", "--trace-out"},
+         "the timed run writes only its snapshot, --profile and "
+         "--events-out"},
+        {{"--selfcheck"},
+         {"--stats-json", "--timeline-csv"},
+         "a selfcheck prints its digests and writes only --trace-out"},
+    };
+    for (const Conflict &c : conflicts)
+        for (const char *mode : c.modes)
+            for (const char *flag : c.flags)
+                if (given.count(mode) != 0 && given.count(flag) != 0) {
+                    std::fprintf(stderr, "%s: not with %s: %s\n", flag,
+                                 mode, c.why);
+                    return 2;
+                }
 
     // Arm the profiler before any simulation runs. Without
     // --profile every JUMANJI_PROF_SCOPE stays a single disarmed
