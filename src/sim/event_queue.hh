@@ -48,9 +48,9 @@ class Agent
  * The DES kernel: schedules agents and advances simulated time.
  *
  * Contract: Agent::resume() must not call schedule(). The resumed
- * agent's entry stays at the top of the heap while it runs and is
- * then replaced in place by its next wake-up (one sift-down per
- * event instead of a pop plus a push). Because (when, seq) keys are
+ * agent's entry stays at the top of the heap while it runs, and its
+ * next wake-up then replaces it through one sift-down from the top
+ * (instead of a pop plus a push). Because (when, seq) keys are
  * unique, this visits agents in exactly the order a pop-then-push
  * heap would.
  */
@@ -81,27 +81,26 @@ class EventQueue
     runUntil(Tick until)
     {
         while (!heap_.empty() && heap_.front().when < until) {
-            Entry &top = heap_.front();
+            Agent *const agent = heap_.front().agent;
             // Event-queue monotonicity: the heap must never surface
             // an event from the past.
-            JUMANJI_INVARIANT(top.when >= now_,
+            JUMANJI_INVARIANT(heap_.front().when >= now_,
                               "event queue went backwards in time");
-            now_ = top.when;
+            now_ = heap_.front().when;
             checkSetTick(now_);
             [[maybe_unused]] const std::size_t size = heap_.size();
-            Tick next = top.agent->resume(now_);
+            Tick next = agent->resume(now_);
             JUMANJI_INVARIANT(heap_.size() == size,
                               "Agent::resume called EventQueue::schedule");
             if (next == kTickMax) {
-                heap_.front() = heap_.back();
+                const Entry last = heap_.back();
                 heap_.pop_back();
+                if (!heap_.empty()) siftDownTop(last);
             } else {
                 // Time must advance; a zero-delay self-loop would hang.
                 if (next <= now_) next = now_ + 1;
-                heap_.front().when = next;
-                heap_.front().seq = seq_++;
+                siftDownTop(Entry{next, seq_++, agent});
             }
-            if (!heap_.empty()) siftDownTop();
         }
         if (now_ < until) now_ = until;
         checkSetTick(now_);
@@ -131,14 +130,15 @@ class EventQueue
     };
 
     /**
-     * Restores the heap after heap_[0] changed, moving it towards the
-     * leaves until no child is earlier. Children of i sit at 2i+1 and
-     * 2i+2, the layout std::push_heap keeps.
+     * Places @p e into the hole at heap_[0], moving the hole towards
+     * the leaves until no child is earlier than @p e. Children of i
+     * sit at 2i+1 and 2i+2, the layout std::push_heap keeps. @p e
+     * arrives in registers: reloading it from heap_[0] right after
+     * writing it would stall on the store.
      */
     void
-    siftDownTop()
+    siftDownTop(const Entry e)
     {
-        const Entry e = heap_.front();
         const std::size_t n = heap_.size();
         std::size_t i = 0;
         for (;;) {

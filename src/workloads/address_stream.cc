@@ -46,8 +46,11 @@ AddressStream::draw(Rng &rng)
         return base_ + offsets_[idx] + rng.below(ws.lines);
     // Hot-front draw: position = N * u^(1+skew).
     double u = rng.uniform();
-    auto pos = static_cast<std::uint64_t>(
-        static_cast<double>(ws.lines) * std::pow(u, 1.0 + ws.skew));
+    std::uint64_t pos =
+        ws.skew == 1.0
+            ? floorScaledSquare(u, ws.lines)
+            : static_cast<std::uint64_t>(static_cast<double>(ws.lines) *
+                                         std::pow(u, 1.0 + ws.skew));
     if (pos >= ws.lines) pos = ws.lines - 1;
     return base_ + offsets_[idx] + pos;
 }

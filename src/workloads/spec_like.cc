@@ -1,7 +1,5 @@
 #include "src/workloads/spec_like.hh"
 
-#include <cmath>
-
 #include "src/sim/logging.hh"
 
 namespace jumanji {
@@ -125,12 +123,7 @@ SpecLikeApp::SpecLikeApp(const SpecAppParams &params, AppId app)
 {
     if (params_.apki <= 0.0)
         fatal("SpecLikeApp: apki must be positive");
-}
-
-double
-SpecLikeApp::instrsPerAccess() const
-{
-    return 1000.0 / params_.apki;
+    instrsPerAccess_ = 1000.0 / params_.apki;
 }
 
 AppStep
@@ -138,8 +131,7 @@ SpecLikeApp::next(Tick, Rng &rng)
 {
     // Geometric jitter around the mean gap keeps bank-port arrivals
     // from synchronising artificially across cores.
-    double mean = instrsPerAccess();
-    auto gap = static_cast<std::uint64_t>(rng.exponential(mean)) + 1;
+    auto gap = floorExponential(rng.uniform(), instrsPerAccess_) + 1;
     return AppStep::execute(gap, stream_.draw(rng));
 }
 

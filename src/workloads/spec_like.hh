@@ -52,12 +52,11 @@ class SpecLikeApp : public AppModel
     AppStep next(Tick now, Rng &rng) override;
     const AppTraits &traits() const override { return params_.traits; }
 
-    /** Instructions between consecutive LLC accesses on average. */
-    double instrsPerAccess() const;
-
   private:
     SpecAppParams params_;
     AddressStream stream_;
+    /** Instructions between consecutive LLC accesses on average. */
+    double instrsPerAccess_ = 0.0;
 };
 
 } // namespace jumanji

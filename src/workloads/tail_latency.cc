@@ -1,7 +1,5 @@
 #include "src/workloads/tail_latency.hh"
 
-#include <cmath>
-
 #include "src/sim/logging.hh"
 
 namespace jumanji {
@@ -91,8 +89,8 @@ TailLatencyApp::TailLatencyApp(const TailAppParams &params, AppId app,
     if (meanInterarrival_ <= 0.0)
         fatal("TailLatencyApp: interarrival must be positive");
     instrsPerAccess_ = 1000.0 / params_.apki;
-    nextArrival_ = static_cast<Tick>(
-        arrivalRng_.exponential(meanInterarrival_));
+    nextArrival_ =
+        floorExponential(arrivalRng_.uniform(), meanInterarrival_);
 }
 
 void
@@ -102,8 +100,10 @@ TailLatencyApp::setMeanInterarrival(double cycles, Tick now)
         fatal("TailLatencyApp: interarrival must be positive");
     meanInterarrival_ = cycles;
     // Resample the pending arrival under the new rate.
-    nextArrival_ = now + static_cast<Tick>(
-        arrivalRng_.exponential(meanInterarrival_)) + 1;
+    nextArrival_ = now +
+                   floorExponential(arrivalRng_.uniform(),
+                                    meanInterarrival_) +
+                   1;
 }
 
 void
@@ -112,8 +112,9 @@ TailLatencyApp::drainArrivals(Tick now)
     while (nextArrival_ <= now) {
         pendingArrivals_.push_back(nextArrival_);
         arrived_++;
-        nextArrival_ += static_cast<Tick>(
-            arrivalRng_.exponential(meanInterarrival_)) + 1;
+        nextArrival_ +=
+            floorExponential(arrivalRng_.uniform(), meanInterarrival_) +
+            1;
     }
 }
 
@@ -168,8 +169,7 @@ TailLatencyApp::next(Tick now, Rng &rng)
         startNextRequest();
     }
 
-    double mean = instrsPerAccess_;
-    auto gap = static_cast<std::uint64_t>(rng.exponential(mean)) + 1;
+    auto gap = floorExponential(rng.uniform(), instrsPerAccess_) + 1;
     accessesLeft_--;
     if (accessesLeft_ == 0) {
         // Final access of this request: completion recorded when the

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -20,6 +21,7 @@
 #include "src/sim/logging.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/stats.hh"
+#include "src/workloads/spec_like.hh"
 
 namespace jumanji {
 namespace {
@@ -57,10 +59,12 @@ TEST(Rng, BelowRespectsBound)
 
 TEST(Rng, ExponentialMeanApprox)
 {
+    // The mean of floor(Exp(100)) is 1/(e^0.01 - 1), about 99.50.
     Rng rng(11);
     double sum = 0.0;
     const int n = 20000;
-    for (int i = 0; i < n; i++) sum += rng.exponential(100.0);
+    for (int i = 0; i < n; i++)
+        sum += static_cast<double>(floorExponential(rng.uniform(), 100.0));
     EXPECT_NEAR(sum / n, 100.0, 5.0);
 }
 
@@ -72,6 +76,204 @@ TEST(Rng, ForkDecorrelates)
     for (int i = 0; i < 100; i++)
         if (parent.next() == child.next()) same++;
     EXPECT_LT(same, 3);
+}
+
+/*
+ * Certified integer draws against the libm expressions they replace.
+ * Each check runs the expression itself, so a cheap value that is
+ * trusted inside too small a margin, a fallback that returns the cheap
+ * value, or a pow whose exponent the compiler can fold shows up as a
+ * mismatch or as a fallback count out of range.
+ */
+
+/** Read at run time, so no compiler can fold pow(u, 1.0 + skew). */
+volatile double gSkew = 1.0;
+
+std::uint64_t
+libmExponential(double u, double mean)
+{
+    return static_cast<std::uint64_t>(-mean * std::log1p(-u));
+}
+
+std::uint64_t
+libmScaledSquare(double u, std::uint64_t n)
+{
+    return static_cast<std::uint64_t>(static_cast<double>(n) *
+                                      std::pow(u, 1.0 + gSkew));
+}
+
+/** Every Rng::uniform() value is a multiple of this. */
+constexpr double kGrid = 0x1p-53;
+
+/** The u on the uniform grid nearest to @p x, moved by @p steps. */
+double
+gridNeighbour(double x, int steps)
+{
+    return (std::nearbyint(x / kGrid) + steps) * kGrid;
+}
+
+/** Mismatches and fallbacks of one family of inputs. */
+struct DrawTally
+{
+    std::uint64_t inputs = 0, mismatches = 0, fallbacks = 0;
+    /** Inputs within the near band of an integer, and their fallbacks. */
+    std::uint64_t near = 0, nearFallbacks = 0;
+};
+
+/** 1, every per-access gap (1000/apki) in the catalogs, and arrivals. */
+const double kMeans[] = {1.0,    1000.0 / 42, 1000.0 / 28, 1000.0 / 12,
+                         1000.0 / 3, 1e3, 1e4,  1e5,        1e6};
+
+/** Per-access means are at most 1000/3 instructions. */
+bool
+perAccessMean(double mean)
+{
+    return mean <= 1000.0 / 3;
+}
+
+class CertifiedExponential : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(CertifiedExponential, MatchesLibmOnSeededDraws)
+{
+    const double mean = GetParam();
+    Rng rng(0x5eed0000 + static_cast<std::uint64_t>(mean));
+    DrawTally t;
+    for (t.inputs = 0; t.inputs < 10'000'000; t.inputs++) {
+        const double u = rng.uniform();
+        if (floorExponential(u, mean) != libmExponential(u, mean))
+            t.mismatches++;
+        if (!detail::certifiedExponential(u, mean)) t.fallbacks++;
+    }
+    EXPECT_EQ(t.mismatches, 0u);
+    if (perAccessMean(mean)) {
+        EXPECT_LE(t.fallbacks, t.inputs / 10'000) << "mean " << mean;
+    }
+}
+
+TEST_P(CertifiedExponential, MatchesLibmAtEveryBoundary)
+{
+    // The integer boundaries of -mean ln(1 - u) sit at
+    // u = -expm1(-k/mean). Each one's nine nearest grid points are
+    // checked; those whose libm value lies within 2^-30 * mean of a
+    // boundary k >= 1, far inside the margin, must all reach libm.
+    // (No value lies below 0, so k = 0 needs no fallback.)
+    const double mean = GetParam();
+    const auto last = static_cast<std::uint64_t>(40 * mean);
+    const std::uint64_t stride = std::max<std::uint64_t>(1, last / 20'000);
+    DrawTally t;
+    for (std::uint64_t k = 0; k <= last; k += stride) {
+        const double boundary = -std::expm1(-static_cast<double>(k) / mean);
+        for (int steps = -4; steps <= 4; steps++) {
+            const double u = gridNeighbour(boundary, steps);
+            if (u < 0.0 || u > 1.0 - kGrid) continue;
+            const std::uint64_t want = libmExponential(u, mean);
+            const bool fellBack = !detail::certifiedExponential(u, mean);
+            t.inputs++;
+            if (floorExponential(u, mean) != want) t.mismatches++;
+            const double value = -mean * std::log1p(-u);
+            if (k > 0 && std::abs(value - static_cast<double>(k)) <
+                             mean * 0x1p-30) {
+                t.near++;
+                if (fellBack) t.nearFallbacks++;
+            }
+        }
+    }
+    for (double u : {0.0, kGrid, 1.0 - kGrid}) {
+        t.inputs++;
+        if (floorExponential(u, mean) != libmExponential(u, mean))
+            t.mismatches++;
+    }
+    EXPECT_EQ(t.mismatches, 0u) << "of " << t.inputs;
+    EXPECT_GT(t.near, t.inputs / 4);
+    EXPECT_EQ(t.nearFallbacks, t.near);
+}
+
+INSTANTIATE_TEST_SUITE_P(Means, CertifiedExponential,
+                         ::testing::ValuesIn(kMeans));
+
+/** Sizes: edge cases, 2^33, and every SPEC-like working-set size. */
+std::vector<std::uint64_t>
+squareSizes()
+{
+    std::vector<std::uint64_t> sizes = {1, 2, 3, 64, 1ull << 33};
+    const std::size_t edgeCases = sizes.size();
+    for (const SpecAppParams &app : specAppCatalog())
+        for (const WorkingSet &ws : app.workingSets)
+            if (!ws.streaming &&
+                std::find(sizes.begin(), sizes.end(), ws.lines) ==
+                    sizes.end())
+                sizes.push_back(ws.lines);
+    EXPECT_GT(sizes.size(), edgeCases);
+    return sizes;
+}
+
+class CertifiedScaledSquare
+    : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(CertifiedScaledSquare, MatchesLibmOnSeededDraws)
+{
+    const std::uint64_t n = GetParam();
+    Rng rng(0x5eed5000 + n);
+    DrawTally t;
+    for (t.inputs = 0; t.inputs < 10'000'000; t.inputs++) {
+        const double u = rng.uniform();
+        if (floorScaledSquare(u, n) != libmScaledSquare(u, n))
+            t.mismatches++;
+        if (!detail::certifiedScaledSquare(u, n)) t.fallbacks++;
+    }
+    EXPECT_EQ(t.mismatches, 0u);
+    // Every working set the catalog draws from is below 2^20 lines.
+    if (n < (1ull << 20)) {
+        EXPECT_LE(t.fallbacks, t.inputs / 10'000);
+    }
+}
+
+TEST_P(CertifiedScaledSquare, MatchesLibmAtEveryBoundary)
+{
+    // Boundaries of n u^2 sit at u = sqrt(k/n); grid points whose libm
+    // value lies within 2^-44 * k of one must all reach libm.
+    const std::uint64_t n = GetParam();
+    const std::uint64_t stride = std::max<std::uint64_t>(1, n / 20'000);
+    DrawTally t;
+    for (std::uint64_t k = 0; k <= n; k += stride) {
+        const double boundary = std::sqrt(static_cast<double>(k) /
+                                          static_cast<double>(n));
+        for (int steps = -4; steps <= 4; steps++) {
+            const double u = gridNeighbour(boundary, steps);
+            if (u < 0.0 || u > 1.0) continue;
+            const std::uint64_t want = libmScaledSquare(u, n);
+            const bool fellBack = !detail::certifiedScaledSquare(u, n);
+            t.inputs++;
+            if (floorScaledSquare(u, n) != want) t.mismatches++;
+            const double value =
+                static_cast<double>(n) * std::pow(u, 1.0 + gSkew);
+            const double kd = static_cast<double>(k);
+            if (std::abs(value - kd) < kd * 0x1p-44) {
+                t.near++;
+                if (fellBack) t.nearFallbacks++;
+            }
+        }
+    }
+    EXPECT_EQ(t.mismatches, 0u) << "of " << t.inputs;
+    EXPECT_GT(t.near, t.inputs / 4);
+    EXPECT_EQ(t.nearFallbacks, t.near);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, CertifiedScaledSquare,
+                         ::testing::ValuesIn(squareSizes()));
+
+TEST(CertifiedScaledSquare, PowDiffersFromTheFoldedSquare)
+{
+    // glibc's pow(u, 2.0) and the u * u a compiler folds a literal
+    // exponent into round this input to opposite sides of 537.
+    const double u = 0x1.7731ef02e17bbp-1;
+    EXPECT_EQ(static_cast<std::uint64_t>(1000.0 * (u * u)), 537u);
+    EXPECT_EQ(libmScaledSquare(u, 1000), 536u);
+    EXPECT_EQ(floorScaledSquare(u, 1000), 536u);
 }
 
 class CountingAgent : public Agent

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "src/sim/logging.hh"
@@ -250,6 +251,145 @@ TEST(TailLatencyApp, RejectsBadConfig)
 {
     EXPECT_THROW(TailLatencyApp(tailAppParams("silo"), 0, 0.0, Rng(1)),
                  FatalError);
+}
+
+// --------------------------------------- Certified draws against libm
+
+std::uint64_t
+libmExponential(double u, double mean)
+{
+    return static_cast<std::uint64_t>(-mean * std::log1p(-u));
+}
+
+/**
+ * The reference AddressStream::draw: libm's pow for every skewed
+ * working set, with no certified draw.
+ */
+class LibmStream
+{
+  public:
+    LibmStream(LineAddr base, const std::vector<WorkingSet> &sets)
+        : base_(base), sets_(sets)
+    {
+        LineAddr offset = 0;
+        for (const WorkingSet &ws : sets_) {
+            offsets_.push_back(offset);
+            if (!ws.streaming) offset += ws.lines;
+            total_ += ws.weight;
+            cum_.push_back(total_);
+        }
+        cursor_ = offset;
+    }
+
+    LineAddr
+    draw(Rng &rng)
+    {
+        double pick = rng.uniform() * total_;
+        std::size_t idx = 0;
+        while (idx + 1 < cum_.size() && pick >= cum_[idx]) idx++;
+        const WorkingSet &ws = sets_[idx];
+        if (ws.streaming) return base_ + cursor_++;
+        if (ws.lines == 0) return base_ + offsets_[idx];
+        if (ws.skew <= 0.0) return base_ + offsets_[idx] + rng.below(ws.lines);
+        double u = rng.uniform();
+        auto pos = static_cast<std::uint64_t>(
+            static_cast<double>(ws.lines) * std::pow(u, 1.0 + ws.skew));
+        if (pos >= ws.lines) pos = ws.lines - 1;
+        return base_ + offsets_[idx] + pos;
+    }
+
+  private:
+    LineAddr base_;
+    std::vector<WorkingSet> sets_;
+    std::vector<double> cum_;
+    std::vector<LineAddr> offsets_;
+    double total_ = 0.0;
+    LineAddr cursor_ = 0;
+};
+
+constexpr int kDifferentialDraws = 1'000'000;
+
+TEST(CertifiedDraws, SpecLikeAppsMatchLibm)
+{
+    for (std::size_t i = 0; i < specAppCatalog().size(); i++) {
+        const SpecAppParams &params = specAppCatalog()[i];
+        const auto id = static_cast<AppId>(i);
+        SpecLikeApp app(params, id);
+        LibmStream ref(appAddressBase(id), params.workingSets);
+        Rng rng(100 + i), refRng(100 + i);
+        int gapMismatches = 0, lineMismatches = 0;
+        for (int d = 0; d < kDifferentialDraws; d++) {
+            AppStep step = app.next(0, rng);
+            if (step.instrs !=
+                libmExponential(refRng.uniform(), 1000.0 / params.apki) + 1)
+                gapMismatches++;
+            if (step.access != ref.draw(refRng)) lineMismatches++;
+        }
+        EXPECT_EQ(gapMismatches, 0) << params.name;
+        EXPECT_EQ(lineMismatches, 0) << params.name;
+    }
+}
+
+TEST(CertifiedDraws, TailBenchAppsMatchLibm)
+{
+    // Drives each app through requests at one instruction per tick,
+    // half-way changing the load, and replays its three streams with
+    // libm: the per-access gaps and lines, and the arrival ticks its
+    // idle steps wake at.
+    for (std::size_t i = 0; i < tailAppCatalog().size(); i++) {
+        const TailAppParams &params = tailAppCatalog()[i];
+        const auto id = static_cast<AppId>(i);
+        double arrivalMean = 2.0 * params.instrsPerRequest;
+        TailLatencyApp app(params, id, arrivalMean, Rng(200 + i));
+        LibmStream ref(appAddressBase(id), params.workingSets);
+        Rng rng(300 + i), refRng(300 + i), refArrivals(200 + i);
+
+        Tick refNext = libmExponential(refArrivals.uniform(), arrivalMean);
+        std::uint64_t refDraws = 1;
+        auto advance = [&]() {
+            refNext += libmExponential(refArrivals.uniform(), arrivalMean) + 1;
+            refDraws++;
+        };
+
+        Tick now = 0;
+        int gapMismatches = 0, lineMismatches = 0, wakeMismatches = 0;
+        int executes = 0, idles = 0;
+        bool loadChanged = false;
+        while (executes < kDifferentialDraws) {
+            if (!loadChanged && executes == kDifferentialDraws / 2) {
+                // Resample the pending arrival at a new mean, as a
+                // load trace does; the reference first catches up
+                // with the app's draws (one plus one per arrival).
+                while (refDraws < 1 + app.requestsArrived()) advance();
+                arrivalMean *= 0.75;
+                app.setMeanInterarrival(arrivalMean, now);
+                refNext = now +
+                          libmExponential(refArrivals.uniform(), arrivalMean) +
+                          1;
+                loadChanged = true;
+            }
+            AppStep step = app.next(now, rng);
+            if (step.kind == AppStep::Kind::Idle) {
+                while (refNext < step.wakeTick) advance();
+                if (refNext != step.wakeTick) wakeMismatches++;
+                now = step.wakeTick;
+                idles++;
+                continue;
+            }
+            executes++;
+            if (step.instrs !=
+                libmExponential(refRng.uniform(), 1000.0 / params.apki) + 1)
+                gapMismatches++;
+            if (step.access != ref.draw(refRng)) lineMismatches++;
+            now += step.instrs;
+            app.onAccessComplete(now);
+        }
+        EXPECT_EQ(gapMismatches, 0) << params.name;
+        EXPECT_EQ(lineMismatches, 0) << params.name;
+        EXPECT_EQ(wakeMismatches, 0) << params.name;
+        EXPECT_GT(idles, 100) << params.name;
+        EXPECT_GT(app.requestsArrived(), 1000u) << params.name;
+    }
 }
 
 // -------------------------------------------------------------- Mixes

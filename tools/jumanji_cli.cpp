@@ -24,7 +24,13 @@
  *                          resolve each dotted output column and
  *                          timelineStats selector against its stat
  *                          registry; prints the grid shape and exits
- *                          0 iff the document is valid
+ *                          0 iff the document is valid. A check
+ *                          simulates nothing and writes no file, so
+ *                          --scenario, --bench-json, --selfcheck,
+ *                          --stats-json, --timeline-csv, --trace-out,
+ *                          --profile, --events-out, --jobs,
+ *                          --cache-dir and --heartbeat-ms exit 2
+ *                          with it
  *     --design <name>      Static|Adaptive|VM-Part|Jigsaw|Jumanji|
  *                          Jumanji-Insecure|Jumanji-IdealBatch, the
  *                          names every table prints (repeatable;
@@ -471,7 +477,8 @@ main(int argc, char **argv)
 
     // A flag that the chosen mode would ignore exits 2 naming both
     // flags: a scenario file sets what the spec-building flags would,
-    // and a timed run or a selfcheck writes none of these exports.
+    // a check runs and writes nothing, and a timed run or a selfcheck
+    // writes none of these exports.
     struct Conflict {
         std::vector<const char *> modes, flags;
         const char *why;
@@ -481,6 +488,11 @@ main(int argc, char **argv)
          {"--design", "--lc", "--load", "--vms", "--batch", "--mixes",
           "--seed", "--paper-scale", "--sweep"},
          "the scenario file sets it"},
+        {{"--scenario-check"},
+         {"--scenario", "--bench-json", "--selfcheck", "--stats-json",
+          "--timeline-csv", "--trace-out", "--profile", "--events-out",
+          "--jobs", "--cache-dir", "--heartbeat-ms"},
+         "a check simulates nothing and writes no file"},
         {{"--bench-json"},
          {"--selfcheck", "--stats-json", "--timeline-csv", "--trace-out"},
          "the timed run writes only its snapshot, --profile and "
