@@ -41,12 +41,12 @@ main()
 
     // 5. The trading algorithm (the paper's rejected refinement).
     {
-        // The baseline variant's config and mix, exactly as expanded.
+        // The baseline variant's config, mix and calibrations,
+        // exactly as expanded and calibrated.
         SystemConfig cfg = run.plan.variantConfigs[0];
         cfg.seed = run.plan.graph.job(0).config.seed;
         const WorkloadMix &mix = run.plan.graph.job(0).mix;
-        ExperimentHarness harness(cfg);
-        auto calib = harness.calibrationsFor(mix);
+        const LcCalibrationMap &calib = run.plan.graph.job(0).calibrations;
 
         // Probe the policy on inputs captured from a normal run.
         JumanjiTradePolicy trade;

@@ -21,9 +21,6 @@
  *                          calibration/job/run (default: off)
  *   JUMANJI_HEARTBEAT_MS=<n>  stderr progress heartbeat period for
  *                          long sweeps (default: 0 = off)
- *   JUMANJI_KV_LOAD_SCALE=<x>  scales the offered load of every KV
- *                          app in a scenario, range (0, 1e3]
- *                          (default: 1.0; see driver::kvLoadScaleFromEnv)
  */
 
 #ifndef JUMANJI_BENCH_BENCH_COMMON_HH

@@ -78,8 +78,7 @@ main()
     SystemConfig cfg = benchConfig();
     Rng rng(cfg.seed);
     WorkloadMix mix = makeMix({"xapian"}, 4, 4, rng);
-    ExperimentHarness harness(cfg);
-    auto calib = harness.calibrationsFor(mix);
+    const LcCalibrationMap calib = calibrateMix(cfg, mix);
 
     for (LlcDesign d : {LlcDesign::Adaptive, LlcDesign::VMPart,
                         LlcDesign::Jigsaw, LlcDesign::Jumanji}) {

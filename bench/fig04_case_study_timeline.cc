@@ -36,8 +36,7 @@ main()
 
     Rng rng(cfg.seed);
     WorkloadMix mix = makeMix({"xapian"}, 4, 4, rng);
-    ExperimentHarness harness(cfg);
-    auto calib = harness.calibrationsFor(mix);
+    const LcCalibrationMap calib = calibrateMix(cfg, mix);
     double deadline = calib.at("xapian").deadline;
 
     std::vector<LlcDesign> designs = {

@@ -27,12 +27,7 @@ soloTailAt(const SystemConfig &base, LlcDesign design,
     cfg.fixedLcTargetLines = lines;
     cfg.measureTicks *= 2;
 
-    WorkloadMix solo;
-    VmSpec vm;
-    vm.lcApps.push_back("xapian");
-    solo.vms.push_back(vm);
-
-    System system(cfg, solo, calib);
+    System system(cfg, soloMix("xapian"), calib);
     RunResult run = system.run();
     for (const auto &app : run.apps)
         if (app.latencyCritical) return app.tailLatency;
@@ -49,8 +44,7 @@ main()
                        "S-NUCA vs. D-NUCA");
 
     SystemConfig cfg = benchConfig();
-    ExperimentHarness harness(cfg);
-    const LcCalibration &calib = harness.calibrationFor("xapian");
+    const LcCalibration calib = calibrateLcApp(cfg, "xapian");
     LcCalibrationMap calibMap;
     calibMap["xapian"] = calib;
 

@@ -70,11 +70,7 @@ tailAlone(const SystemConfig &base, LlcDesign design,
     cfg.load = LoadLevel::High;
     cfg.fixedLcTargetLines = lcLines;
     cfg.measureTicks *= 2;
-    WorkloadMix solo;
-    VmSpec vm;
-    vm.lcApps.push_back("img-dnn");
-    solo.vms.push_back(vm);
-    System system(cfg, solo, calib);
+    System system(cfg, soloMix("img-dnn"), calib);
     RunResult run = system.run();
     for (const auto &app : run.apps)
         if (app.latencyCritical) return app.tailLatency;
@@ -92,9 +88,8 @@ main()
     std::uint32_t mixes = driver::mixCountFromEnv(12);
 
     SystemConfig cfg = benchConfig();
-    ExperimentHarness harness(cfg);
     LcCalibrationMap calib;
-    calib["img-dnn"] = harness.calibrationFor("img-dnn");
+    calib["img-dnn"] = calibrateLcApp(cfg, "img-dnn");
 
     PlacementGeometry geo = cfg.placementGeometry();
     // S-NUCA: 2.5 MB of 20 MB = 1/8 of the LLC, striped (4 ways).

@@ -24,14 +24,13 @@ main()
     header("Table III", "latency-critical workload configuration");
 
     SystemConfig cfg = benchConfig();
-    ExperimentHarness harness(cfg);
 
     std::printf("%-10s %14s %14s %14s %14s %12s\n", "app",
                 "service(cyc)", "QPM(low)", "QPM(high)", "deadline",
                 "queries/run");
 
     for (const auto &name : allTailAppNames()) {
-        const LcCalibration &calib = harness.calibrationFor(name);
+        const LcCalibration calib = calibrateLcApp(cfg, name);
 
         // Requests per Mcycle at each load level.
         double qpmLow = 1e6 * loadUtilization(LoadLevel::Low) /
@@ -43,13 +42,9 @@ main()
         SystemConfig soloCfg = cfg;
         soloCfg.design = LlcDesign::Static;
         soloCfg.load = LoadLevel::High;
-        WorkloadMix solo;
-        VmSpec vm;
-        vm.lcApps.push_back(name);
-        solo.vms.push_back(vm);
         LcCalibrationMap calibMap;
         calibMap[name] = calib;
-        System system(soloCfg, solo, calibMap);
+        System system(soloCfg, soloMix(name), calibMap);
         RunResult run = system.run();
         std::uint64_t queries = 0;
         for (const auto &app : run.apps)

@@ -33,8 +33,8 @@ main(int argc, char **argv)
     // plus a random mix of batch jobs.
     Rng rng(seed);
     WorkloadMix base = makeMix(allTailAppNames(), 4, 4, rng);
-
-    ExperimentHarness harness(cfg);
+    // Regrouping keeps the apps, so one calibration serves every level.
+    const LcCalibrationMap calib = calibrateMix(cfg, base);
 
     std::printf("Consolidating 4 latency-critical + 16 batch apps "
                 "under Jumanji:\n\n");
@@ -43,8 +43,8 @@ main(int argc, char **argv)
 
     for (std::uint32_t vms : {2u, 4u, 8u, 12u}) {
         WorkloadMix mix = regroupMix(base, vms);
-        MixResult result = harness.runMix(mix, {LlcDesign::Jumanji},
-                                          LoadLevel::High);
+        MixResult result = runCalibrated(cfg, mix, {LlcDesign::Jumanji},
+                                         LoadLevel::High, calib);
         const DesignResult &ju = result.of(LlcDesign::Jumanji);
         std::printf("%-8u %11.3f %-6s %16.3f %16.3f\n", vms,
                     ju.meanTailRatio(),

@@ -38,9 +38,8 @@ main(int argc, char **argv)
     }
 
     // 3. Run under Static (the baseline) and Jumanji.
-    ExperimentHarness harness(cfg);
-    MixResult result = harness.runMix(
-        mix, {LlcDesign::Jumanji}, LoadLevel::High);
+    MixResult result =
+        runMix(cfg, mix, {LlcDesign::Jumanji}, LoadLevel::High);
 
     const DesignResult &st = result.of(LlcDesign::Static);
     const DesignResult &ju = result.of(LlcDesign::Jumanji);

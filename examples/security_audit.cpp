@@ -34,12 +34,10 @@ fleetAudit(std::uint64_t seed)
     Rng rng(seed);
     WorkloadMix mix = makeMix({"silo"}, 4, 4, rng);
 
-    ExperimentHarness harness(cfg);
-    MixResult result = harness.runMix(
-        mix,
-        {LlcDesign::Adaptive, LlcDesign::VMPart, LlcDesign::Jigsaw,
-         LlcDesign::Jumanji},
-        LoadLevel::High);
+    MixResult result = runMix(cfg, mix,
+                              {LlcDesign::Adaptive, LlcDesign::VMPart,
+                               LlcDesign::Jigsaw, LlcDesign::Jumanji},
+                              LoadLevel::High);
 
     std::printf("Fleet audit: average untrusted apps sharing the "
                 "accessed bank\n\n");

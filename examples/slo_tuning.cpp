@@ -32,8 +32,7 @@ main(int argc, char **argv)
     Rng rng(seed);
     WorkloadMix mix = makeMix({"masstree"}, 4, 4, rng);
 
-    ExperimentHarness harness(cfg);
-    auto calib = harness.calibrationsFor(mix);
+    const LcCalibrationMap calib = calibrateMix(cfg, mix);
     double deadline = calib.at("masstree").deadline;
 
     System system(cfg, mix, calib);

@@ -49,7 +49,6 @@ class CoreModel : public Agent
     void setTile(CoreId id) { id_ = id; }
     const AccessOwner &owner() const { return owner_; }
     AppModel &app() { return *app_; }
-    const AppModel &constApp() const { return *app_; }
 
     /** True between an access's issue and its bank arrival. */
     bool accessInFlight() const { return accessPending_; }

@@ -113,8 +113,7 @@ MemPath::accessArrived(Tick now, std::uint32_t coreTile,
 
     // Vulnerability metric (Sec. VII): apps from other VMs occupying
     // this bank when the access arrives are potential port attackers.
-    lastAttackers_ = bank.constArray().appsFromOtherVms(owner.vm);
-    attackerSum_ += lastAttackers_;
+    attackerSum_ += bank.constArray().appsFromOtherVms(owner.vm);
     llcAccesses_++;
 
     // UMON observes the access regardless of hit/miss.

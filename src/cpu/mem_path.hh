@@ -115,9 +115,6 @@ class MemPath
     PathAccessResult access(Tick now, std::uint32_t coreTile,
                             const AccessOwner &owner, LineAddr line);
 
-    /** The vulnerability metric: attackers observed this access. */
-    std::uint32_t lastAccessAttackers() const { return lastAttackers_; }
-
     Vtb &vtb() { return vtb_; }
     MeshTopology &mesh() { return mesh_; }
     MemorySystem &memory() { return memory_; }
@@ -139,7 +136,6 @@ class MemPath
     std::uint64_t totalLines() const;
 
     Umon &umon(VcId vc);
-    bool hasUmon(VcId vc) const { return umons_.count(vc) > 0; }
 
     /**
      * Installs a new placement descriptor for @p vc and performs the
@@ -173,7 +169,6 @@ class MemPath
 
     /** Aggregate counters across all accesses since construction. */
     const AccessCounters &counters() const { return counters_; }
-    AccessCounters &mutableCounters() { return counters_; }
 
     /** Sum of attackers over accesses; divide by accesses for avg. */
     double
@@ -220,7 +215,6 @@ class MemPath
     AccessCounters counters_;
     std::uint64_t attackerSum_ = 0;
     std::uint64_t llcAccesses_ = 0;
-    std::uint32_t lastAttackers_ = 0;
     bool migrate_ = true;
 
     /** hopCounters_[h] = accesses whose core->bank route was h hops. */

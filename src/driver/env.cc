@@ -93,20 +93,6 @@ seedFromEnv(std::uint64_t fallback)
                    "a seed in [1, 2^64-1]");
 }
 
-double
-kvLoadScaleFromEnv(double fallback)
-{
-    auto parse = [](const char *text) -> std::optional<double> {
-        char *end = nullptr;
-        double v = std::strtod(text, &end);
-        if (end == text || *end != '\0' || !(v > 0.0) || v > 1e3)
-            return std::nullopt;
-        return v;
-    };
-    return fromEnv("JUMANJI_KV_LOAD_SCALE", fallback, parse,
-                   "a scale in (0, 1000]");
-}
-
 std::uint32_t
 heartbeatMsFromEnv(std::uint32_t fallback)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
  * The environment knobs of the tools and benches (JUMANJI_MIXES,
- * JUMANJI_JOBS, JUMANJI_SEED, JUMANJI_KV_LOAD_SCALE,
- * JUMANJI_HEARTBEAT_MS, JUMANJI_CACHE_DIR), read in one place with
+ * JUMANJI_JOBS, JUMANJI_SEED, JUMANJI_HEARTBEAT_MS,
+ * JUMANJI_CACHE_DIR), read in one place with
  * one policy: an unset variable yields the fallback; a set value that
  * does not parse or is out of range warns once per variable on stderr
  * (warnAlways: quiet mode does not hide it) and yields the fallback —
@@ -50,12 +50,6 @@ std::uint32_t jobCountFromEnv(std::uint32_t fallback);
  * range except 0, which is reserved as "unset".
  */
 std::uint64_t seedFromEnv(std::uint64_t fallback = 1);
-
-/**
- * JUMANJI_KV_LOAD_SCALE in (0, 1e3], else @p fallback. Scales the
- * offered load of every KV app in a scenario (kv.loadScale).
- */
-double kvLoadScaleFromEnv(double fallback = 1.0);
 
 /**
  * JUMANJI_HEARTBEAT_MS in [0, 2^32-1], else @p fallback (0 = off).

@@ -6,7 +6,7 @@
  * order of results.
  *
  * Jobs are *values*: everything a worker needs (config, workload,
- * designs, load, calibrations) is copied into the job up front, so a
+ * designs, load, calibrations) is in the job before it runs, so a
  * worker thread touches no shared state while executing one. That is
  * the whole concurrency story of the driver — simulation code stays
  * single-threaded per job (and the lint concurrency-routing rule
@@ -41,12 +41,14 @@ struct SweepJob
     LoadLevel load = LoadLevel::High;
 
     /**
-     * When true, the worker calibrates the mix's LC apps itself from
-     * `config` (matching a serial `ExperimentHarness(config)` run).
-     * When false, `calibrations` must cover the mix's LC apps and is
-     * folded into the cache key (it is a job input).
+     * True when `calibrations` were made under this job's own
+     * `config` (CalibrationMode::PerJob). They are then a function of
+     * inputs the cache key already folds, so jobKey leaves their
+     * values out; when false they are an input of their own and key
+     * the result.
      */
-    bool selfCalibrate = true;
+    bool selfCalibrate = false;
+    /** Covers the mix's LC apps; runSpec fills it from the plan. */
     LcCalibrationMap calibrations;
 };
 
@@ -85,8 +87,8 @@ class JobGraph
 
     /**
      * Mutable access for graph builders that resolve job inputs in a
-     * second pass (the spec expander fills shared calibrations after
-     * all jobs exist). Not for use once the graph is running.
+     * second pass (runSpec fills calibrations once the plan's
+     * calibrations have run). Not for use once the graph is running.
      */
     SweepJob &mutableJob(JobId id) { return jobs_[id]; }
 

@@ -131,15 +131,8 @@ Orchestrator::run(const JobGraph &graph)
             // Jobs never share a tracer: private or none.
             cfg.tracer = tracing ? &jobTracers[id] : nullptr;
             try {
-                if (job.selfCalibrate) {
-                    ExperimentHarness local(cfg);
-                    out.result = local.runMix(job.mix, job.designs,
-                                              job.load);
-                } else {
-                    out.result = ExperimentHarness::runCalibrated(
-                        cfg, job.mix, job.designs, job.load,
-                        job.calibrations);
-                }
+                out.result = runCalibrated(cfg, job.mix, job.designs,
+                                           job.load, job.calibrations);
                 out.ok = true;
             } catch (const std::exception &e) {
                 out.ok = false;
@@ -196,8 +189,8 @@ Orchestrator::runCalibrations(const std::vector<CalibrationJob> &requests)
         [&](std::size_t i, JobTiming &timing) {
             JUMANJI_PROF_SCOPE("driver.calibration");
             try {
-                ExperimentHarness local(requests[i].config);
-                results[i] = local.calibrationFor(requests[i].lcName);
+                results[i] = calibrateLcApp(requests[i].config,
+                                            requests[i].lcName);
                 if (cache_.enabled())
                     cache_.storeCalibration(keyOf(i), results[i]);
             } catch (const std::exception &e) {

@@ -1,8 +1,10 @@
 /**
  * @file
- * Orchestrator: runs a JobGraph of independent sweep points, and the
- * calibrations they share, on parallelFor workers, merging outcomes
- * back in job-submission order.
+ * Orchestrator: runs the calibrations a sweep needs, then its
+ * JobGraph of independent sweep points, on parallelFor workers,
+ * merging outcomes back in submission order. A job only runs
+ * runCalibrated on the calibrations it carries; every calibration is
+ * a task of runCalibrations, so it is cached and logged like a job.
  *
  * Both task lists go through one loop. It probes the result cache for
  * every task on the calling thread (a hit is a file read and never
@@ -23,8 +25,9 @@
  * Hence `--jobs 4` and `--jobs 1` produce byte-identical tables,
  * --selfcheck digests and merged traces.
  *
- * Tracing disables the result cache (a cached result carries no
- * trace events), keeping traced runs complete.
+ * Tracing keeps jobs out of the result cache (a cached result carries
+ * no trace events), keeping traced runs complete. Calibrations never
+ * trace, so they use the cache either way.
  */
 
 #ifndef JUMANJI_DRIVER_ORCHESTRATOR_HH
@@ -48,10 +51,8 @@ namespace driver {
 struct CalibrationJob
 {
     std::string lcName;
-    /** The config the app is calibrated with (ExperimentHarness base). */
+    /** The config the app is calibrated under (calibrateLcApp). */
     SystemConfig config;
-    /** The spec variant whose jobs share this calibration. */
-    std::size_t variant = 0;
 };
 
 class Orchestrator
@@ -65,8 +66,8 @@ class Orchestrator
         std::string cacheDir;
         /**
          * Merged trace sink. Non-null gives every job a private
-         * tracer, merged back in submission order, and disables the
-         * result cache for the run.
+         * tracer, merged back in submission order, and keeps the
+         * jobs out of the result cache.
          */
         Tracer *tracer = nullptr;
         /**
@@ -81,17 +82,19 @@ class Orchestrator
     const Options &options() const { return options_; }
 
     /**
-     * Executes every job of @p graph and returns outcomes indexed by
-     * JobId. Does not throw on job failure: a job whose simulation
-     * escapes with FatalError/PanicError yields ok == false with the
-     * message, and every other job still runs to completion.
+     * Executes every job of @p graph (runCalibrated on the job's own
+     * calibrations) and returns outcomes indexed by JobId. Does not
+     * throw on job failure: a job whose simulation escapes with
+     * FatalError/PanicError yields ok == false with the message, and
+     * every other job still runs to completion.
      */
     std::vector<JobOutcome> run(const JobGraph &graph);
 
     /**
-     * Computes (or loads from cache) one calibration per request,
-     * in parallel, returned in request order. Throws FatalError if
-     * any calibration fails — a sweep cannot proceed without them.
+     * Computes (calibrateLcApp) or loads from cache one calibration
+     * per request, in parallel, returned in request order. Throws
+     * FatalError if any calibration fails — a sweep cannot proceed
+     * without them.
      */
     std::vector<LcCalibration>
     runCalibrations(const std::vector<CalibrationJob> &requests);

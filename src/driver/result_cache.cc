@@ -272,9 +272,9 @@ jobKey(const SweepJob &job)
         fp.addI64(static_cast<std::int64_t>(d));
     fp.addI64(static_cast<std::int64_t>(job.load));
     fp.addU64(job.selfCalibrate ? 1 : 0);
-    // Self-calibrating jobs derive calibrations from the config (fed
-    // to the key above); pre-calibrated jobs take them as an input,
-    // so the values must key the result.
+    // A self-calibrated job's calibrations were made under its own
+    // config (fed to the key above), so they add nothing; any other
+    // job's calibrations are an input, and their values key it.
     if (!job.selfCalibrate) foldCalibrations(fp, job.calibrations);
     return hexKey(fp.value());
 }

@@ -5,8 +5,8 @@
  * The key is the FNV-1a fingerprint of everything a deterministic
  * simulation's outcome can depend on: the code version tag below, the
  * full SystemConfig (seed included), the workload mix, the design
- * list, the load level, and — for pre-calibrated jobs — the installed
- * calibrations. Determinism is the load-bearing property: the
+ * list, the load level, and — unless the job's calibrations were
+ * made under its own config (selfCalibrate) — their values. Determinism is the load-bearing property: the
  * simulator guarantees results are a pure function of (config, mix,
  * seed), which is exactly what makes a byte-for-byte result cache
  * sound. Re-running an unchanged sweep point is a file read.

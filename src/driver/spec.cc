@@ -5,7 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <set>
+#include <map>
+#include <utility>
 
 #include "src/driver/env.hh"
 #include "src/sim/logging.hh"
@@ -500,10 +501,6 @@ expandSpec(const ExperimentSpec &spec)
     // top-level "seed" override); a variant may still fix its own.
     plan.base.seed = spec.seed.fromEnv ? seedFromEnv(spec.seed.fallback)
                                        : spec.seed.fallback;
-    // The KV load-scale env hook layers on the scenario's value, so
-    // a sweep can be rate-shifted without editing the file. Inert
-    // (returns the fallback) when the env var is unset.
-    plan.base.kv.loadScale = kvLoadScaleFromEnv(plan.base.kv.loadScale);
     validateConfig(plan.base, "overrides");
 
     for (std::size_t v = 0; v < spec.variants.size(); v++) {
@@ -544,12 +541,14 @@ expandSpec(const ExperimentSpec &spec)
     // Expansion order contract: variants → loads → groups → mixes.
     // This loop is the one place the methodology's derivations live:
     // per-mix seed base.seed + m * 1000003, mix RNG seeded with that
-    // seed, salted with ^ 0x5eed for the sweep-style specs. Shared
-    // calibrations are planned in the same pass, in lazy first-seen
-    // order per variant — each LC app paired with the config of the
-    // first job whose mix contains it, as one ExperimentHarness
-    // walking the jobs in order would calibrate it.
-    std::vector<std::set<std::string>> planned(spec.variants.size());
+    // seed, salted with ^ 0x5eed for the sweep-style specs.
+    // Calibrations are planned in the same pass, in first-seen order:
+    // each LC app is requested once per scope — the variant (Shared)
+    // or the job (PerJob) — with the config of the scope's first job
+    // whose mix contains it, as one lazily calibrating sweep over the
+    // scope's jobs would calibrate it.
+    const bool perJob = spec.calibration == CalibrationMode::PerJob;
+    std::map<std::pair<std::size_t, std::string>, std::size_t> planned;
     for (std::size_t v = 0; v < spec.variants.size(); v++) {
         const SystemConfig &variantCfg = plan.variantConfigs[v];
         for (std::size_t l = 0; l < spec.loads.size(); l++) {
@@ -579,14 +578,23 @@ expandSpec(const ExperimentSpec &spec)
                             job.mix, spec.variants[v].regroupVms);
                     job.designs = spec.designs;
                     job.load = spec.loads[l];
-                    job.selfCalibrate =
-                        spec.calibration == CalibrationMode::PerJob;
-                    if (spec.calibration == CalibrationMode::Shared)
-                        for (const VmSpec &vm : job.mix.vms)
-                            for (const std::string &lc : vm.lcApps)
-                                if (planned[v].insert(lc).second)
-                                    plan.calibrationPlan.push_back(
-                                        {lc, job.config, v});
+                    job.selfCalibrate = perJob;
+                    const std::size_t scope =
+                        perJob ? plan.graph.size() : v;
+                    std::vector<std::size_t> &needs =
+                        plan.jobCalibrations.emplace_back();
+                    for (const VmSpec &vm : job.mix.vms) {
+                        for (const std::string &lc : vm.lcApps) {
+                            const auto [it, fresh] = planned.try_emplace(
+                                {scope, lc}, plan.calibrationPlan.size());
+                            if (fresh)
+                                plan.calibrationPlan.push_back(
+                                    {lc, job.config});
+                            if (std::find(needs.begin(), needs.end(),
+                                          it->second) == needs.end())
+                                needs.push_back(it->second);
+                        }
+                    }
                     plan.graph.add(std::move(job));
                 }
             }
@@ -612,8 +620,8 @@ checkSpec(const ExperimentSpec &spec)
         else if (spec.overrides.find("timelineStats") != nullptr)
             selectorPath = "overrides.timelineStats";
 
-        for (const SystemConfig &cfg : ExperimentHarness::designConfigs(
-                 job.config, job.designs, job.load)) {
+        for (const SystemConfig &cfg :
+             designConfigs(job.config, job.designs, job.load)) {
             const System system(cfg, job.mix, job.calibrations);
             const StatRegistry &reg = system.stats();
             const std::string where = " in job " + job.label + " (" +
@@ -643,30 +651,13 @@ runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator)
     SpecRun run;
     run.plan = expandSpec(spec);
 
-    if (spec.calibration == CalibrationMode::Shared) {
-        const std::vector<LcCalibration> calibrations =
-            orchestrator.runCalibrations(run.plan.calibrationPlan);
-        // Calibrations are per (variant, app): each variant's config
-        // may differ, so its apps are calibrated separately.
-        std::vector<LcCalibrationMap> byVariant(spec.variants.size());
-        for (std::size_t i = 0; i < calibrations.size(); i++) {
-            const CalibrationJob &request = run.plan.calibrationPlan[i];
-            byVariant[request.variant][request.lcName] = calibrations[i];
-        }
-        for (JobId id = 0; id < run.plan.graph.size(); id++) {
-            SweepJob &job = run.plan.graph.mutableJob(id);
-            const LcCalibrationMap &planned =
-                byVariant[run.plan.variantOf(id, spec)];
-            for (const VmSpec &vm : job.mix.vms) {
-                for (const std::string &lc : vm.lcApps) {
-                    auto it = planned.find(lc);
-                    if (it == planned.end())
-                        panic("job " + job.label +
-                              " has no planned calibration for " + lc);
-                    job.calibrations[lc] = it->second;
-                }
-            }
-        }
+    const std::vector<LcCalibration> calibrations =
+        orchestrator.runCalibrations(run.plan.calibrationPlan);
+    for (JobId id = 0; id < run.plan.graph.size(); id++) {
+        SweepJob &job = run.plan.graph.mutableJob(id);
+        for (std::size_t i : run.plan.jobCalibrations[id])
+            job.calibrations[run.plan.calibrationPlan[i].lcName] =
+                calibrations[i];
     }
 
     std::vector<JobOutcome> outcomes =

@@ -14,10 +14,10 @@
  * document under examples/scenarios/ (run by jumanji_cli --scenario,
  * or loaded by the bench that prints its own table), and
  * jumanji_cli's flags build one too. The Sec. VII
- * methodology — per-mix seed derivation, mix RNG salting, and the
- * lazy first-seen shared-calibration order — lives in expandSpec
- * alone, pinned from outside by tests/test_spec.cc's serial reference
- * loop and the committed goldens under tests/golden/.
+ * methodology — per-mix seed derivation, mix RNG salting, and every
+ * job's calibration requests in first-seen order — lives in
+ * expandSpec alone, pinned from outside by tests/test_spec.cc's
+ * serial reference loop and the committed goldens under tests/golden/.
  */
 
 #ifndef JUMANJI_DRIVER_SPEC_HH
@@ -86,14 +86,18 @@ struct SpecVariant
 };
 
 /**
- * LC calibration policy.
- *  - Shared: per variant, each LC app is calibrated once with the
- *    config of the first job whose mix contains it (the order one
- *    lazily calibrating harness walking the jobs would use), and jobs
- *    carry the calibrations (selfCalibrate = false). fig05, fig13-16,
- *    fig18, table1, and `jumanji_cli --sweep`.
- *  - PerJob: every job calibrates itself from its own config: fig09,
- *    fig17, the ablations, and jumanji_cli's default.
+ * LC calibration policy: which config each LC app is calibrated
+ * under. Either way expandSpec plans the requests, runSpec runs them
+ * through Orchestrator::runCalibrations (cached and logged) before
+ * any job starts, and every job carries its calibrations.
+ *  - Shared: one request per (variant, LC app), under the config of
+ *    the variant's first job whose mix contains the app (the order
+ *    one lazily calibrating sweep over the jobs would use); the jobs
+ *    have selfCalibrate = false. fig05, fig13-16, fig18, table1, and
+ *    `jumanji_cli --sweep`.
+ *  - PerJob: one request per (job, distinct LC app), under the job's
+ *    own config; the jobs have selfCalibrate = true. fig09, fig17,
+ *    the ablations, and jumanji_cli's default.
  */
 enum class CalibrationMode
 {
@@ -189,9 +193,9 @@ struct ExperimentSpec
 /**
  * The fully expanded grid: resolved configs, mixes and jobs in the
  * deterministic expansion order variants → loads → groups → mixes
- * (jobIndex gives the flattening). Calibration requests are listed
- * for CalibrationMode::Shared; the jobs then expect their
- * calibrations to be filled in before running (runSpec does).
+ * (jobIndex gives the flattening), and the calibration requests of
+ * both modes. The jobs expect their calibrations to be filled in
+ * from the plan before running (runSpec does).
  */
 struct SpecPlan
 {
@@ -202,8 +206,13 @@ struct SpecPlan
     /** Mix count after the env override. */
     std::uint32_t mixCount = 0;
     JobGraph graph;
-    /** Shared-mode calibration plan (lazy first-seen order). */
+    /** Every calibration the jobs need, in first-seen order. */
     std::vector<CalibrationJob> calibrationPlan;
+    /**
+     * jobCalibrations[id]: the calibrationPlan indices of job id's
+     * distinct LC apps, in the order its mix names them.
+     */
+    std::vector<std::vector<std::size_t>> jobCalibrations;
 
     std::size_t
     jobIndex(std::size_t variant, std::size_t load, std::size_t group,
@@ -247,10 +256,11 @@ struct SpecRun
 };
 
 /**
- * Expands @p spec, resolves shared calibrations through
- * @p orchestrator, runs the JobGraph, and returns results in job
- * order. Throws FatalError if any job fails — a figure with silently
- * missing points would be worse than no figure.
+ * Expands @p spec, runs its calibration plan through @p orchestrator,
+ * fills every job's calibrations from it, runs the JobGraph, and
+ * returns results in job order. Throws FatalError if any calibration
+ * or job fails — a figure with silently missing points would be worse
+ * than no figure.
  */
 SpecRun runSpec(const ExperimentSpec &spec, Orchestrator &orchestrator);
 

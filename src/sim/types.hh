@@ -20,9 +20,6 @@ constexpr Tick kTickMax = std::numeric_limits<Tick>::max();
 /** Cache-line-granular physical address (line id, not byte address). */
 using LineAddr = std::uint64_t;
 
-/** Page-granular address (page id). */
-using PageAddr = std::uint64_t;
-
 /** Identifies an application (one per core in our experiments). */
 using AppId = std::int32_t;
 
@@ -45,19 +42,6 @@ constexpr BankId kInvalidBank = -1;
 
 /** Bytes per cache line, fixed at 64 B as in the paper (Table II). */
 constexpr std::uint64_t kLineBytes = 64;
-
-/** Bytes per page; placement is controlled at page granularity. */
-constexpr std::uint64_t kPageBytes = 4096;
-
-/** Cache lines per page. */
-constexpr std::uint64_t kLinesPerPage = kPageBytes / kLineBytes;
-
-/** Converts a line id to the page id containing it. */
-inline PageAddr
-lineToPage(LineAddr line)
-{
-    return line / kLinesPerPage;
-}
 
 } // namespace jumanji
 

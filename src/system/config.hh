@@ -66,7 +66,10 @@ struct KvTrafficConfig
     std::string trace = "flat";
     /** Peak/spike load as a multiple of the base rate. */
     double peakMultiplier = 4.0;
-    /** Global factor on the offered load (env: JUMANJI_KV_LOAD_SCALE). */
+    /**
+     * Global factor on the offered load; a scenario sets it with
+     * overrides.kv.loadScale.
+     */
     double loadScale = 1.0;
 };
 

@@ -13,29 +13,17 @@ MixResult::of(LlcDesign design) const
     fatal("MixResult::of: design not present");
 }
 
-ExperimentHarness::ExperimentHarness(const SystemConfig &base)
-    : base_(base)
-{
-}
-
-const LcCalibration &
-ExperimentHarness::calibrationFor(const std::string &lcName)
+LcCalibration
+calibrateLcApp(const SystemConfig &config, const std::string &lcName)
 {
     JUMANJI_PROF_SCOPE("sim.calibrate");
-    auto it = calibrationCache_.find(lcName);
-    if (it != calibrationCache_.end()) return it->second;
-
-    WorkloadMix solo;
-    VmSpec vm;
-    vm.lcApps.push_back(lcName);
-    solo.vms.push_back(vm);
-
+    const WorkloadMix solo = soloMix(lcName);
     LcCalibration calib;
 
     // Step 1: uncontended service time at the Static 4-way
     // allocation, at 5% load so queueing is negligible.
     {
-        SystemConfig cfg = base_;
+        SystemConfig cfg = config;
         cfg.design = LlcDesign::Static;
         // Calibration measures the app, not the traffic shape: a
         // time-varying KV load trace (flash crowd etc.) must not
@@ -53,19 +41,19 @@ ExperimentHarness::calibrationFor(const std::string &lcName)
         warn("service calibration produced 0 for " + lcName +
              "; falling back to the analytic nominal");
         calib.serviceCycles = System::nominalServiceCycles(
-            lcAppParams(lcName), base_.nominalLlcLatency);
+            lcAppParams(lcName), config.nominalLlcLatency);
     }
 
     // Step 2 (Sec. VII): the deadline is the 95th-percentile latency
     // running alone at *high* load with the fixed 4-way partition.
     {
-        SystemConfig cfg = base_;
+        SystemConfig cfg = config;
         cfg.design = LlcDesign::Static;
         cfg.load = LoadLevel::High;
         cfg.kv.trace = "flat"; // steady-state deadline (see above)
         cfg.tracer = nullptr; // internal run; keep traces clean
         // The deadline is a distribution tail; use a long window so
-        // it is stable across harness instances.
+        // it varies little from seed to seed.
         cfg.measureTicks *= 4;
         LcCalibrationMap serviceOnly;
         serviceOnly[lcName] = LcCalibration{calib.serviceCycles, 0.0};
@@ -78,36 +66,25 @@ ExperimentHarness::calibrationFor(const std::string &lcName)
              "; falling back to 5x service");
         calib.deadline = 5.0 * calib.serviceCycles;
     }
-    calib.deadline *= base_.deadlinePadding;
-
-    return calibrationCache_.emplace(lcName, calib).first->second;
+    calib.deadline *= config.deadlinePadding;
+    return calib;
 }
 
 LcCalibrationMap
-ExperimentHarness::calibrationsFor(const WorkloadMix &mix)
+calibrateMix(const SystemConfig &config, const WorkloadMix &mix)
 {
     LcCalibrationMap calibrations;
     for (const auto &vm : mix.vms)
         for (const auto &name : vm.lcApps)
-            calibrations[name] = calibrationFor(name);
+            if (calibrations.count(name) == 0)
+                calibrations[name] = calibrateLcApp(config, name);
     return calibrations;
 }
 
 MixResult
-ExperimentHarness::runMix(const WorkloadMix &mix,
-                          const std::vector<LlcDesign> &designs,
-                          LoadLevel load)
-{
-    return runCalibrated(base_, mix, designs, load,
-                         calibrationsFor(mix));
-}
-
-MixResult
-ExperimentHarness::runCalibrated(const SystemConfig &config,
-                                 const WorkloadMix &mix,
-                                 const std::vector<LlcDesign> &designs,
-                                 LoadLevel load,
-                                 const LcCalibrationMap &calibrations)
+runCalibrated(const SystemConfig &config, const WorkloadMix &mix,
+              const std::vector<LlcDesign> &designs, LoadLevel load,
+              const LcCalibrationMap &calibrations)
 {
     MixResult result;
     result.mix = mix;
@@ -127,9 +104,8 @@ ExperimentHarness::runCalibrated(const SystemConfig &config,
 }
 
 std::vector<SystemConfig>
-ExperimentHarness::designConfigs(const SystemConfig &config,
-                                 const std::vector<LlcDesign> &designs,
-                                 LoadLevel load)
+designConfigs(const SystemConfig &config,
+              const std::vector<LlcDesign> &designs, LoadLevel load)
 {
     std::vector<LlcDesign> order = {LlcDesign::Static};
     for (LlcDesign design : designs)
@@ -146,6 +122,14 @@ ExperimentHarness::designConfigs(const SystemConfig &config,
     return configs;
 }
 
+MixResult
+runMix(const SystemConfig &config, const WorkloadMix &mix,
+       const std::vector<LlcDesign> &designs, LoadLevel load)
+{
+    return runCalibrated(config, mix, designs, load,
+                         calibrateMix(config, mix));
+}
+
 std::map<LlcDesign, double>
 gmeanSpeedups(const std::vector<MixResult> &results)
 {
@@ -157,20 +141,6 @@ gmeanSpeedups(const std::vector<MixResult> &results)
     std::map<LlcDesign, double> out;
     for (const auto &[design, values] : byDesign)
         out[design] = gmean(values);
-    return out;
-}
-
-std::map<LlcDesign, double>
-worstTailRatios(const std::vector<MixResult> &results)
-{
-    std::map<LlcDesign, double> out;
-    for (const auto &mix : results) {
-        for (const auto &d : mix.designs) {
-            auto it = out.find(d.design);
-            if (it == out.end() || d.tailRatio() > it->second)
-                out[d.design] = d.tailRatio();
-        }
-    }
     return out;
 }
 

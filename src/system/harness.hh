@@ -1,11 +1,11 @@
 /**
  * @file
- * ExperimentHarness: the evaluation methodology of Sec. VII as
- * reusable code — deadline calibration, per-design runs of one mix,
- * and normalization against the Static baseline. Sweeps over many
- * mixes are driver::ExperimentSpec values (src/driver/spec.hh),
- * whose expansion is the one place per-mix seeds, mix RNGs, and the
- * shared-calibration order are derived.
+ * The evaluation methodology of Sec. VII as free functions: deadline
+ * calibration, per-design runs of one mix, and normalization against
+ * the Static baseline. A calibration or a run is a pure function of
+ * its arguments; nothing is cached or shared between calls. Sweeps over many mixes are driver::ExperimentSpec values
+ * (src/driver/spec.hh), whose expansion is the one place per-mix
+ * seeds, mix RNGs, and every job's calibration requests are derived.
  */
 
 #ifndef JUMANJI_SYSTEM_HARNESS_HH
@@ -45,7 +45,7 @@ struct MixResult
 };
 
 /**
- * The harness. LC apps are calibrated once per name and cached, in
+ * Calibrates (service, deadline) for @p lcName under @p config, in
  * two steps mirroring Sec. VII:
  *  1. service time: mean request latency running alone at very low
  *     load with the Static 4-way partition (this defines what the
@@ -53,61 +53,46 @@ struct MixResult
  *     app's service rate at that allocation);
  *  2. deadline: the 95th-percentile latency running alone at *high*
  *     load with the same fixed 4-way partition.
+ * A pure function of (config, lcName): nothing is cached here. The
+ * driver plans, caches and logs each sweep's calibrations
+ * (driver::Orchestrator::runCalibrations).
  */
-class ExperimentHarness
-{
-  public:
-    explicit ExperimentHarness(const SystemConfig &base);
+LcCalibration calibrateLcApp(const SystemConfig &config,
+                             const std::string &lcName);
 
-    /** Calibrates (service, deadline) for @p lcName. Cached. */
-    const LcCalibration &calibrationFor(const std::string &lcName);
+/** Calibrates each distinct LC app of @p mix once, under @p config. */
+LcCalibrationMap calibrateMix(const SystemConfig &config,
+                              const WorkloadMix &mix);
 
-    /** Calibration map covering @p mix's LC apps. */
-    LcCalibrationMap calibrationsFor(const WorkloadMix &mix);
+/**
+ * Runs @p mix under every design in @p designs (Static is always run
+ * first as the normalization baseline) with @p calibrations, which
+ * must cover the mix's LC apps. Builds and runs its own single-
+ * threaded Systems and touches no shared state, so independent calls
+ * are safe on different worker threads.
+ */
+MixResult runCalibrated(const SystemConfig &config,
+                        const WorkloadMix &mix,
+                        const std::vector<LlcDesign> &designs,
+                        LoadLevel load,
+                        const LcCalibrationMap &calibrations);
 
-    /**
-     * Runs @p mix under every design in @p designs (Static is always
-     * run first as the normalization baseline).
-     */
-    MixResult runMix(const WorkloadMix &mix,
-                     const std::vector<LlcDesign> &designs,
-                     LoadLevel load);
+/**
+ * The configs runCalibrated builds one System from each, in run
+ * order: Static (the normalization baseline) first, then the other
+ * @p designs, each at @p load with its own trace label.
+ */
+std::vector<SystemConfig>
+designConfigs(const SystemConfig &config,
+              const std::vector<LlcDesign> &designs, LoadLevel load);
 
-    /**
-     * The job-oriented entry point: one fully specified, self-
-     * contained sweep point. Equivalent to runMix on a harness whose
-     * base config is @p config and whose cache already holds
-     * @p calibrations — no harness state is read or written, so
-     * independent calls are safe to run on different worker threads
-     * (each constructs and runs its own single-threaded Systems).
-     */
-    static MixResult runCalibrated(const SystemConfig &config,
-                                   const WorkloadMix &mix,
-                                   const std::vector<LlcDesign> &designs,
-                                   LoadLevel load,
-                                   const LcCalibrationMap &calibrations);
-
-    /**
-     * The configs runCalibrated builds one System from each, in run
-     * order: Static (the normalization baseline) first, then the
-     * other @p designs, each at @p load with its own trace label.
-     */
-    static std::vector<SystemConfig>
-    designConfigs(const SystemConfig &config,
-                  const std::vector<LlcDesign> &designs, LoadLevel load);
-
-  private:
-    SystemConfig base_;
-    LcCalibrationMap calibrationCache_;
-};
+/** runCalibrated with the calibrations of calibrateMix(config, mix). */
+MixResult runMix(const SystemConfig &config, const WorkloadMix &mix,
+                 const std::vector<LlcDesign> &designs, LoadLevel load);
 
 /** Aggregates gmean batch speedups per design across mixes. */
 std::map<LlcDesign, double>
 gmeanSpeedups(const std::vector<MixResult> &results);
-
-/** Aggregates the worst tail ratio per design across mixes. */
-std::map<LlcDesign, double>
-worstTailRatios(const std::vector<MixResult> &results);
 
 /** Aggregates mean attackers-per-access per design across mixes. */
 std::map<LlcDesign, double>

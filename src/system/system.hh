@@ -182,9 +182,6 @@ class System
         return kvApps_;
     }
 
-    /** The KV offered-load trace (empty for non-KV mixes). */
-    const LoadTrace &kvTrace() const { return kvTrace_; }
-
   private:
     /** Epoch agent: epoch gauges and the recorder's rows. */
     class Sampler;

@@ -40,6 +40,14 @@ makeMix(const std::vector<std::string> &lcNames, std::uint32_t vms,
 }
 
 WorkloadMix
+soloMix(const std::string &lcName)
+{
+    WorkloadMix mix;
+    mix.vms.push_back(VmSpec{{lcName}, {}});
+    return mix;
+}
+
+WorkloadMix
 regroupMix(const WorkloadMix &base, std::uint32_t vmCount)
 {
     if (vmCount == 0) fatal("regroupMix: need at least one VM");

@@ -52,6 +52,12 @@ WorkloadMix makeMix(const std::vector<std::string> &lcNames,
                     Rng &rng);
 
 /**
+ * One VM running only @p lcName: the mix a deadline is calibrated
+ * on, and the solo baseline of the hand-driven exhibits.
+ */
+WorkloadMix soloMix(const std::string &lcName);
+
+/**
  * Regroups the standard 4 LC + 16 batch population into @p vmCount
  * VMs (Fig. 17): apps are dealt round-robin so every VM keeps a
  * balanced share of LC and batch applications.

@@ -81,11 +81,9 @@ class TailLatencyApp : public AppModel
      * takes effect immediately.
      */
     void setMeanInterarrival(double cycles, Tick now = 0);
-    double meanInterarrival() const { return meanInterarrival_; }
 
     /** All request latencies recorded so far (cycles). */
     const SampleStat &latencies() const { return latencies_; }
-    SampleStat &mutableLatencies() { return latencies_; }
 
     /**
      * Discards request statistics gathered so far (called when the

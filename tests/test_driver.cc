@@ -31,6 +31,7 @@
 #include "src/sim/json.hh"
 #include "src/sim/profiler.hh"
 #include "src/system/harness.hh"
+#include "tests/event_log.hh"
 
 namespace jumanji {
 namespace {
@@ -97,20 +98,6 @@ resultsOf(const std::vector<JobOutcome> &outcomes)
         results.push_back(out.result);
     }
     return results;
-}
-
-/** Parses a JSONL event log into one JsonValue per line. */
-std::vector<JsonValue>
-readEvents(const std::string &path)
-{
-    std::ifstream is(path);
-    EXPECT_TRUE(is.good()) << path;
-    std::vector<JsonValue> events;
-    std::string line;
-    while (std::getline(is, line))
-        if (!line.empty())
-            events.push_back(JsonValue::parse(line, path));
-    return events;
 }
 
 /** The "run" events of a JSONL event log, in order. */
@@ -237,7 +224,7 @@ TEST(ResultCacheBlob, MixResultSurvivesARoundTrip)
     job.config = tinyConfig(7);
     Rng rng(7);
     job.mix = makeMix({"xapian"}, 2, 2, rng);
-    MixResult original = ExperimentHarness::runCalibrated(
+    MixResult original = runCalibrated(
         job.config, job.mix, {LlcDesign::Adaptive}, LoadLevel::High,
         dummyCalibrations(job.mix));
 
@@ -319,7 +306,7 @@ TEST(ResultCacheBlob, CorruptionReadsAsMissNeverAsError)
     job.config = tinyConfig(7);
     Rng rng(7);
     job.mix = makeMix({"xapian"}, 1, 1, rng);
-    MixResult original = ExperimentHarness::runCalibrated(
+    MixResult original = runCalibrated(
         job.config, job.mix, {}, LoadLevel::High,
         dummyCalibrations(job.mix));
     std::string blob = driver::serializeMixResult(original);
@@ -394,6 +381,17 @@ TEST(ResultCacheKey, ConfigEditsChangeTheKey)
     edited.calibrations.begin()->second.deadline += 1.0;
     EXPECT_NE(driver::jobKey(edited), key)
         << "pre-calibrated jobs must key on calibration values";
+
+    // A self-calibrated job's calibrations were made under its own
+    // config, which the key already folds: their values leave it be.
+    SweepJob self = base;
+    self.selfCalibrate = true;
+    const std::string selfKey = driver::jobKey(self);
+    EXPECT_NE(selfKey, key);
+    self.calibrations.begin()->second.deadline += 1.0;
+    EXPECT_EQ(driver::jobKey(self), selfKey);
+    self.calibrations.clear();
+    EXPECT_EQ(driver::jobKey(self), selfKey);
 
     // The label is presentation, not an input.
     edited = base;

@@ -317,11 +317,11 @@ TEST(Integration, ArrivalsIdenticalAcrossDesigns)
 /** Ideal Batch really is a (near-)upper bound for Jumanji's batch. */
 TEST(Integration, IdealBatchBoundsJumanji)
 {
-    ExperimentHarness harness(itConfig());
     Rng rng(29);
     WorkloadMix mix = makeMix({"silo"}, 4, 4, rng);
-    MixResult result = harness.runMix(
-        mix, {LlcDesign::Jumanji, LlcDesign::JumanjiIdealBatch},
+    MixResult result = runMix(
+        itConfig(), mix,
+        {LlcDesign::Jumanji, LlcDesign::JumanjiIdealBatch},
         LoadLevel::High);
     double jumanji = result.of(LlcDesign::Jumanji).batchSpeedup;
     double ideal = result.of(LlcDesign::JumanjiIdealBatch).batchSpeedup;

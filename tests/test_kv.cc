@@ -2,19 +2,17 @@
  * @file
  * KV-serving workload tests: the YCSB Zipfian sampler's pinned
  * head probabilities and process-wide zeta memoization, load-trace
- * boundary/interpolation semantics, the JUMANJI_KV_LOAD_SCALE env
- * knob, a KV System smoke run with per-phase stats, and byte-
- * identity of a KV scenario sweep across worker counts.
+ * boundary/interpolation semantics, a KV System smoke run with
+ * per-phase stats, and byte-identity of a KV scenario sweep across
+ * worker counts.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "src/driver/env.hh"
 #include "src/driver/orchestrator.hh"
 #include "src/driver/spec.hh"
 #include "src/sim/json.hh"
@@ -164,31 +162,6 @@ TEST(LoadTrace, PresetsCoverTheRunAndTheSpikeHitsItsPeak)
 
     EXPECT_THROW(loadTraceFromName("nope", warmup, measure, 4.0),
                  FatalError);
-}
-
-TEST(KvEnv, LoadScaleFromEnvValidatesAndFallsBack)
-{
-    // In-process env edits: this is the only test touching the
-    // variable, and it restores "unset" on every path.
-    struct EnvGuard
-    {
-        ~EnvGuard() { unsetenv("JUMANJI_KV_LOAD_SCALE"); }
-    } guard;
-
-    unsetenv("JUMANJI_KV_LOAD_SCALE");
-    EXPECT_EQ(driver::kvLoadScaleFromEnv(1.0), 1.0);
-
-    setenv("JUMANJI_KV_LOAD_SCALE", "2.5", 1);
-    EXPECT_EQ(driver::kvLoadScaleFromEnv(1.0), 2.5);
-    setenv("JUMANJI_KV_LOAD_SCALE", "0.25", 1);
-    EXPECT_EQ(driver::kvLoadScaleFromEnv(1.0), 0.25);
-
-    // Out-of-range and garbage fall back (warn-once is logging).
-    for (const char *bad : {"0", "-1", "2000", "junk", "1.5x", ""}) {
-        setenv("JUMANJI_KV_LOAD_SCALE", bad, 1);
-        EXPECT_EQ(driver::kvLoadScaleFromEnv(1.0), 1.0)
-            << "value: " << bad;
-    }
 }
 
 /** testTiny-scale benchScaled config (see test_system.cc). */

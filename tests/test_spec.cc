@@ -36,6 +36,7 @@
 #include "src/system/config.hh"
 #include "src/system/harness.hh"
 #include "src/workloads/mixes.hh"
+#include "tests/event_log.hh"
 
 namespace jumanji {
 namespace {
@@ -321,18 +322,16 @@ TEST(Spec, ShippedScenariosExpandToPinnedJobs)
     // pinnedPlanDigest of each shipped exhibit, first computed from
     // the C++ builders the files replaced. A digest that moves means
     // an exhibit now runs different jobs: fix the file, or re-pin and
-    // say why. JUMANJI_KV_LOAD_SCALE is the one env knob the pinned
-    // policies do not cover, so it is unset (as test_kv leaves it).
-    unsetenv("JUMANJI_KV_LOAD_SCALE");
+    // say why.
     const std::map<std::string, std::uint64_t> pins = {
-        {"ablation_design_choices.json", 0xd3e083f7885a6d48ull},
+        {"ablation_design_choices.json", 0xafddf8a8f8eec48bull},
         {"epoch_load_grid.json", 0xa2debbab71973227ull},
         {"fig05_case_study.json", 0x72bb06746a20f562ull},
-        {"fig09_controller_sensitivity.json", 0xf441ea8cc57c0205ull},
+        {"fig09_controller_sensitivity.json", 0xe83ea3de27d4c705ull},
         {"fig13_small.json", 0xf7cbe62d6e8a5128ull},
         {"fig14_vulnerability.json", 0x2a2dd29c1252cdedull},
         {"fig16_ideal_batch.json", 0x4184e5038482f36dull},
-        {"fig17_vm_scaling.json", 0x256fae25638255d2ull},
+        {"fig17_vm_scaling.json", 0xac5c6dacf620fed0ull},
         {"fig18_noc_sensitivity.json", 0x3d12a7606c7be42aull},
         {"kv_flash_crowd.json", 0xaafc9519e7957e8cull},
         {"main_comparison.json", 0x8c615d45af492e15ull},
@@ -672,6 +671,27 @@ TEST(Spec, ExpansionOrderIsStableAndSeedsDeriveFromTheBase)
         EXPECT_EQ(job.lcName, "xapian");
         EXPECT_EQ(job.config.seed, 42u);
     }
+    for (driver::JobId id = 0; id < plan.graph.size(); id++) {
+        EXPECT_FALSE(plan.graph.job(id).selfCalibrate);
+        EXPECT_EQ(plan.jobCalibrations[id],
+                  std::vector<std::size_t>{id / 4});
+    }
+
+    // PerJob mode: one calibration per (job, distinct LC app), under
+    // the job's own config. Each mix runs xapian twice.
+    spec.calibration = CalibrationMode::PerJob;
+    const SpecPlan perJob = expandSpec(spec);
+    ASSERT_EQ(perJob.calibrationPlan.size(), perJob.graph.size());
+    for (driver::JobId id = 0; id < perJob.graph.size(); id++) {
+        const driver::SweepJob &job = perJob.graph.job(id);
+        EXPECT_TRUE(job.selfCalibrate);
+        EXPECT_EQ(perJob.jobCalibrations[id],
+                  std::vector<std::size_t>{id});
+        EXPECT_EQ(perJob.calibrationPlan[id].lcName, "xapian");
+        EXPECT_EQ(configFingerprint(perJob.calibrationPlan[id].config),
+                  configFingerprint(job.config));
+    }
+    spec.calibration = CalibrationMode::Shared;
 
     // Same spec, same plan: labels and configs are reproducible.
     SpecPlan again = expandSpec(spec);
@@ -758,9 +778,9 @@ handwrittenTable(const ExperimentSpec &spec,
 /**
  * The reference: the methodology as a plain serial loop over @p spec's
  * groups and mixes (one load, one variant), with the seed and mix
- * derivations written out. PerJob calibrates every job from its own
- * config; Shared keeps each app's first calibration, made with the
- * config of the first job whose mix contains it.
+ * derivations written out. PerJob calibrates each job's apps under
+ * its own config; Shared keeps each app's first calibration, made
+ * with the config of the first job whose mix contains it.
  */
 std::vector<MixResult>
 referenceSweep(const ExperimentSpec &spec, const SystemConfig &base)
@@ -775,16 +795,16 @@ referenceSweep(const ExperimentSpec &spec, const SystemConfig &base)
             Rng mixRng(cfg.seed ^ 0x5eedull);
             WorkloadMix mix = makeMix(group.lcNames, spec.mixes.vms,
                                       spec.mixes.batchPerVm, mixRng);
-            ExperimentHarness harness(cfg);
+            if (!shared) kept.clear();
             LcCalibrationMap calibrations;
             for (const VmSpec &vm : mix.vms) {
                 for (const std::string &lc : vm.lcApps) {
-                    if (!shared || kept.count(lc) == 0)
-                        kept[lc] = harness.calibrationFor(lc);
+                    if (kept.count(lc) == 0)
+                        kept[lc] = calibrateLcApp(cfg, lc);
                     calibrations[lc] = kept[lc];
                 }
             }
-            results.push_back(ExperimentHarness::runCalibrated(
+            results.push_back(runCalibrated(
                 cfg, mix, spec.designs, spec.loads[0], calibrations));
         }
     }
@@ -854,6 +874,61 @@ TEST(Spec, RunIsByteIdenticalToTheHandwrittenSweep)
     EXPECT_EQ(fingerprintResults(driver::runSpec(spec, orch).results),
               fingerprintResults(reference))
         << "a variant's jobs ran with another variant's calibrations";
+}
+
+TEST(Spec, PerJobCalibrationsArePlannedCachedAndLogged)
+{
+    // Two jobs whose mixes each run xapian and silo twice: four
+    // calibrations, one per (job, distinct LC app).
+    ExperimentSpec spec = tinyFig13Spec();
+    spec.calibration = CalibrationMode::PerJob;
+    spec.designs = {LlcDesign::Jumanji};
+    spec.groups = {{"pair", {"xapian", "silo"}}};
+
+    const std::string dir =
+        testing::TempDir() + "jumanji_perjob_calibration_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    driver::Orchestrator::Options opts;
+    opts.jobs = 2;
+    opts.cacheDir = dir + "/cache";
+    opts.telemetry.eventsPath = dir + "/events.jsonl";
+    const auto runOnce = [&] {
+        driver::Orchestrator orch(opts);
+        return driver::runSpec(spec, orch).results;
+    };
+
+    const std::vector<MixResult> cold = runOnce();
+    const std::size_t coldEvents =
+        readEvents(opts.telemetry.eventsPath).size();
+    const std::vector<MixResult> warm = runOnce();
+    EXPECT_EQ(fingerprintResults(warm), fingerprintResults(cold));
+
+    // The cold run simulates every calibration and job, in plan
+    // order; the warm run answers every one from the cache.
+    const std::vector<JsonValue> events =
+        readEvents(opts.telemetry.eventsPath);
+    const std::vector<std::string> lcOrder = {"xapian", "silo",
+                                              "xapian", "silo"};
+    for (const bool isWarm : {false, true}) {
+        std::vector<std::string> calibrated;
+        std::size_t jobs = 0;
+        for (std::size_t i = isWarm ? coldEvents : 0;
+             i < (isWarm ? events.size() : coldEvents); i++) {
+            const JsonValue &e = events[i];
+            const std::string type = e.find("type")->asString("type");
+            if (type == "run") continue;
+            EXPECT_EQ(e.find("cached")->asBool("cached"), isWarm)
+                << type << " event " << i;
+            if (type == "calibration")
+                calibrated.push_back(e.find("lc")->asString("lc"));
+            else
+                jobs++;
+        }
+        EXPECT_EQ(calibrated, lcOrder) << (isWarm ? "warm" : "cold");
+        EXPECT_EQ(jobs, 2u) << (isWarm ? "warm" : "cold");
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Spec, RenderedRowKeepsEveryByteOfALongLabel)

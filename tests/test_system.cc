@@ -318,25 +318,53 @@ TEST(SystemTest, PaperScaleGeometryRuns)
 
 TEST(Harness, CalibrationProducesPositiveValues)
 {
-    ExperimentHarness harness(smallConfig());
-    const LcCalibration &calib = harness.calibrationFor("silo");
+    const LcCalibration calib = calibrateLcApp(smallConfig(), "silo");
     EXPECT_GT(calib.serviceCycles, 0.0);
     EXPECT_GT(calib.deadline, calib.serviceCycles);
 }
 
-TEST(Harness, CalibrationCached)
+TEST(Harness, CalibrationIsAPureFunctionOfConfigAndName)
 {
-    ExperimentHarness harness(smallConfig());
-    const LcCalibration &a = harness.calibrationFor("silo");
-    const LcCalibration &b = harness.calibrationFor("silo");
-    EXPECT_EQ(&a, &b);
+    // Nothing is cached between calls: equal inputs give equal
+    // values, and a config field the runs read moves them.
+    const SystemConfig cfg = smallConfig();
+    const LcCalibration a = calibrateLcApp(cfg, "silo");
+    const LcCalibration b = calibrateLcApp(cfg, "silo");
+    EXPECT_EQ(a.serviceCycles, b.serviceCycles);
+    EXPECT_EQ(a.deadline, b.deadline);
+
+    // Calibrating another app in between leaves silo's alone.
+    const LcCalibration x = calibrateLcApp(cfg, "xapian");
+    const LcCalibration c = calibrateLcApp(cfg, "silo");
+    EXPECT_EQ(c.serviceCycles, a.serviceCycles);
+    EXPECT_EQ(c.deadline, a.deadline);
+
+    SystemConfig padded = cfg;
+    padded.deadlinePadding *= 2.0;
+    const LcCalibration d = calibrateLcApp(padded, "silo");
+    EXPECT_EQ(d.serviceCycles, a.serviceCycles);
+    EXPECT_EQ(d.deadline, 2.0 * a.deadline);
+
+    SystemConfig reseeded = cfg;
+    reseeded.seed += 1;
+    EXPECT_NE(calibrateLcApp(reseeded, "silo").serviceCycles,
+              a.serviceCycles);
+
+    // calibrateMix is calibrateLcApp once per distinct LC app.
+    Rng rng(7);
+    const LcCalibrationMap mix =
+        calibrateMix(cfg, makeMix({"silo", "xapian"}, 4, 4, rng));
+    ASSERT_EQ(mix.size(), 2u);
+    EXPECT_EQ(mix.at("silo").serviceCycles, a.serviceCycles);
+    EXPECT_EQ(mix.at("silo").deadline, a.deadline);
+    EXPECT_EQ(mix.at("xapian").serviceCycles, x.serviceCycles);
+    EXPECT_EQ(mix.at("xapian").deadline, x.deadline);
 }
 
 TEST(Harness, RunMixIncludesStaticBaseline)
 {
-    ExperimentHarness harness(smallConfig());
-    MixResult result =
-        harness.runMix(smallMix(), {LlcDesign::Jumanji}, LoadLevel::High);
+    MixResult result = runMix(smallConfig(), smallMix(),
+                              {LlcDesign::Jumanji}, LoadLevel::High);
     EXPECT_EQ(result.designs.size(), 2u);
     EXPECT_EQ(result.designs[0].design, LlcDesign::Static);
     EXPECT_DOUBLE_EQ(result.designs[0].batchSpeedup, 1.0);
@@ -365,12 +393,12 @@ TEST(Harness, CalibrationOrderingMatchesTableIII)
     // Table III's QPS ordering is a service-time ordering: silo and
     // masstree serve the shortest requests, img-dnn and moses the
     // longest. The calibrated service times must reproduce it.
-    ExperimentHarness harness(smallConfig());
-    double silo = harness.calibrationFor("silo").serviceCycles;
-    double masstree = harness.calibrationFor("masstree").serviceCycles;
-    double xapian = harness.calibrationFor("xapian").serviceCycles;
-    double imgdnn = harness.calibrationFor("img-dnn").serviceCycles;
-    double moses = harness.calibrationFor("moses").serviceCycles;
+    const SystemConfig cfg = smallConfig();
+    double silo = calibrateLcApp(cfg, "silo").serviceCycles;
+    double masstree = calibrateLcApp(cfg, "masstree").serviceCycles;
+    double xapian = calibrateLcApp(cfg, "xapian").serviceCycles;
+    double imgdnn = calibrateLcApp(cfg, "img-dnn").serviceCycles;
+    double moses = calibrateLcApp(cfg, "moses").serviceCycles;
     EXPECT_LT(silo, masstree);
     EXPECT_LT(masstree, xapian);
     EXPECT_LT(xapian, imgdnn);
@@ -379,16 +407,13 @@ TEST(Harness, CalibrationOrderingMatchesTableIII)
 
 TEST(Harness, AggregationHelpers)
 {
-    ExperimentHarness harness(smallConfig());
     std::vector<MixResult> results;
-    results.push_back(harness.runMix(smallMix(), {LlcDesign::Jumanji},
-                                     LoadLevel::High));
+    results.push_back(runMix(smallConfig(), smallMix(),
+                             {LlcDesign::Jumanji}, LoadLevel::High));
     auto speedups = gmeanSpeedups(results);
-    auto tails = worstTailRatios(results);
     auto vuln = meanVulnerability(results);
     EXPECT_EQ(speedups.count(LlcDesign::Jumanji), 1u);
     EXPECT_DOUBLE_EQ(speedups[LlcDesign::Static], 1.0);
-    EXPECT_GT(tails[LlcDesign::Static], 0.0);
     EXPECT_DOUBLE_EQ(vuln[LlcDesign::Jumanji], 0.0);
     EXPECT_GT(vuln[LlcDesign::Static], 10.0);
 }
