@@ -61,7 +61,7 @@ main()
     printConfig("bench scale (capacity+time scaled together)",
                 SystemConfig::benchScaled());
     note("Bench scale shrinks bank capacity and workload footprints "
-         "by the same 8x factor and compresses the epoch so runs "
+         "by the same 4x factor and compresses the epoch so runs "
          "finish in seconds; all capacity ratios, latencies, and "
          "policy parameters match the paper (DESIGN.md).");
     return 0;

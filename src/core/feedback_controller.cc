@@ -35,9 +35,10 @@ FeedbackController::requestCompleted(double latencyCycles)
                        std::isfinite(latencyCycles),
                    "request latency must be finite and nonnegative");
     window_.add(latencyCycles);
-    if (window_.count() <= params_.configurationInterval) return false;
+    if (window_.count() <= kConfigurationInterval) return false;
 
-    double tail = window_.percentile(params_.percentile);
+    // The p95 the calibrated deadline is defined on (Sec. VII).
+    double tail = window_.percentile(95.0);
     update(tail);
     window_.clear();
     return true;

@@ -3,7 +3,7 @@
  * The tail-latency feedback controller (paper Sec. V-C, Listing 1).
  *
  * Every completed request's latency is buffered; once
- * configurationInterval requests have completed, the controller
+ * kConfigurationInterval requests have completed, the controller
  * computes the recent tail (95th percentile) and adjusts the
  * application's LLC allocation:
  *   - tail > panicFrac * deadline  -> boost to the panic size,
@@ -33,10 +33,6 @@ struct ControllerParams
     double panicFrac = 1.10;
     /** Multiplicative step for grow/shrink. */
     double stepFrac = 0.10;
-    /** Requests per controller update (Listing 1). */
-    std::uint32_t configurationInterval = 20;
-    /** Tail percentile controlled. */
-    double percentile = 95.0;
 };
 
 /**
@@ -46,6 +42,9 @@ struct ControllerParams
 class FeedbackController
 {
   public:
+    /** Requests per controller update (Listing 1). */
+    static constexpr std::uint32_t kConfigurationInterval = 20;
+
     /**
      * @param params Tuning parameters.
      * @param deadline Tail-latency deadline, in cycles.

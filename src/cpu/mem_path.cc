@@ -133,7 +133,7 @@ MemPath::accessArrived(Tick now, std::uint32_t coreTile,
         Tick respStart = now + bankResult.latency;
         Tick respEnd = mesh_.traverse(
             respStart, static_cast<std::uint32_t>(route.bank), coreTile,
-            mesh_.params().dataFlits);
+            kDataFlits);
         total = linkDelay + bankResult.latency +
                 (respEnd - respStart);
     }

@@ -67,31 +67,13 @@ MemorySystem::access(Tick now, LineAddr line, VmId vm,
     JUMANJI_ASSERT(result.controller < params_.controllers,
                    "controller index out of range");
 
-    if (params_.partitionBandwidth && latencyCritical) {
-        // Reserved LC share: queues only behind other LC traffic.
-        Tick &busy = lcBusyUntil_[result.controller];
-        Tick grant = std::max(now, busy);
-        JUMANJI_ASSERT(grant >= now, "port grant precedes arrival");
-        busy = grant + params_.serviceInterval;
-        result.queueDelay = grant - now;
-        result.latency = result.queueDelay + params_.accessLatency;
-        accesses_++;
-        queueCycles_ += result.queueDelay;
-        mcAccesses_[result.controller]++;
-        mcQueueCycles_[result.controller] += result.queueDelay;
-        mcLcAccesses_[result.controller]++;
-        return result;
-    }
-
-    // With partitioning each VM owns a virtual queue served at its
-    // bandwidth share; without, all requests share one queue.
-    VmId queueKey = params_.partitionBandwidth ? vm : 0;
-    Tick interval = params_.serviceInterval;
-    if (params_.partitionBandwidth)
-        interval *= activeVms_;
-
-    Tick &busy = busyUntil_[result.controller][queueKey];
+    // LC traffic queues on the reserved share, batch on its VM's queue.
+    const std::uint32_t mc = result.controller;
+    Tick &busy = latencyCritical ? lcBusyUntil_[mc] : busyUntil_[mc][vm];
+    const Tick interval =
+        latencyCritical ? kServiceInterval : kServiceInterval * activeVms_;
     Tick grant = std::max(now, busy);
+    JUMANJI_ASSERT(grant >= now, "port grant precedes arrival");
     busy = grant + interval;
 
     result.queueDelay = grant - now;
@@ -101,8 +83,9 @@ MemorySystem::access(Tick now, LineAddr line, VmId vm,
 
     accesses_++;
     queueCycles_ += result.queueDelay;
-    mcAccesses_[result.controller]++;
-    mcQueueCycles_[result.controller] += result.queueDelay;
+    mcAccesses_[mc]++;
+    mcQueueCycles_[mc] += result.queueDelay;
+    if (latencyCritical) mcLcAccesses_[mc]++;
     return result;
 }
 

@@ -28,13 +28,12 @@ struct MemoryParams
 {
     /** Fixed access latency in cycles (Table II: 120). */
     Tick accessLatency = 120;
-    /** Cycles between line transfers per controller at full share. */
-    Tick serviceInterval = 4;
     /** Number of controllers (one per chip corner). */
     std::uint32_t controllers = 4;
-    /** Enable per-VM bandwidth partitioning. */
-    bool partitionBandwidth = true;
 };
+
+/** Cycles between line transfers per controller at full share. */
+constexpr Tick kServiceInterval = 4;
 
 /** Outcome of a timed memory access. */
 struct MemAccessResult
@@ -94,11 +93,11 @@ class MemorySystem
     MemoryParams params_;
     std::vector<std::uint32_t> cornerTiles_;
     /**
-     * busyUntil[controller][vm] with partitioning, else
-     * [controller][0]. Dense per-VM tables, pre-sized from the active
-     * VM count (setActiveVms) so the per-miss queue probe indexes an
-     * array and steady-state operation never allocates; iteration (if
-     * the queues are ever walked for stats) stays ascending-VM.
+     * busyUntil[controller][vm]. Dense per-VM tables, pre-sized from
+     * the active VM count (setActiveVms) so the per-miss queue probe
+     * indexes an array and steady-state operation never allocates;
+     * iteration (if the queues are ever walked for stats) stays
+     * ascending-VM.
      */
     std::vector<SmallIdMap<VmId, Tick>> busyUntil_;
     /** Reserved latency-critical track per controller. */

@@ -1,7 +1,5 @@
 #include "src/metrics/energy.hh"
 
-#include <sstream>
-
 namespace jumanji {
 
 EnergyBreakdown
@@ -18,15 +16,6 @@ dataMovementEnergy(const AccessCounters &counters,
     e.noc = static_cast<double>(counters.nocHops) * params.nocHopPj;
     e.mem = static_cast<double>(counters.memAccesses) * params.memAccessPj;
     return e;
-}
-
-std::string
-formatEnergy(const EnergyBreakdown &e)
-{
-    std::ostringstream oss;
-    oss << "L1=" << e.l1 << " L2=" << e.l2 << " LLC=" << e.llc
-        << " NoC=" << e.noc << " Mem=" << e.mem << " total=" << e.total();
-    return oss.str();
 }
 
 } // namespace jumanji

@@ -11,8 +11,6 @@
 #ifndef JUMANJI_METRICS_ENERGY_HH
 #define JUMANJI_METRICS_ENERGY_HH
 
-#include <string>
-
 #include "src/sim/stats.hh"
 
 namespace jumanji {
@@ -54,9 +52,6 @@ struct EnergyBreakdown
 /** Computes the breakdown for a set of counters. */
 EnergyBreakdown dataMovementEnergy(const AccessCounters &counters,
                                    const EnergyParams &params = {});
-
-/** Formats a breakdown as "L1=.. L2=.. LLC=.. NoC=.. Mem=..". */
-std::string formatEnergy(const EnergyBreakdown &energy);
 
 } // namespace jumanji
 

@@ -22,24 +22,6 @@ weightedSpeedup(const std::vector<AppProgress> &mix,
 }
 
 double
-gmeanSpeedup(const std::vector<AppProgress> &mix,
-             const std::vector<AppProgress> &reference)
-{
-    if (mix.size() != reference.size() || mix.empty())
-        fatal("gmeanSpeedup: size mismatch or empty");
-    double logSum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < mix.size(); i++) {
-        double ref = reference[i].ipc();
-        double cur = mix[i].ipc();
-        if (ref <= 0.0 || cur <= 0.0) continue;
-        logSum += std::log(cur / ref);
-        n++;
-    }
-    return n == 0 ? 1.0 : std::exp(logSum / static_cast<double>(n));
-}
-
-double
 gmean(const std::vector<double> &values)
 {
     if (values.empty()) return 1.0;
@@ -51,33 +33,6 @@ gmean(const std::vector<double> &values)
         n++;
     }
     return n == 0 ? 1.0 : std::exp(logSum / static_cast<double>(n));
-}
-
-FixedWorkTracker::FixedWorkTracker(std::vector<std::uint64_t> targets)
-    : targets_(std::move(targets)),
-      done_(targets_.size(), kTickMax)
-{
-}
-
-void
-FixedWorkTracker::update(std::size_t i, std::uint64_t instrs, Tick now)
-{
-    if (i >= targets_.size()) panic("FixedWorkTracker: index out of range");
-    if (done_[i] == kTickMax && instrs >= targets_[i]) done_[i] = now;
-}
-
-bool
-FixedWorkTracker::allDone() const
-{
-    for (Tick t : done_)
-        if (t == kTickMax) return false;
-    return true;
-}
-
-Tick
-FixedWorkTracker::completionTick(std::size_t i) const
-{
-    return done_[i];
 }
 
 } // namespace jumanji

@@ -7,9 +7,7 @@
  * is compared at equal work against an isolated (or baseline) run.
  * We provide the standard equal-interval formulation,
  *   WS = (1/N) * sum_i IPC_i^mix / IPC_i^ref,
- * plus gmean helpers for aggregating over mixes, and a FixedWork
- * tracker that records the tick at which each app reached a target
- * instruction count.
+ * plus a gmean helper for aggregating over mixes.
  */
 
 #ifndef JUMANJI_METRICS_SPEEDUP_HH
@@ -41,36 +39,8 @@ struct AppProgress
 double weightedSpeedup(const std::vector<AppProgress> &mix,
                        const std::vector<AppProgress> &reference);
 
-/** Geometric mean of per-app speedups (used for "gmean speedup"). */
-double gmeanSpeedup(const std::vector<AppProgress> &mix,
-                    const std::vector<AppProgress> &reference);
-
 /** Geometric mean of a vector of ratios. */
 double gmean(const std::vector<double> &values);
-
-/**
- * Fixed-work tracker (FIESTA-flavored): apps run until each reaches
- * its target instruction count; per-app completion ticks yield
- * fixed-work speedups T_ref / T_mix.
- */
-class FixedWorkTracker
-{
-  public:
-    explicit FixedWorkTracker(std::vector<std::uint64_t> targets);
-
-    /** Updates app @p i's retired-instruction count at @p now. */
-    void update(std::size_t i, std::uint64_t instrs, Tick now);
-
-    /** True once every app reached its target. */
-    bool allDone() const;
-
-    /** Completion tick of app @p i (kTickMax if unfinished). */
-    Tick completionTick(std::size_t i) const;
-
-  private:
-    std::vector<std::uint64_t> targets_;
-    std::vector<Tick> done_;
-};
 
 } // namespace jumanji
 

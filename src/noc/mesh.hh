@@ -33,8 +33,6 @@ struct MeshParams
     Tick routerDelay = 2;
     /** Cycles per link traversal. */
     Tick linkDelay = 1;
-    /** Flits in a data response message (64 B line / 16 B flit). */
-    std::uint32_t dataFlits = 4;
     /**
      * Model per-link occupancy (a message holds each link on its
      * X-Y route for `flits` cycles). Off by default: bank ports
@@ -46,6 +44,9 @@ struct MeshParams
      */
     bool modelLinkContention = false;
 };
+
+/** Flits in a data response message (64 B line / 16 B flit). */
+constexpr std::uint32_t kDataFlits = 4;
 
 /**
  * A col x row mesh of tiles. Tile t sits at (t % cols, t / cols);

@@ -66,11 +66,6 @@ struct KvTrafficConfig
     std::string trace = "flat";
     /** Peak/spike load as a multiple of the base rate. */
     double peakMultiplier = 4.0;
-    /**
-     * Global factor on the offered load; a scenario sets it with
-     * overrides.kv.loadScale.
-     */
-    double loadScale = 1.0;
 };
 
 /** Full system configuration. */
@@ -119,9 +114,6 @@ struct SystemConfig
      */
     std::uint64_t fixedLcTargetLines = 0;
 
-    /** Average LLC latency estimate used to size LC service rates. */
-    double nominalLlcLatency = 30.0;
-
     // ---- Ablation switches (bench/ablation_design_choices) ----
 
     /** Convex-hull miss curves (the paper's DRRIP approximation). */
@@ -135,16 +127,6 @@ struct SystemConfig
      * length over-penalizes reconfiguration (DESIGN.md).
      */
     bool migrateOnReconfig = true;
-
-    /**
-     * Deadline slack multiplier applied to the calibrated solo p95.
-     * The paper uses the raw p95; our time-scaled runs estimate p95
-     * from ~100x fewer requests per window, so the worst-of-N-VMs
-     * estimator is biased upward. The padding compensates so that
-     * tail-aware designs can actually settle at the deadline instead
-     * of pegging their controllers at max allocation (DESIGN.md).
-     */
-    double deadlinePadding = 1.6;
 
     /** KV-serving traffic shape (ignored by non-KV mixes). */
     KvTrafficConfig kv;

@@ -193,13 +193,10 @@ forEachField(Config &cfg, Visit &&visit)
     visit("mesh.rows", cfg.mesh.rows, IntRange{1});
     visit("mesh.routerDelay", cfg.mesh.routerDelay, IntRange{0});
     visit("mesh.linkDelay", cfg.mesh.linkDelay, IntRange{0});
-    visit("mesh.dataFlits", cfg.mesh.dataFlits, IntRange{1});
     visit("mesh.modelLinkContention", cfg.mesh.modelLinkContention, Flag{});
 
     visit("mem.accessLatency", cfg.mem.accessLatency, IntRange{1});
-    visit("mem.serviceInterval", cfg.mem.serviceInterval, IntRange{1});
     visit("mem.controllers", cfg.mem.controllers, IntRange{1});
-    visit("mem.partitionBandwidth", cfg.mem.partitionBandwidth, Flag{});
 
     visit("umon.sets", cfg.umon.sets, IntRange{1});
     visit("umon.ways", cfg.umon.ways, IntRange{1});
@@ -209,14 +206,10 @@ forEachField(Config &cfg, Visit &&visit)
     visit("controller.highFrac", ctl.highFrac, RealRange{0, 10, true});
     visit("controller.panicFrac", ctl.panicFrac, RealRange{0, 10, true});
     visit("controller.stepFrac", ctl.stepFrac, RealRange{0, 1, true});
-    visit("controller.configurationInterval", ctl.configurationInterval,
-          IntRange{1});
-    visit("controller.percentile", ctl.percentile, RealRange{0, 100, true});
 
     visit("kv.trace", cfg.kv.trace,
           NameList<std::string>{"load trace", allLoadTraceNames()});
     visit("kv.peakMultiplier", cfg.kv.peakMultiplier, RealRange{1, 64, false});
-    visit("kv.loadScale", cfg.kv.loadScale, RealRange{0, 1e3, true});
 
     visit("design", cfg.design, designNames());
     visit("load", cfg.load, loadNames());
@@ -230,11 +223,9 @@ forEachField(Config &cfg, Visit &&visit)
     visit("utilizationOverride", cfg.utilizationOverride,
           RealRange{0, 1, false});
     visit("fixedLcTargetLines", cfg.fixedLcTargetLines, IntRange{0});
-    visit("nominalLlcLatency", cfg.nominalLlcLatency, RealRange{0, 1e9, true});
     visit("hullCurves", cfg.hullCurves, Flag{});
     visit("rateNormalizeCurves", cfg.rateNormalizeCurves, Flag{});
     visit("migrateOnReconfig", cfg.migrateOnReconfig, Flag{});
-    visit("deadlinePadding", cfg.deadlinePadding, RealRange{0, 1e3, true});
     visit("timelineStats", cfg.timelineStats, StringList{});
 }
 

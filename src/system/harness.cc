@@ -40,8 +40,8 @@ calibrateLcApp(const SystemConfig &config, const std::string &lcName)
     if (calib.serviceCycles <= 0.0) {
         warn("service calibration produced 0 for " + lcName +
              "; falling back to the analytic nominal");
-        calib.serviceCycles = System::nominalServiceCycles(
-            lcAppParams(lcName), config.nominalLlcLatency);
+        calib.serviceCycles =
+            System::nominalServiceCycles(lcAppParams(lcName));
     }
 
     // Step 2 (Sec. VII): the deadline is the 95th-percentile latency
@@ -50,6 +50,7 @@ calibrateLcApp(const SystemConfig &config, const std::string &lcName)
         SystemConfig cfg = config;
         cfg.design = LlcDesign::Static;
         cfg.load = LoadLevel::High;
+        cfg.utilizationOverride = 0.0; // High, even under an override
         cfg.kv.trace = "flat"; // steady-state deadline (see above)
         cfg.tracer = nullptr; // internal run; keep traces clean
         // The deadline is a distribution tail; use a long window so
@@ -66,7 +67,12 @@ calibrateLcApp(const SystemConfig &config, const std::string &lcName)
              "; falling back to 5x service");
         calib.deadline = 5.0 * calib.serviceCycles;
     }
-    calib.deadline *= config.deadlinePadding;
+    // Slack on the calibrated p95 (DESIGN.md §5): a time-scaled
+    // window holds ~100x fewer requests than the paper's, so the
+    // worst-of-N-VMs p95 is biased upward, and tail-aware designs
+    // could not settle at an unpadded deadline.
+    constexpr double kDeadlinePadding = 1.6;
+    calib.deadline *= kDeadlinePadding;
     return calib;
 }
 

@@ -52,7 +52,8 @@ struct MixResult
  *     Table III "QPS" levels mean: low = 10%, high = 50% of the
  *     app's service rate at that allocation);
  *  2. deadline: the 95th-percentile latency running alone at *high*
- *     load with the same fixed 4-way partition.
+ *     load with the same fixed 4-way partition, padded by a fixed
+ *     1.6x (DESIGN.md §5).
  * A pure function of (config, lcName): nothing is cached here. The
  * driver plans, caches and logs each sweep's calibrations
  * (driver::Orchestrator::runCalibrations).

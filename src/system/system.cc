@@ -142,14 +142,15 @@ class System::KvLoadAgent : public Agent
 System::~System() = default;
 
 double
-System::nominalServiceCycles(const TailAppParams &params,
-                             double llcLatency)
+System::nominalServiceCycles(const TailAppParams &params)
 {
+    // Average LLC latency estimate, cycles.
+    constexpr double kLlcLatency = 30.0;
     double computeCycles = static_cast<double>(params.instrsPerRequest) /
                            params.traits.baseIpc;
     double accesses = static_cast<double>(params.instrsPerRequest) *
                       params.apki / 1000.0;
-    double stall = accesses * llcLatency * params.traits.stallFactor;
+    double stall = accesses * kLlcLatency * params.traits.stallFactor;
     return computeCycles + stall;
 }
 
@@ -325,8 +326,7 @@ System::buildApps(const WorkloadMix &,
                                        : tailAppParams(slot.name);
             params.workingSets = scaleWorkingSets(
                 params.workingSets, config_.capacityScale);
-            double service = nominalServiceCycles(
-                params, config_.nominalLlcLatency);
+            double service = nominalServiceCycles(params);
             double deadlineDefault = 5.0 * service;
             auto it = calibrations.find(slot.name);
             if (it != calibrations.end()) {
@@ -342,8 +342,7 @@ System::buildApps(const WorkloadMix &,
                 auto kvApp = std::make_unique<KvServerApp>(
                     *kvParams, params, appId, interarrival,
                     Rng(config_.seed * 7919 + i * 13 + 1));
-                kvApp->bindTrace(&kvTrace_, interarrival,
-                                 config_.kv.loadScale);
+                kvApp->bindTrace(&kvTrace_, interarrival);
                 // Apply the trace's t=0 state before the first event
                 // (a diurnal trace does not start at multiplier 1).
                 kvApp->onTraceTick(0);

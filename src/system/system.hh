@@ -140,8 +140,7 @@ class System
     RunResult collect();
 
     /** Nominal (uncontended) service time for an LC app, cycles. */
-    static double nominalServiceCycles(const TailAppParams &params,
-                                       double llcLatency);
+    static double nominalServiceCycles(const TailAppParams &params);
 
     MemPath &memPath() { return *path_; }
     RuntimeDriver &runtime() { return *runtime_; }

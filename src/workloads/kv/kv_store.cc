@@ -209,12 +209,10 @@ KvServerApp::KvServerApp(const KvAppParams &kvParams,
 
 void
 KvServerApp::bindTrace(const LoadTrace *trace,
-                       double baseInterarrivalCycles,
-                       double loadScale)
+                       double baseInterarrivalCycles)
 {
     trace_ = trace;
     baseInterarrival_ = baseInterarrivalCycles;
-    loadScale_ = loadScale;
     lastMultiplier_ = 1.0;
 }
 
@@ -222,7 +220,7 @@ void
 KvServerApp::onTraceTick(Tick now)
 {
     if (trace_ == nullptr || trace_->empty()) return;
-    double mult = trace_->multiplierAt(now) * loadScale_;
+    double mult = trace_->multiplierAt(now);
     if (mult != lastMultiplier_) {
         setMeanInterarrival(baseInterarrival_ / mult, now);
         lastMultiplier_ = mult;

@@ -16,9 +16,10 @@
  *   log         append-only write-ahead region (streaming)
  *
  * Per-request instruction/LLC budgets derive from the same numbers:
- * an op touches opAccesses(op) lines, and the instruction budget is
- * back-computed from a target memory intensity, so the footprint,
- * the access stream, and the budget all agree by construction.
+ * an op touches kvOpAccesses(params, op) lines, and the instruction
+ * budget is back-computed from a target memory intensity, so the
+ * footprint, the access stream, and the budget all agree by
+ * construction.
  *
  * A bound LoadTrace drives the open-loop client through time: the
  * arrival rate follows the trace's piecewise-linear multiplier and
@@ -121,11 +122,9 @@ class KvServerApp : public TailLatencyApp
 
     /**
      * Attaches the offered-load trace. @p baseInterarrivalCycles is
-     * the rate at multiplier 1.0; @p loadScale is a global factor
-     * on top of the trace (the kv.loadScale knob).
+     * the rate at multiplier 1.0.
      */
-    void bindTrace(const LoadTrace *trace,
-                   double baseInterarrivalCycles, double loadScale);
+    void bindTrace(const LoadTrace *trace, double baseInterarrivalCycles);
 
     /**
      * Applies the trace state at @p now: arrival rate, skew delta,
@@ -168,7 +167,6 @@ class KvServerApp : public TailLatencyApp
 
     const LoadTrace *trace_ = nullptr;
     double baseInterarrival_ = 0.0;
-    double loadScale_ = 1.0;
     double lastMultiplier_ = 1.0;
     double activeThetaDelta_ = 0.0;
     std::uint64_t activeRotation_ = 0;

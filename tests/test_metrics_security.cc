@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the metrics layer (energy, speedup, fixed work) and
- * the security attack applications.
+ * Unit tests for the metrics layer (energy, speedup) and the
+ * security attack applications.
  */
 
 #include <gtest/gtest.h>
@@ -60,14 +60,6 @@ TEST(Energy, BreakdownAccumulates)
     EXPECT_DOUBLE_EQ(a.llc, 2 * EnergyParams{}.llcBankAccessPj);
 }
 
-TEST(Energy, FormatMentionsAllLevels)
-{
-    std::string s = formatEnergy(EnergyBreakdown{});
-    EXPECT_NE(s.find("L1"), std::string::npos);
-    EXPECT_NE(s.find("NoC"), std::string::npos);
-    EXPECT_NE(s.find("Mem"), std::string::npos);
-}
-
 // ------------------------------------------------------------- Speedup
 
 AppProgress
@@ -84,7 +76,6 @@ TEST(Speedup, WeightedSpeedupIdentity)
     std::vector<AppProgress> run = {progress(100, 100),
                                     progress(300, 100)};
     EXPECT_DOUBLE_EQ(weightedSpeedup(run, run), 1.0);
-    EXPECT_DOUBLE_EQ(gmeanSpeedup(run, run), 1.0);
 }
 
 TEST(Speedup, WeightedSpeedupAverageOfRatios)
@@ -96,21 +87,11 @@ TEST(Speedup, WeightedSpeedupAverageOfRatios)
     EXPECT_DOUBLE_EQ(weightedSpeedup(mix, ref), 1.5);
 }
 
-TEST(Speedup, GmeanOfRatios)
-{
-    std::vector<AppProgress> mix = {progress(400, 100),
-                                    progress(100, 100)};
-    std::vector<AppProgress> ref = {progress(100, 100),
-                                    progress(100, 100)};
-    EXPECT_DOUBLE_EQ(gmeanSpeedup(mix, ref), 2.0); // sqrt(4 * 1)
-}
-
 TEST(Speedup, MismatchedSizesFatal)
 {
     std::vector<AppProgress> a = {progress(1, 1)};
     std::vector<AppProgress> b;
     EXPECT_THROW(weightedSpeedup(a, b), FatalError);
-    EXPECT_THROW(gmeanSpeedup(b, b), FatalError);
 }
 
 TEST(Speedup, GmeanHelper)
@@ -118,26 +99,6 @@ TEST(Speedup, GmeanHelper)
     EXPECT_DOUBLE_EQ(gmean({2.0, 8.0}), 4.0);
     EXPECT_DOUBLE_EQ(gmean({}), 1.0);
     EXPECT_DOUBLE_EQ(gmean({1.0}), 1.0);
-}
-
-TEST(FixedWorkTracker, TracksCompletions)
-{
-    FixedWorkTracker tracker({100, 200});
-    EXPECT_FALSE(tracker.allDone());
-    tracker.update(0, 150, 1000);
-    EXPECT_EQ(tracker.completionTick(0), 1000u);
-    EXPECT_FALSE(tracker.allDone());
-    tracker.update(1, 200, 2000);
-    EXPECT_TRUE(tracker.allDone());
-    // A later update does not change the completion tick.
-    tracker.update(0, 400, 9000);
-    EXPECT_EQ(tracker.completionTick(0), 1000u);
-}
-
-TEST(FixedWorkTracker, OutOfRangePanics)
-{
-    FixedWorkTracker tracker({100});
-    EXPECT_THROW(tracker.update(5, 1, 1), PanicError);
 }
 
 // ------------------------------------------------------------ Attacks

@@ -200,10 +200,7 @@ TEST(Memory, ControllersAtCorners)
 TEST(Memory, BatchTrafficQueuesPerVm)
 {
     MeshTopology mesh(paperMesh());
-    MemoryParams params;
-    params.serviceInterval = 4;
-    params.partitionBandwidth = true;
-    MemorySystem mem(params, mesh);
+    MemorySystem mem(MemoryParams{}, mesh);
     mem.setActiveVms(4);
 
     // Find two lines on the same controller.
@@ -214,15 +211,13 @@ TEST(Memory, BatchTrafficQueuesPerVm)
     auto second = mem.access(100, b, /*vm=*/0, false);
     EXPECT_EQ(first.queueDelay, 0u);
     // Second access from the same VM waits a full scaled interval.
-    EXPECT_EQ(second.queueDelay, 4u * 4u);
+    EXPECT_EQ(second.queueDelay, 4u * kServiceInterval);
 }
 
 TEST(Memory, DifferentVmsDoNotQueueOnEachOther)
 {
     MeshTopology mesh(paperMesh());
-    MemoryParams params;
-    params.partitionBandwidth = true;
-    MemorySystem mem(params, mesh);
+    MemorySystem mem(MemoryParams{}, mesh);
     mem.setActiveVms(4);
 
     LineAddr a = 0, b = 1;
@@ -236,9 +231,7 @@ TEST(Memory, DifferentVmsDoNotQueueOnEachOther)
 TEST(Memory, LatencyCriticalBypassesBatchQueue)
 {
     MeshTopology mesh(paperMesh());
-    MemoryParams params;
-    params.partitionBandwidth = true;
-    MemorySystem mem(params, mesh);
+    MemorySystem mem(MemoryParams{}, mesh);
     mem.setActiveVms(4);
 
     LineAddr a = 0, b = 1;
@@ -254,9 +247,7 @@ TEST(Memory, LatencyCriticalBypassesBatchQueue)
 TEST(Memory, LcTrafficQueuesBehindLcOnly)
 {
     MeshTopology mesh(paperMesh());
-    MemoryParams params;
-    params.serviceInterval = 4;
-    MemorySystem mem(params, mesh);
+    MemorySystem mem(MemoryParams{}, mesh);
 
     LineAddr a = 0, b = 1;
     while (mem.controllerFor(b) != mem.controllerFor(a)) b++;
@@ -264,23 +255,7 @@ TEST(Memory, LcTrafficQueuesBehindLcOnly)
     auto first = mem.access(100, a, 0, true);
     auto second = mem.access(100, b, 1, true);
     EXPECT_EQ(first.queueDelay, 0u);
-    EXPECT_EQ(second.queueDelay, 4u);
-}
-
-TEST(Memory, UnpartitionedSharesOneQueue)
-{
-    MeshTopology mesh(paperMesh());
-    MemoryParams params;
-    params.serviceInterval = 4;
-    params.partitionBandwidth = false;
-    MemorySystem mem(params, mesh);
-
-    LineAddr a = 0, b = 1;
-    while (mem.controllerFor(b) != mem.controllerFor(a)) b++;
-
-    mem.access(100, a, 0, false);
-    auto second = mem.access(100, b, 3, false);
-    EXPECT_EQ(second.queueDelay, 4u);
+    EXPECT_EQ(second.queueDelay, kServiceInterval);
 }
 
 } // namespace

@@ -234,7 +234,7 @@ TEST(SystemTest, VmScalingConfigs)
 TEST(SystemTest, NominalServiceCyclesSane)
 {
     for (const auto &params : tailAppCatalog()) {
-        double service = System::nominalServiceCycles(params, 30.0);
+        double service = System::nominalServiceCycles(params);
         EXPECT_GT(service, static_cast<double>(params.instrsPerRequest) /
                                params.traits.baseIpc);
     }
@@ -339,11 +339,13 @@ TEST(Harness, CalibrationIsAPureFunctionOfConfigAndName)
     EXPECT_EQ(c.serviceCycles, a.serviceCycles);
     EXPECT_EQ(c.deadline, a.deadline);
 
-    SystemConfig padded = cfg;
-    padded.deadlinePadding *= 2.0;
-    const LcCalibration d = calibrateLcApp(padded, "silo");
+    // The deadline is measured at High load whatever the config's
+    // load override; the service run sets its own 5% load.
+    SystemConfig overridden = cfg;
+    overridden.utilizationOverride = 0.3;
+    const LcCalibration d = calibrateLcApp(overridden, "silo");
     EXPECT_EQ(d.serviceCycles, a.serviceCycles);
-    EXPECT_EQ(d.deadline, 2.0 * a.deadline);
+    EXPECT_EQ(d.deadline, a.deadline);
 
     SystemConfig reseeded = cfg;
     reseeded.seed += 1;
